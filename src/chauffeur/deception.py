@@ -109,7 +109,7 @@ def _case2_scenario(p1: GameParams, p2: GameParams, s0: RelState, dt: float, t_m
 def _default_horizon(geom1: SolutionGeometry, s0: RelState) -> float:
     try:
         v = geom1.value(s0)
-    except Exception:
+    except RuntimeError:  # how value() reports a failed query
         v = 10.0
     return max(20.0, 10.0 * v)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import Controls, GameParams, RelState, rel_rhs
 from .solution import SIDE_DEADBAND, SolutionGeometry, get_geometry
@@ -252,7 +252,8 @@ def run_closed_loop(
             if sc.params_low == sc.params_truth
             else get_geometry(sc.params_low)
         )
-    policy = sc.evader_policy
+    # The switch latches on a per-run copy: a reused scenario reruns alike.
+    policy = replace(sc.evader_policy)
     dt = sc.dt
     mu_truth = sc.params_truth.mu
     # Equal speeds degenerate deception to truthful play: the switch is a

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,6 +382,57 @@ def _rk4_equivocal(p: GameParams, x: float, y: float, u: float, h: float):
     )
 
 
+def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[a, b]`` (Brent's zeroin).
+
+    ``fa`` and ``fb`` are the residuals already evaluated at the bracket
+    ends.  Inverse quadratic or secant steps are taken while they stay well
+    inside the bracket, bisection otherwise, so the bracket always holds a
+    sign change; the iteration stops at the floating-point resolution of the
+    root.  ``f`` returns None where the residual is undefined, which raises
+    :class:`EqualCostBracketError` rather than returning an unconverged point.
+    """
+    eps = sys.float_info.epsilon
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = eps * (2.0 * abs(b) + 0.5)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb is None:
+            raise EqualCostBracketError(
+                f"residual undefined at u={b!r} inside the bracket between "
+                f"u={a!r} -> {fa!r} and u={c!r} -> {fc!r}"
+            )
+        if (fb > 0.0) == (fc > 0.0) and fb != 0.0:
+            c, fc = a, fa
+            d = e = b - a
+
+
 def _march_equivocal(
     p: GameParams, start: tuple[float, float], v_start: float, d_tau: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -390,7 +442,8 @@ def _march_equivocal(
     the stepped point equals the running cost plus the step; the evader
     control is pure pursuit of the origin.  The control root is followed by
     continuity (narrow bracket around the previous step's control, widened on
-    demand) because a second, spurious root branch exists near the barrier.
+    demand) because a second, spurious root branch exists near the barrier;
+    a Brent iteration on that bracket finds it.
     Returns (points, value, u) arrays ending at the interpolated axis contact.
     """
     x, y = start
@@ -421,17 +474,7 @@ def _march_equivocal(
                 return hi
             if (r_lo < 0.0) == (r_hi < 0.0):
                 continue
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                r_mid = residual(mid, x_, y_, v_, h_)
-                if r_mid is None:
-                    break
-                if (r_mid < 0.0) == (r_lo < 0.0):
-                    lo = mid
-                    r_lo = r_mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return _brent_root(lambda u: residual(u, x_, y_, v_, h_), lo, hi, r_lo, r_hi)
         raise EqualCostBracketError(
             "equal-cost locus lost at "
             f"({x_:.6f}, {y_:.6f}), v={v_:.6f}: residuals "
@@ -523,9 +566,21 @@ def compute_secondary_fan_and_equivocal(
         bseg = np.vstack([bseg, barrier.points[-1]])
     b0 = bseg[:-1]
     b1 = bseg[1:]
+    # A step segment outside the barrier's bounding box cannot cross it; the
+    # pad is far wider than the rounding of t and u below.
+    box_lo = bseg.min(axis=0) - 1e-3
+    box_hi = bseg.max(axis=0) + 1e-3
 
     def crosses_barrier(px, py, qx, qy):
         """Vectorized segment-vs-barrier intersection test per characteristic."""
+        hit = np.zeros(len(px), dtype=bool)
+        near = np.nonzero(
+            (np.maximum(px, qx) >= box_lo[0]) & (np.minimum(px, qx) <= box_hi[0])
+            & (np.maximum(py, qy) >= box_lo[1]) & (np.minimum(py, qy) <= box_hi[1])
+        )[0]
+        if len(near) == 0:
+            return hit
+        px, py, qx, qy = px[near], py[near], qx[near], qy[near]
         rx = qx - px
         ry = qy - py
         sx = (b1[:, 0] - b0[:, 0])[None, :]
@@ -536,8 +591,9 @@ def compute_secondary_fan_and_equivocal(
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (dx * sy - dy * sx) / denom
             u = (dx * ry[:, None] - dy * rx[:, None]) / denom
-        hit = (np.abs(denom) > 1e-14) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        return hit.any(axis=1)
+        cross = (np.abs(denom) > 1e-14) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+        hit[near] = cross.any(axis=1)
+        return hit
 
     def integrate_family(x0, y0, psi_of_tau, values, anchors, terminal):
         n = len(x0)
@@ -880,18 +936,6 @@ class SolutionGeometry:
         if self.petal_contains(x, y):
             return Region(PRIMARY, mirrored)
         return Region(TRIBUTARY, mirrored)
-
-    def _distance_to_equivocal(self, x: float, y: float) -> float:
-        pts = self.equivocal.points
-        step = max(1, len(pts) // 400)
-        sub = pts[::step]
-        d2 = (sub[:, 0] - x) ** 2 + (sub[:, 1] - y) ** 2
-        j = int(np.argmin(d2)) * step
-        lo = max(0, j - step)
-        hi = min(len(pts), j + step + 1)
-        seg = pts[lo:hi]
-        d2 = (seg[:, 0] - x) ** 2 + (seg[:, 1] - y) ** 2
-        return float(math.sqrt(d2.min()))
 
     def wall_distance(self, x: float, y: float) -> float:
         """Distance to the pocket wall (barrier plus equivocal chain).

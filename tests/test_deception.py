@@ -47,6 +47,27 @@ class TestDeceptionGain:
             deception_gain(0.2, 0.3, 0.5, RelState(2.0, 0.0))
 
 
+class TestDefaultHorizon:
+    class _Failing:
+        def __init__(self, exc):
+            self.exc = exc
+
+        def value(self, s):
+            raise self.exc
+
+    def test_value_failure_falls_back(self):
+        from chauffeur.deception import _default_horizon
+
+        geom = self._Failing(RuntimeError("nearest-curve query failed"))
+        assert _default_horizon(geom, RelState(2.0, 0.0)) == 100.0
+
+    def test_other_errors_propagate(self):
+        from chauffeur.deception import _default_horizon
+
+        with pytest.raises(ZeroDivisionError):
+            _default_horizon(self._Failing(ZeroDivisionError()), RelState(2.0, 0.0))
+
+
 class TestSweep:
     def test_three_by_three_row_count(self, geom_03, geom_02, tmp_path):
         amap = sweep(0.3, 0.2, 0.5, window=(1.4, 2.0, 0.8, 1.4), spacing=0.3, dt=2e-3)

@@ -152,6 +152,24 @@ class TestRunClosedLoop:
         assert a.capture_time == b.capture_time
         assert a.x == b.x and a.y == b.y and a.psi == b.psi and a.u == b.u
 
+    def test_reused_scenario_reruns_bitwise(self, params_03, params_02, geom_03, geom_02):
+        # The switch latch must not carry over from one run to the next.
+        sc = Scenario(
+            params_truth=params_03,
+            params_low=params_02,
+            initial_rel=RelState(2.152, -0.214),
+            evader_policy=EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3),
+            pursuer_mode="estimating",
+            dt=1e-3,
+            t_max=40.0,
+        )
+        a = run_closed_loop(sc, geom_03, geom_02)
+        b = run_closed_loop(sc, geom_03, geom_02)
+        assert a.capture_time == b.capture_time
+        assert a.x == b.x and a.y == b.y and a.psi == b.psi and a.mu_cmd == b.mu_cmd
+        assert [(e.t, e.kind) for e in a.events] == [(e.t, e.kind) for e in b.events]
+        assert not sc.evader_policy.switched
+
     def test_capture_location_on_circle(self, params_03, geom_03, rng):
         for _ in range(5):
             x = rng.uniform(0.8, 2.5)

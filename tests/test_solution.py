@@ -330,6 +330,20 @@ class TestEquivocalCurve:
             assert dep is not None
             assert abs(dep - vals[k]) < 5e-4
 
+    def test_every_step_meets_equal_cost(self, params_03, geom_03):
+        # Solver-independent: each marched point's departure cost equals the
+        # running cost plus one step.  The last sample is interpolated onto
+        # the axis, so it is skipped.
+        from chauffeur.solution import _tributary_value_raw
+
+        pts = geom_03.equivocal.points
+        vals = geom_03.equivocal.tau
+        d_tau = 1e-3
+        for k in range(len(pts) - 2):
+            dep = _tributary_value_raw(params_03, pts[k + 1, 0], pts[k + 1, 1])
+            assert dep is not None
+            assert abs(dep - (vals[k] + d_tau)) <= 1e-12, k
+
     def test_two_branch_costs_agree(self, params_03, geom_03):
         # Spot check (the acceptance suite runs the full 20-point version):
         # riding the curve then departing costs the same as departing now.
@@ -434,6 +448,37 @@ class TestEqualCostDiagnostics:
         b = compute_barrier(p)
         with pytest.raises(EqualCostBracketError, match="residuals"):
             compute_secondary_fan_and_equivocal(p, barrier=b)
+
+
+class TestBrentRoot:
+    def test_root_at_bracket_end(self):
+        from chauffeur.solution import _brent_root
+
+        assert _brent_root(lambda x: x - 1.0, 1.0, 2.0, 0.0, 1.0) == 1.0
+        assert _brent_root(lambda x: x - 2.0, 1.0, 2.0, -1.0, 0.0) == 2.0
+
+    def test_cubic_known_root(self):
+        # Wallis's cubic x^3 - 2x - 5; its real root to double precision.
+        from chauffeur.solution import _brent_root
+
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3 - 2.0 * x - 5.0
+
+        root = _brent_root(f, 2.0, 3.0, f(2.0), f(3.0))
+        assert abs(root - 2.0945514815423265) <= 4.0 * np.finfo(float).eps
+        assert len(calls) - 2 <= 12
+
+    def test_undefined_residual_inside_bracket_raises(self):
+        from chauffeur.solution import EqualCostBracketError, _brent_root
+
+        def f(x):
+            return None if 0.25 < x < 0.75 else x - 0.5
+
+        with pytest.raises(EqualCostBracketError, match="undefined"):
+            _brent_root(f, 0.0, 1.0, -0.5, 0.5)
 
 
 class TestDefaultSweepWindow:
