@@ -26,7 +26,6 @@ from .solution import (
     SolutionGeometry,
     bup_angle,
     bup_point,
-    classify_region,
     compute_barrier,
     compute_primary_fan,
     compute_secondary_fan_and_equivocal,
@@ -34,7 +33,6 @@ from .solution import (
     get_geometry,
     solve,
     tributary_value,
-    value,
 )
 from .strategy import (
     EvaderPolicy,
@@ -62,7 +60,6 @@ __all__ = [
     "SolutionGeometry",
     "bup_angle",
     "bup_point",
-    "classify_region",
     "compute_barrier",
     "compute_primary_fan",
     "compute_secondary_fan_and_equivocal",
@@ -70,7 +67,6 @@ __all__ = [
     "get_geometry",
     "solve",
     "tributary_value",
-    "value",
     "AdvantageMap",
     "DeceptionReport",
     "deception_gain",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, RelState, validate_params
+from .core import RelState, validate_params
 from .sim import Scenario, run_closed_loop
 from .solution import SolutionGeometry, get_geometry
 from .strategy import EvaderPolicy
@@ -82,30 +82,6 @@ class AdvantageMap:
                 )
 
 
-def _case1_scenario(p1: GameParams, p2: GameParams, s0: RelState, dt: float, t_max: float) -> Scenario:
-    return Scenario(
-        params_truth=p1,
-        params_low=p2,
-        initial_rel=s0,
-        evader_policy=EvaderPolicy(kind="truthful"),
-        pursuer_mode="informed",
-        dt=dt,
-        t_max=t_max,
-    )
-
-
-def _case2_scenario(p1: GameParams, p2: GameParams, s0: RelState, dt: float, t_max: float) -> Scenario:
-    return Scenario(
-        params_truth=p1,
-        params_low=p2,
-        initial_rel=s0,
-        evader_policy=EvaderPolicy(kind="deceptive", mu_low=p2.mu, mu_high=p1.mu),
-        pursuer_mode="estimating",
-        dt=dt,
-        t_max=t_max,
-    )
-
-
 def _default_horizon(geom1: SolutionGeometry, s0: RelState) -> float:
     try:
         v = geom1.value(s0)
@@ -142,21 +118,15 @@ def deception_gain(
     if t_max is None:
         t_max = _default_horizon(geom1, s0)
 
-    tr1 = run_closed_loop(_case1_scenario(p1, p2, s0, dt, t_max), geom1, geom2)
-    tr2 = run_closed_loop(_case2_scenario(p1, p2, s0, dt, t_max), geom1, geom2)
+    def play(policy: EvaderPolicy, mode: str):
+        sc = Scenario(p1, p2, s0, policy, pursuer_mode=mode, dt=dt, t_max=t_max)
+        return run_closed_loop(sc, geom1, geom2)
+
+    tr1 = play(EvaderPolicy(kind="truthful"), "informed")
+    tr2 = play(EvaderPolicy(kind="deceptive", mu_low=p2.mu, mu_high=p1.mu), "estimating")
     t_est = None
     if with_estimating_baseline:
-        sc = Scenario(
-            params_truth=p1,
-            params_low=p2,
-            initial_rel=s0,
-            evader_policy=EvaderPolicy(kind="truthful"),
-            pursuer_mode="estimating",
-            dt=dt,
-            t_max=t_max,
-        )
-        tr_est = run_closed_loop(sc, geom1, geom2)
-        t_est = tr_est.capture_time
+        t_est = play(EvaderPolicy(kind="truthful"), "estimating").capture_time
 
     switch = None
     for e in tr2.events:

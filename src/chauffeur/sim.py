@@ -20,7 +20,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 
-from .core import Controls, GameParams, RelState, rel_rhs
+from .core import Controls, GameParams, RelState, frozen_rhs, rk4_step
 from .solution import SIDE_DEADBAND, SolutionGeometry, get_geometry
 from .strategy import EvaderPolicy, SpeedEstimate, deceptive_policy, estimator_update, feedback_pair
 
@@ -145,14 +145,7 @@ def step(s: RelState, c: Controls, dt: float) -> RelState:
 
 
 def _step_raw(x: float, y: float, u: float, psi: float, mu: float, dt: float):
-    k1 = rel_rhs(x, y, u, psi, mu)
-    k2 = rel_rhs(x + 0.5 * dt * k1[0], y + 0.5 * dt * k1[1], u, psi, mu)
-    k3 = rel_rhs(x + 0.5 * dt * k2[0], y + 0.5 * dt * k2[1], u, psi, mu)
-    k4 = rel_rhs(x + dt * k3[0], y + dt * k3[1], u, psi, mu)
-    return (
-        x + dt / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        y + dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-    )
+    return rk4_step(frozen_rhs(u, psi, mu), x, y, dt)
 
 
 def _pocket_flip(
@@ -162,23 +155,13 @@ def _pocket_flip(
     in_prev: bool,
     in_next: bool,
 ) -> tuple[float, tuple[float, float], str] | None:
-    """Bisected wall-crossing (time, location, wall section) within a step."""
+    """Wall-crossing (time, location, wall section) within a step."""
     if in_prev == in_next:
         return None
     t0, x0, y0 = prev
     t1, x1, y1 = nxt
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        xm = x0 + mid * (x1 - x0)
-        ym = y0 + mid * (y1 - y0)
-        if geometry.pocket_contains(xm, ym) == in_prev:
-            lo = mid
-        else:
-            hi = mid
-    w = 0.5 * (lo + hi)
-    loc = (x0 + w * (x1 - x0), y0 + w * (y1 - y0))
-    return t0 + w * (t1 - t0), loc, geometry.wall_section(*loc)
+    w, xw, yw = geometry.wall_crossing(x0, y0, x1, y1, in_prev)
+    return t0 + w * (t1 - t0), (xw, yw), geometry.wall_section(xw, yw)
 
 
 def detect_events(

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, RelState, to_relative
+from .core import GameParams, RelState, frozen_rhs, rk4_step, to_relative
 
 # Region tags.
 CAPTURED = "Captured"
@@ -187,24 +187,9 @@ def _tributary_value_raw(p: GameParams, x: float, y: float) -> float | None:
 
 
 def _retro_rhs(x: float, y: float, u: float, psi: float, mu: float) -> tuple[float, float]:
-    # Retrograde form of the relative kinematics: d/dtau = -d/dt.
+    # Retrograde form of the relative kinematics: d/dtau = -d/dt.  Kept as
+    # its own expression: negating rel_rhs slows the barrier and the march.
     return (y * u - mu * math.sin(psi), -x * u + 1.0 - mu * math.cos(psi))
-
-
-def _rk4_fixed(x: float, y: float, u: float, psi: float, mu: float, h: float):
-    """One forward RK4 step with frozen controls."""
-
-    def f(x_, y_):
-        return (-y_ * u + mu * math.sin(psi), x_ * u - 1.0 + mu * math.cos(psi))
-
-    k1 = f(x, y)
-    k2 = f(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
-    k3 = f(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
-    k4 = f(x + h * k3[0], y + h * k3[1])
-    return (
-        x + h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        y + h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-    )
 
 
 def primary_retro_rhs(
@@ -215,14 +200,7 @@ def primary_retro_rhs(
 
 
 def _rk4_primary(p: GameParams, x: float, y: float, tau: float, phi: float, h: float):
-    k1 = primary_retro_rhs(p, x, y, tau, phi)
-    k2 = primary_retro_rhs(p, x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], tau + 0.5 * h, phi)
-    k3 = primary_retro_rhs(p, x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], tau + 0.5 * h, phi)
-    k4 = primary_retro_rhs(p, x + h * k3[0], y + h * k3[1], tau + h, phi)
-    return (
-        x + h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        y + h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-    )
+    return rk4_step(lambda x_, y_, c: primary_retro_rhs(p, x_, y_, tau + c, phi), x, y, h)
 
 
 def compute_barrier(
@@ -326,18 +304,13 @@ def compute_primary_fan(
     pts[:, 0, 1] = y
     taus = np.linspace(0.0, tau_end, n_steps + 1)
 
-    def rhs(xv, yv, tau):
-        ang = phis + tau
+    def rhs(xv, yv, c):
+        ang = phis + (tau + c)
         return yv - mu * np.sin(ang), -xv + 1.0 - mu * np.cos(ang)
 
     tau = 0.0
     for k in range(n_steps):
-        k1x, k1y = rhs(x, y, tau)
-        k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y, tau + 0.5 * h)
-        k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y, tau + 0.5 * h)
-        k4x, k4y = rhs(x + h * k3x, y + h * k3y, tau + h)
-        x = x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y = y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        x, y = rk4_step(rhs, x, y, h)
         tau += h
         pts[:, k + 1, 0] = x
         pts[:, k + 1, 1] = y
@@ -368,18 +341,7 @@ def _pp_heading(x: float, y: float) -> float:
 def _rk4_equivocal(p: GameParams, x: float, y: float, u: float, h: float):
     # psi is pure-pursuit feedback, re-evaluated at every RK4 stage.
     mu = p.mu
-
-    def rhs(x_, y_):
-        return _retro_rhs(x_, y_, u, _pp_heading(x_, y_), mu)
-
-    k1 = rhs(x, y)
-    k2 = rhs(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
-    k3 = rhs(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
-    k4 = rhs(x + h * k3[0], y + h * k3[1])
-    return (
-        x + h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        y + h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-    )
+    return rk4_step(lambda x_, y_, c: _retro_rhs(x_, y_, u, _pp_heading(x_, y_), mu), x, y, h)
 
 
 def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -604,20 +566,13 @@ def compute_secondary_fan_and_equivocal(
         traj = [np.stack([x, y], axis=1)]
         tau = 0.0
         h = d_tau
+
+        def rhs(xv, yv, c):
+            psi = psi_of_tau(tau + c)
+            return yv * -1.0 - mu * np.sin(psi), xv + 1.0 - mu * np.cos(psi)
+
         for _ in range(n_steps):
-            psi1 = psi_of_tau(tau)
-            psi2 = psi_of_tau(tau + 0.5 * h)
-            psi3 = psi_of_tau(tau + h)
-
-            def rhs(xv, yv, psi):
-                return yv * -1.0 - mu * np.sin(psi), xv + 1.0 - mu * np.cos(psi)
-
-            k1x, k1y = rhs(x, y, psi1)
-            k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y, psi2)
-            k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y, psi2)
-            k4x, k4y = rhs(x + h * k3x, y + h * k3y, psi3)
-            xn = x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
-            yn = y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
+            xn, yn = rk4_step(rhs, x, y, h)
             stop = (xn < 0.0) | (xn * xn + yn * yn < p.l * p.l)
             if alive.any():
                 live_hit = crosses_barrier(x[alive], y[alive], xn[alive], yn[alive])
@@ -705,30 +660,8 @@ class _CurveIndex:
             k = (int(key[chunk[0], 0]), int(key[chunk[0], 1]))
             self.buckets[k] = chunk
 
-    def nearest(self, x: float, y: float) -> tuple[int, int]:
-        """(curve id, local sample id) of the nearest stored sample."""
-        ci = int(math.floor(x / self.cell))
-        cj = int(math.floor(y / self.cell))
-        for ring in range(1, 40):
-            cand = []
-            for i in range(ci - ring + 1, ci + ring):
-                for j in range(cj - ring + 1, cj + ring):
-                    got = self.buckets.get((i, j))
-                    if got is not None:
-                        cand.append(got)
-            if cand:
-                ids = np.concatenate(cand)
-                d = self.pts[ids]
-                k = int(ids[np.argmin((d[:, 0] - x) ** 2 + (d[:, 1] - y) ** 2)])
-                # A sample one ring farther out can still be closer; accept
-                # once the ring radius exceeds the best distance found.
-                best = math.hypot(self.pts[k, 0] - x, self.pts[k, 1] - y)
-                if best <= (ring - 0.5) * self.cell or ring >= 39:
-                    return int(self.owner[k]), int(self.local[k])
-        raise RuntimeError("nearest-curve query failed")
-
-    def nearest_two(self, x: float, y: float) -> list[tuple[int, int, float]]:
-        """Up to two (curve id, sample id, distance) entries from distinct curves."""
+    def _scan(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """(sample ids, squared distances, argmin) of the first accepted ring."""
         ci = int(math.floor(x / self.cell))
         cj = int(math.floor(y / self.cell))
         for ring in range(1, 40):
@@ -743,22 +676,30 @@ class _CurveIndex:
             ids = np.concatenate(cand)
             d = self.pts[ids]
             d2 = (d[:, 0] - x) ** 2 + (d[:, 1] - y) ** 2
-            order = np.argsort(d2)
-            best = float(math.sqrt(d2[order[0]]))
-            if best > (ring - 0.5) * self.cell and ring < 39:
-                continue
-            out = []
-            seen = set()
-            for k in order:
-                o = int(self.owner[ids[k]])
-                if o in seen:
-                    continue
-                seen.add(o)
-                out.append((o, int(self.local[ids[k]]), float(math.sqrt(d2[k]))))
-                if len(out) == 2:
-                    return out
-            return out
+            k = int(np.argmin(d2))
+            # A sample one ring farther out can still be closer; accept
+            # once the ring radius exceeds the best distance found.  An
+            # unscanned sample can lie within (ring - 1) * cell, so this is
+            # not exact (test_nearest_sample_is_the_nearest).
+            if math.sqrt(d2[k]) <= (ring - 0.5) * self.cell or ring >= 39:
+                return ids, d2, k
         raise RuntimeError("nearest-curve query failed")
+
+    def nearest(self, x: float, y: float) -> tuple[int, int]:
+        """(curve id, local sample id) of the nearest stored sample."""
+        ids, _, k = self._scan(x, y)
+        return int(self.owner[ids[k]]), int(self.local[ids[k]])
+
+    def nearest_two(self, x: float, y: float) -> list[tuple[int, int, float]]:
+        """Up to two (curve id, sample id, distance) entries from distinct curves."""
+        ids, d2, k = self._scan(x, y)
+        owners = self.owner[ids]
+        out = [(int(owners[k]), int(self.local[ids[k]]), float(math.sqrt(d2[k])))]
+        other = owners != owners[k]
+        if other.any():
+            k2 = int(np.argmin(np.where(other, d2, np.inf)))
+            out.append((int(owners[k2]), int(self.local[ids[k2]]), float(math.sqrt(d2[k2]))))
+        return out
 
     def distance_within(self, x: float, y: float, radius: float) -> float | None:
         """Distance to the nearest sample if within ~radius, else None.
@@ -784,10 +725,14 @@ class _CurveIndex:
         return best if best <= radius else None
 
 
-def _project_tau(points: np.ndarray, tau: np.ndarray, j: int, x: float, y: float) -> float:
-    """Arc-length projection of (x, y) onto the polyline around sample j."""
-    best_tau = float(tau[j])
+def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray):
+    """Project (x, y) onto the polyline around sample j.
+
+    Returns the distance to the foot followed by each of ``series`` (one
+    value per sample) interpolated at the foot.
+    """
     best_d2 = (points[j, 0] - x) ** 2 + (points[j, 1] - y) ** 2
+    best = None
     for a in (j - 1, j):
         if a < 0 or a + 1 >= len(points):
             continue
@@ -799,39 +744,21 @@ def _project_tau(points: np.ndarray, tau: np.ndarray, j: int, x: float, y: float
             continue
         t = ((x - px) * vx + (y - py) * vy) / vv
         t = min(max(t, 0.0), 1.0)
-        cx, cy = px + t * vx, py + t * vy
-        d2 = (cx - x) ** 2 + (cy - y) ** 2
+        d2 = (px + t * vx - x) ** 2 + (py + t * vy - y) ** 2
         if d2 < best_d2:
             best_d2 = d2
-            best_tau = float(tau[a] + t * (tau[a + 1] - tau[a]))
-    return best_tau
+            best = (a, t)
+    if best is None:
+        return (math.sqrt(best_d2), *(float(s[j]) for s in series))
+    a, t = best
+    return (math.sqrt(best_d2), *(float(s[a] + t * (s[a + 1] - s[a])) for s in series))
 
 
-def _project_point(points: np.ndarray, j: int, x: float, y: float) -> tuple[float, float, float]:
-    """Foot of (x, y) on the polyline around sample j, with its distance."""
-    bx, by = float(points[j, 0]), float(points[j, 1])
-    best_d2 = (bx - x) ** 2 + (by - y) ** 2
-    for a in (j - 1, j):
-        if a < 0 or a + 1 >= len(points):
-            continue
-        px, py = points[a]
-        qx, qy = points[a + 1]
-        vx, vy = qx - px, qy - py
-        vv = vx * vx + vy * vy
-        if vv <= 0.0:
-            continue
-        t = ((x - px) * vx + (y - py) * vy) / vv
-        t = min(max(t, 0.0), 1.0)
-        cx, cy = px + t * vx, py + t * vy
-        d2 = (cx - x) ** 2 + (cy - y) ** 2
-        if d2 < best_d2:
-            best_d2 = d2
-            bx, by = cx, cy
-    return bx, by, math.sqrt(best_d2)
-
-
-def _point_in_polygon(px: np.ndarray, py: np.ndarray, x: float, y: float) -> bool:
-    """Even-odd ray cast; polygon arrays are closed implicitly."""
+def _point_in_polygon(px: np.ndarray, py: np.ndarray, bbox: tuple, x: float, y: float) -> bool:
+    """Even-odd ray cast, after a bounding-box test; polygon arrays are
+    closed implicitly."""
+    if not (bbox[0] <= x <= bbox[1] and bbox[2] <= y <= bbox[3]):
+        return False
     x1 = px
     y1 = py
     x2 = np.roll(px, -1)
@@ -848,7 +775,7 @@ def _point_in_polygon(px: np.ndarray, py: np.ndarray, x: float, y: float) -> boo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionGeometry:
     """Immutable solution geometry for one parameter pair (x >= 0, mirrored on query)."""
 
@@ -878,20 +805,29 @@ class SolutionGeometry:
 
     def pocket_contains(self, x: float, y: float) -> bool:
         """True inside the pocket bounded by barrier, equivocal curve, axis and circle."""
-        if x < 0.0:
-            x = -x
-        bx = self._pocket_bbox
-        if not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]):
-            return False
-        return _point_in_polygon(self._pocket_x, self._pocket_y, x, y)
+        return _point_in_polygon(self._pocket_x, self._pocket_y, self._pocket_bbox, abs(x), y)
 
     def petal_contains(self, x: float, y: float) -> bool:
-        if x < 0.0:
-            x = -x
-        bx = self._petal_bbox
-        if not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]):
-            return False
-        return _point_in_polygon(self._petal_x, self._petal_y, x, y)
+        return _point_in_polygon(self._petal_x, self._petal_y, self._petal_bbox, abs(x), y)
+
+    def wall_crossing(
+        self, x0: float, y0: float, x1: float, y1: float, inside: bool
+    ) -> tuple[float, float, float]:
+        """(w, x, y): where the segment from (x0, y0) to (x1, y1) leaves the
+        pocket membership ``inside`` it starts with, at fraction ``w``.
+
+        Bisects the membership test 40 times, so ``w`` is resolved to about
+        1e-12 of the segment.
+        """
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if self.pocket_contains(x0 + mid * (x1 - x0), y0 + mid * (y1 - y0)) == inside:
+                lo = mid
+            else:
+                hi = mid
+        w = 0.5 * (lo + hi)
+        return w, x0 + w * (x1 - x0), y0 + w * (y1 - y0)
 
     def classify(
         self, s: RelState, axis_band: float = SIDE_DEADBAND, wall_band: float = 0.0
@@ -966,14 +902,14 @@ class SolutionGeometry:
         """(phi, tau) of the primary characteristic sample nearest to (x, y)."""
         ci, j = self._primary_index.nearest(x, y)
         ch = self.primary_fan.trajectories[ci]
-        tau = _project_tau(ch.points, ch.tau, j, x, y)
+        _, tau = _project(ch.points, j, x, y, ch.tau)
         return ch.phi, tau
 
     def secondary_data(self, x: float, y: float) -> tuple[Characteristic, float]:
         """(characteristic, local tau) for the nearest secondary sample."""
         ci, j = self._secondary_index.nearest(x, y)
         ch = self.secondary_fan.trajectories[ci]
-        tau = _project_tau(ch.points, ch.tau, j, x, y)
+        _, tau = _project(ch.points, j, x, y, ch.tau)
         return ch, tau
 
     def equivocal_data(self, x: float, y: float) -> tuple[float, float]:
@@ -981,8 +917,7 @@ class SolutionGeometry:
         pts = self.equivocal.points
         d2 = (pts[:, 0] - x) ** 2 + (pts[:, 1] - y) ** 2
         j = int(np.argmin(d2))
-        v = _project_tau(pts, self.equivocal.tau, j, x, y)
-        u = _project_tau(pts, self.equivocal.u, j, x, y)
+        _, v, u = _project(pts, j, x, y, self.equivocal.tau, self.equivocal.u)
         return v, u
 
     # -- value ----------------------------------------------------------------
@@ -1019,8 +954,7 @@ class SolutionGeometry:
         den = 0.0
         for ci, j, _ in pairs:
             ch = self.secondary_fan.trajectories[ci]
-            tau = _project_tau(ch.points, ch.tau, j, x, y)
-            _, _, d = _project_point(ch.points, j, x, y)
+            d, tau = _project(ch.points, j, x, y, ch.tau)
             w = 1.0 / max(d, 1e-12)
             num += w * (ch.anchor_value + tau)
             den += w
@@ -1049,19 +983,10 @@ class SolutionGeometry:
                 psi = math.pi - tau - math.atan(ay / ax)
             else:
                 psi = -tau
-            xn, yn = _rk4_fixed(x, y, -1.0, psi, mu, h)
+            xn, yn = rk4_step(frozen_rhs(-1.0, psi, mu), x, y, h)
             if not self.pocket_contains(xn, yn):
-                # Bisect the wall crossing and price the tributary departure.
-                lo, hi = 0.0, 1.0
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi)
-                    if self.pocket_contains(x + mid * (xn - x), y + mid * (yn - y)):
-                        lo = mid
-                    else:
-                        hi = mid
-                w = 0.5 * (lo + hi)
-                cx = x + w * (xn - x)
-                cy = y + w * (yn - y)
+                # Locate the wall crossing and price the tributary departure.
+                w, cx, cy = self.wall_crossing(x, y, xn, yn, True)
                 dep = _tributary_value_raw(p, max(cx, 0.0), cy)
                 if dep is None:
                     return self._secondary_chain_value(x, y)
@@ -1094,15 +1019,6 @@ class SolutionGeometry:
             w.writerow(GEOMETRY_CSV_HEADER.split(","))
             for family, bid, tau, x, y in self.curve_rows():
                 w.writerow([family, bid, f"{tau:.9g}", f"{x:.9g}", f"{y:.9g}"])
-
-
-def classify_region(geometry: SolutionGeometry, s: RelState) -> Region:
-    """Module-level alias matching the geometry method."""
-    return geometry.classify(s)
-
-
-def value(geometry: SolutionGeometry, s: RelState) -> float:
-    return geometry.value(s)
 
 
 def tributary_value(geometry: SolutionGeometry, s: RelState) -> float:

@@ -1,10 +1,11 @@
 """Feedback equilibrium strategies, the pursuer's speed estimator, and the
 evader's deceptive speed policy.
 
-Strategies are stateless given an immutable :class:`SolutionGeometry`; the
-only mutable pieces are :class:`SpeedEstimate` (running supremum of observed
-evader speeds) and the one-shot switch latch on :class:`EvaderPolicy`, both
-confined to a single simulation run.
+Strategies are stateless given an immutable :class:`SolutionGeometry`.  The
+pursuer's knowledge is a frozen :class:`SpeedEstimate` (running supremum of
+observed evader speeds) that each observation replaces, and the only mutable
+piece is the one-shot switch latch on :class:`EvaderPolicy`, which the
+simulator sets on a per-run copy.
 
 Measurement model: the pursuer estimates the evader's speed bound as the
 largest speed observed so far (position differencing over one integrator
@@ -35,15 +36,14 @@ from .solution import (
 
 @dataclass(frozen=True)
 class SpeedEstimate:
-    """Running supremum of observed evader speeds; mu_hat == history_max."""
+    """Running supremum of observed evader speeds."""
 
     mu_hat: float
-    history_max: float
 
     @staticmethod
     def from_observation(observed_speed: float) -> "SpeedEstimate":
         _check_speed(observed_speed)
-        return SpeedEstimate(mu_hat=observed_speed, history_max=observed_speed)
+        return SpeedEstimate(mu_hat=observed_speed)
 
 
 def _check_speed(observed_speed: float) -> None:
@@ -54,8 +54,7 @@ def _check_speed(observed_speed: float) -> None:
 def estimator_update(e: SpeedEstimate, observed_speed: float) -> SpeedEstimate:
     """Sup-update; idempotent for repeated observations."""
     _check_speed(observed_speed)
-    m = max(e.mu_hat, observed_speed)
-    return SpeedEstimate(mu_hat=m, history_max=m)
+    return SpeedEstimate(mu_hat=max(e.mu_hat, observed_speed))
 
 
 def _feedback_halfplane(
@@ -102,9 +101,7 @@ def pursuer_feedback(
     """Equilibrium turn rate: +1 primary/tributary, -1 secondary, 0 on the
     universal lines, interior control on the equivocal curve; mirror-negated
     for x < 0 queries."""
-    mirrored = s.x < 0.0
-    u, _, _ = _feedback_halfplane(geom, abs(s.x), s.y, axis_band, wall_band)
-    return -u if mirrored else u
+    return feedback_pair(geom, s, axis_band, wall_band)[0]
 
 
 def evader_feedback(
@@ -114,9 +111,7 @@ def evader_feedback(
     wall_band: float = 0.0,
 ) -> float:
     """Equilibrium relative heading; mirror-negated for x < 0 queries."""
-    mirrored = s.x < 0.0
-    _, psi, _ = _feedback_halfplane(geom, abs(s.x), s.y, axis_band, wall_band)
-    return wrap_angle(-psi) if mirrored else psi
+    return feedback_pair(geom, s, axis_band, wall_band)[1]
 
 
 def feedback_pair(

@@ -7,8 +7,10 @@ from chauffeur.core import (
     Controls,
     GlobalState,
     RelState,
+    frozen_rhs,
     rel_dynamics,
     rel_rhs,
+    rk4_step,
     to_global,
     to_relative,
     validate_params,
@@ -140,3 +142,33 @@ class TestFrames:
             rel = to_relative(GlobalState(pursuer_pos=pp, pursuer_heading=th, evader_pos=ep))
             world = math.hypot(ep[0] - pp[0], ep[1] - pp[1])
             assert abs(math.hypot(rel.x, rel.y) - world) < 1e-12
+
+
+class TestRk4Step:
+    def test_floats_and_arrays_agree_bitwise(self, rng):
+        # A time-dependent polynomial field: plain arithmetic, no library calls.
+        def f(x, y, c):
+            return -y * 0.7 + 0.3 * c + 0.1 * x * y, x * 0.7 - 1.0 + 0.2 * c * c
+
+        xs = rng.uniform(-3.0, 3.0, 500)
+        ys = rng.uniform(-3.0, 3.0, 500)
+        ax, ay = rk4_step(f, xs, ys, 0.013)
+        for i in range(len(xs)):
+            fx, fy = rk4_step(f, float(xs[i]), float(ys[i]), 0.013)
+            assert fx == ax[i] and fy == ay[i]
+
+    def test_fourth_order_on_the_turn_circle(self):
+        # u = 1, mu = 0: (x - 1, y) rotates about (1, 0) at unit rate.
+        f = frozen_rhs(1.0, 0.0, 0.0)
+        x0, y0, t_end = 2.5, -0.4, 2.0
+
+        def error(n):
+            x, y = x0, y0
+            for _ in range(n):
+                x, y = rk4_step(f, x, y, t_end / n)
+            ex = 1.0 + (x0 - 1.0) * math.cos(t_end) - y0 * math.sin(t_end)
+            ey = (x0 - 1.0) * math.sin(t_end) + y0 * math.cos(t_end)
+            return math.hypot(x - ex, y - ey)
+
+        ratio = error(20) / error(40)
+        assert 15.0 < ratio < 17.0

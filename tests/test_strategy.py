@@ -10,6 +10,7 @@ from chauffeur.strategy import (
     deceptive_policy,
     estimator_update,
     evader_feedback,
+    feedback_pair,
     pursuer_feedback,
 )
 
@@ -101,7 +102,7 @@ class TestEstimator:
         e = SpeedEstimate.from_observation(0.2)
         e = estimator_update(e, 0.2)
         e = estimator_update(e, 0.3)
-        assert e.mu_hat == 0.3 and e.history_max == 0.3
+        assert e.mu_hat == 0.3
 
     def test_never_decreases(self):
         e = SpeedEstimate.from_observation(0.3)
@@ -202,3 +203,18 @@ class TestSpeedBoundViolation:
     def test_estimate_initialization_validated(self):
         with pytest.raises(ValueError):
             SpeedEstimate.from_observation(1.2)
+
+
+class TestFeedbackEntryPoints:
+    def test_single_component_feedbacks_match_the_pair(self, geom_03, geom_02, rng):
+        # Mirrored states and widened bands included.
+        for geom in (geom_03, geom_02):
+            for _ in range(300):
+                x, y = rng.uniform(-3.0, 3.0), rng.uniform(-2.5, 2.0)
+                if x * x + y * y <= 0.26:
+                    continue
+                band, wall = rng.choice([1e-6, 3e-3]), rng.choice([0.0, 3e-3])
+                s = RelState(float(x), float(y))
+                u, psi, _ = feedback_pair(geom, s, axis_band=band, wall_band=wall)
+                assert pursuer_feedback(geom, s, band, wall) == u
+                assert evader_feedback(geom, s, band, wall) == psi
