@@ -4,7 +4,8 @@ Case 1 ("truthful"): the pursuer knows the evader's true speed bound from the
 start and both play the fast game's equilibrium.  Case 2 ("deceptive"): the
 pursuer estimates the bound from observed motion while the evader mimics the
 slow game's equilibrium at the low speed, switching to the full speed at the
-first crossing of the fast game's pocket wall.  The gain is the capture-time
+first crossing of the fast game's barrier (the barrier section of its pocket
+wall; the equivocal section does not trigger it).  The gain is the capture-time
 difference; positive gain means the deception paid.
 
 An estimating-pursuer truthful baseline is also recorded; it coincides with
@@ -147,15 +148,29 @@ def deception_gain(
     )
 
 
-def _cell_worker(args) -> tuple[int, DeceptionReport | None, str | None]:
-    idx, mu1, mu2, l, x0, y0, dt, t_max = args
+# A pool worker's two geometries, set once by the pool initializer; the
+# parent process never sets it.
+_worker_geoms: tuple[SolutionGeometry, SolutionGeometry] | None = None
+
+
+def _init_worker(geom1: SolutionGeometry, geom2: SolutionGeometry) -> None:
+    global _worker_geoms
+    _worker_geoms = (geom1, geom2)
+
+
+def _cell_worker(job, geoms=None) -> tuple[DeceptionReport | None, str | None]:
+    """(report, None) for one sweep cell, or (None, error) if it failed; a
+    pool worker plays on the geometries its initializer stored."""
+    mu1, mu2, l, x0, y0, dt, t_max = job
+    geom1, geom2 = geoms or _worker_geoms
     try:
         rep = deception_gain(
-            mu1, mu2, l, RelState(x0, y0), dt=dt, t_max=t_max, with_estimating_baseline=False
+            mu1, mu2, l, RelState(x0, y0), dt=dt, t_max=t_max,
+            geom1=geom1, geom2=geom2, with_estimating_baseline=False,
         )
-        return idx, rep, None
+        return rep, None
     except Exception as exc:  # per-cell failures recorded, sweep continues
-        return idx, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def default_window(geom1: SolutionGeometry, geom2: SolutionGeometry) -> tuple[float, float, float, float]:
@@ -186,8 +201,10 @@ def sweep(
     ``window`` is (x_min, x_max, y_min, y_max); the default covers the two
     games' pocket walls padded by one turn radius (the interesting
     superposition region lies there).  Lattice points inside the capture
-    circle are skipped.  Results are keyed by lattice index, so worker-pool
-    scheduling cannot reorder them.
+    circle are skipped.  Cells come back in lattice order with either
+    worker count; a pool hands its workers the two geometries once, through
+    its initializer, so no worker rebuilds them under any process start
+    method.
     """
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
@@ -210,25 +227,20 @@ def sweep(
         for y in ys
         if x * x + y * y > l * l
     ]
-    jobs = [
-        (k, mu1, mu2, l, x, y, dt, t_max) for k, (x, y) in enumerate(lattice)
-    ]
-    results: dict[int, tuple[DeceptionReport | None, str | None]] = {}
+    jobs = [(mu1, mu2, l, x, y, dt, t_max) for x, y in lattice]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rep, err in pool.map(_cell_worker, jobs, chunksize=8):
-                results[idx] = (rep, err)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(geom1, geom2)
+        ) as pool:
+            results = list(pool.map(_cell_worker, jobs, chunksize=8))
     else:
-        for job in jobs:
-            idx, rep, err = _cell_worker(job)
-            results[idx] = (rep, err)
+        results = [_cell_worker(job, (geom1, geom2)) for job in jobs]
 
     cells: list[DeceptionReport] = []
     failures: list[tuple[float, float, str]] = []
-    for k, (x, y) in enumerate(lattice):
-        rep, err = results[k]
+    for (x, y), (rep, err) in zip(lattice, results):
         if rep is None:
             failures.append((x, y, err or "unknown failure"))
         else:

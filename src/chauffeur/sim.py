@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import Controls, GameParams, RelState, frozen_rhs, rk4_step
 from .solution import SIDE_DEADBAND, SolutionGeometry, get_geometry
@@ -62,12 +62,11 @@ class Scenario:
         if self.params_truth.l != self.params_low.l:
             raise ValueError("both parameter sets must share the capture radius")
         pol = self.evader_policy
-        if pol.kind == "deceptive" and pol.mu_high is not None:
-            if pol.mu_high > self.params_truth.mu + 1e-12:
-                raise ValueError(
-                    f"policy mu_high={pol.mu_high} exceeds the true speed bound "
-                    f"{self.params_truth.mu}"
-                )
+        if pol.kind == "deceptive" and pol.mu_high > self.params_truth.mu + 1e-12:
+            raise ValueError(
+                f"policy mu_high={pol.mu_high} exceeds the true speed bound "
+                f"{self.params_truth.mu}"
+            )
 
 
 @dataclass
@@ -235,8 +234,7 @@ def run_closed_loop(
             if sc.params_low == sc.params_truth
             else get_geometry(sc.params_low)
         )
-    # The switch latches on a per-run copy: a reused scenario reruns alike.
-    policy = replace(sc.evader_policy)
+    policy = sc.evader_policy
     dt = sc.dt
     mu_truth = sc.params_truth.mu
     # Equal speeds degenerate deception to truthful play: the switch is a
@@ -247,13 +245,10 @@ def run_closed_loop(
     t = 0.0
     traj = Trajectory(t=[], x=[], y=[], u=[], psi=[], mu_cmd=[], mu_hat=[], region=[])
 
+    switched = False  # the one-shot latch is per-run: a reused scenario reruns alike
     # First observation: the speed the evader is about to command.  Later
     # observations queue until one latency interval has elapsed.
-    if deceptive and not policy.switched:
-        first_speed = policy.mu_low
-    else:
-        first_speed = mu_truth
-    estimate = SpeedEstimate.from_observation(first_speed)
+    estimate = SpeedEstimate.from_observation(policy.mu_low if deceptive else mu_truth)
     pending: list[tuple[float, float]] = []
     released = 0
     wall_hold = False
@@ -262,7 +257,7 @@ def run_closed_loop(
     n_max = int(math.ceil(sc.t_max / dt))
     in_pocket = geom_truth.pocket_contains(x, y)
 
-    def controls_at(x_, y_, t_):
+    def controls_at(x_, y_):
         """(u, psi, mu_cmd, region tag) under the current knowledge state."""
         band = max(SIDE_DEADBAND, 3.0 * dt * max(1.0, abs(y_)))
         # Between a deceptive switch on the pocket wall and the dive settling
@@ -284,20 +279,20 @@ def run_closed_loop(
                 estimate.mu_hat - sc.params_low.mu
             )
             geom_p = geom_truth if near_truth else geom_low
-        state = RelState(x_, y_)
-        u_, psi_t, tag_ = feedback_pair(geom_p, state, axis_band=band, wall_band=wband)
         if deceptive:
-            psi_, mu_cmd_, _ = deceptive_policy(
-                policy, geom_truth, geom_low, state, t_, axis_band=band, wall_band=wband
-            )
-        elif geom_p is geom_truth:
-            psi_ = psi_t
-            mu_cmd_ = mu_truth
+            geom_e, mu_cmd_ = deceptive_policy(policy, switched, geom_truth, geom_low)
         else:
-            _, psi_, _ = feedback_pair(geom_truth, state, axis_band=band, wall_band=wband)
-            mu_cmd_ = mu_truth
-        if geom_p is not geom_truth:
-            # Log the region of the true game, not the pursuer's belief.
+            geom_e, mu_cmd_ = geom_truth, mu_truth
+        # One feedback per distinct game: the evader reuses the pursuer's
+        # when both play the same one.  The logged tag is the true game's
+        # region, not the pursuer's belief.
+        state = RelState(x_, y_)
+        u_, psi_, tag_ = feedback_pair(geom_p, state, axis_band=band, wall_band=wband)
+        if geom_e is not geom_p:
+            _, psi_, tag_e = feedback_pair(geom_e, state, axis_band=band, wall_band=wband)
+            if geom_e is geom_truth:
+                tag_ = tag_e
+        if geom_p is not geom_truth and geom_e is not geom_truth:
             tag_ = geom_truth.classify(state, axis_band=band, wall_band=wband).tag
         return u_, psi_, mu_cmd_, tag_
 
@@ -305,11 +300,7 @@ def run_closed_loop(
         while released < len(pending) and pending[released][0] + ESTIMATOR_LATENCY <= t + 1e-12:
             estimate = estimator_update(estimate, pending[released][1])
             released += 1
-        u, psi, mu_cmd, tag = controls_at(x, y, t)
-        if deceptive and policy.switched and policy.switch_t == t and (
-            not traj.events or traj.events[-1].kind != SWITCH
-        ):
-            traj.events.append(Event(t, SWITCH, (x, y)))
+        u, psi, mu_cmd, tag = controls_at(x, y)
 
         traj.t.append(t)
         traj.x.append(x)
@@ -348,11 +339,11 @@ def run_closed_loop(
             if section == "barrier" and tw - last_barrier_t > 0.1:
                 last_barrier_t = tw
                 evs.append(Event(tw, BARRIER_CROSS, loc))
-                if deceptive and not policy.switched and policy.switch_time is None:
-                    policy.latch_switch(tw, loc)
+                if deceptive and not switched:
+                    switched = True
                     evs.append(Event(tw, SWITCH, loc))
                     wall_hold = True
-            u2, psi2, mu_cmd2, _ = controls_at(xm, ym, tw)
+            u2, psi2, mu_cmd2, _ = controls_at(xm, ym)
             xn, yn = _step_raw(xm, ym, u2, psi2, mu_cmd2, (1.0 - w) * dt)
             observed_speed = w * mu_cmd + (1.0 - w) * mu_cmd2
             in_next = geom_truth.pocket_contains(xn, yn)

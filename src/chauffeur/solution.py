@@ -754,20 +754,34 @@ def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray
     return (math.sqrt(best_d2), *(float(s[a] + t * (s[a + 1] - s[a])) for s in series))
 
 
-def _point_in_polygon(px: np.ndarray, py: np.ndarray, bbox: tuple, x: float, y: float) -> bool:
-    """Even-odd ray cast, after a bounding-box test; polygon arrays are
-    closed implicitly."""
-    if not (bbox[0] <= x <= bbox[1] and bbox[2] <= y <= bbox[3]):
-        return False
-    x1 = px
-    y1 = py
-    x2 = np.roll(px, -1)
-    y2 = np.roll(py, -1)
-    cond = (y1 > y) != (y2 > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    hits = cond & (xs > x)
-    return bool(np.count_nonzero(hits) % 2)
+@dataclass(frozen=True, eq=False)
+class _Polygon:
+    """Closed polygon whose edge arrays and padded bounding box are built
+    once, for repeated even-odd membership tests."""
+
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    bbox: tuple
+
+    @classmethod
+    def of(cls, pts: np.ndarray) -> "_Polygon":
+        x, y = np.ascontiguousarray(pts.T)
+        lo, hi = pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9
+        bbox = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        return cls(x, y, np.roll(x, -1), np.roll(y, -1), bbox)
+
+    def contains(self, x: float, y: float) -> bool:
+        """Even-odd ray cast, after a bounding-box test."""
+        bx = self.bbox
+        if not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]):
+            return False
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        cond = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        return bool(np.count_nonzero(cond & (xs > x)) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -788,14 +802,8 @@ class SolutionGeometry:
     y_es: float
     value_at_contact: float
     tau_focal: float
-    _pocket_x: np.ndarray = field(repr=False, default=None)
-    _pocket_y: np.ndarray = field(repr=False, default=None)
-    _petal_x: np.ndarray = field(repr=False, default=None)
-    _petal_y: np.ndarray = field(repr=False, default=None)
-    _pocket_bbox: tuple = field(repr=False, default=None)
-    _petal_bbox: tuple = field(repr=False, default=None)
-    _wall_x: np.ndarray = field(repr=False, default=None)
-    _wall_y: np.ndarray = field(repr=False, default=None)
+    _pocket: _Polygon = field(repr=False, default=None)
+    _petal: _Polygon = field(repr=False, default=None)
     _primary_index: _CurveIndex = field(repr=False, default=None)
     _secondary_index: _CurveIndex = field(repr=False, default=None)
     _equivocal_index: _CurveIndex = field(repr=False, default=None)
@@ -803,12 +811,16 @@ class SolutionGeometry:
 
     # -- region tests --------------------------------------------------------
 
+    @property
+    def _pocket_bbox(self) -> tuple:
+        return self._pocket.bbox
+
     def pocket_contains(self, x: float, y: float) -> bool:
         """True inside the pocket bounded by barrier, equivocal curve, axis and circle."""
-        return _point_in_polygon(self._pocket_x, self._pocket_y, self._pocket_bbox, abs(x), y)
+        return self._pocket.contains(abs(x), y)
 
     def petal_contains(self, x: float, y: float) -> bool:
-        return _point_in_polygon(self._petal_x, self._petal_y, self._petal_bbox, abs(x), y)
+        return self._petal.contains(abs(x), y)
 
     def wall_crossing(
         self, x0: float, y0: float, x1: float, y1: float, inside: bool
@@ -853,7 +865,7 @@ class SolutionGeometry:
             if y <= self.y_es:
                 return Region(DISPERSAL, mirrored)
             return Region(UNIVERSAL_NEGATIVE, mirrored)
-        bx = self._pocket_bbox
+        bx = self._pocket.bbox
         near_box = (
             bx[0] - wall_band <= x <= bx[1] + wall_band
             and bx[2] - wall_band <= y <= bx[3] + wall_band
@@ -885,8 +897,8 @@ class SolutionGeometry:
         d = self._wall_index.distance_within(x, y, 0.08)
         if d is not None:
             return d
-        d2 = (self._wall_x - x) ** 2 + (self._wall_y - y) ** 2
-        return float(math.sqrt(d2.min()))
+        pts = self._wall_index.pts
+        return float(math.sqrt(((pts[:, 0] - x) ** 2 + (pts[:, 1] - y) ** 2).min()))
 
     def wall_section(self, x: float, y: float) -> str:
         """Which wall section a near-wall point belongs to: barrier or equivocal."""
@@ -1036,13 +1048,11 @@ def tributary_value(geometry: SolutionGeometry, s: RelState) -> float:
     return v
 
 
-def _build_polygons(geom_args: dict) -> dict:
-    p: GameParams = geom_args["params"]
-    barrier: SampledCurve = geom_args["barrier"]
-    equivocal: SampledCurve = geom_args["equivocal"]
-    y_es = geom_args["y_es"]
-    phi_bar = geom_args["phi_bar"]
-    tau_focal = geom_args["tau_focal"]
+def _build_polygons(
+    p: GameParams, phi_bar: float, barrier: SampledCurve, equivocal: SampledCurve,
+    primary_fan: CharacteristicField, y_es: float, tau_focal: float,
+) -> tuple[_Polygon, _Polygon]:
+    """(pocket, petal) membership polygons over thinned wall samples."""
 
     def thin(a: np.ndarray, n: int) -> np.ndarray:
         if len(a) <= n:
@@ -1057,38 +1067,16 @@ def _build_polygons(geom_args: dict) -> dict:
     pocket = np.concatenate(
         [bar, eq, np.array([[0.0, y_es], [0.0, -p.l]]), arc], axis=0
     )
-    wall = np.concatenate([bar, eq], axis=0)
     # Petal: pre-focal barrier sub-arc, innermost fan member reversed,
     # usable-part arc.  The primary family closes onto the barrier at the
     # focal time, so only that sub-arc bounds the petal.
-    fan: CharacteristicField = geom_args["primary_fan"]
     k_focal = int(np.searchsorted(barrier.tau, tau_focal))
     bar_focal = thin(barrier.points[: max(k_focal, 2)], 300)
-    inner = thin(fan.trajectories[0].points, 300)
+    inner = thin(primary_fan.trajectories[0].points, 300)
     up_angles = np.linspace(phi_bar, 0.0, 60)
     up_arc = np.stack([p.l * np.sin(up_angles), p.l * np.cos(up_angles)], axis=1)
     petal = np.concatenate([bar_focal, inner[::-1], up_arc[1:]], axis=0)
-    pad = 1e-9
-    return {
-        "_pocket_x": pocket[:, 0],
-        "_pocket_y": pocket[:, 1],
-        "_petal_x": petal[:, 0],
-        "_petal_y": petal[:, 1],
-        "_wall_x": wall[:, 0],
-        "_wall_y": wall[:, 1],
-        "_pocket_bbox": (
-            float(pocket[:, 0].min()) - pad,
-            float(pocket[:, 0].max()) + pad,
-            float(pocket[:, 1].min()) - pad,
-            float(pocket[:, 1].max()) + pad,
-        ),
-        "_petal_bbox": (
-            float(petal[:, 0].min()) - pad,
-            float(petal[:, 0].max()) + pad,
-            float(petal[:, 1].min()) - pad,
-            float(petal[:, 1].max()) + pad,
-        ),
-    }
+    return _Polygon.of(pocket), _Polygon.of(petal)
 
 
 def solve(
@@ -1109,26 +1097,29 @@ def solve(
         n_equivocal_anchors=n_equivocal_anchors,
         n_universal_anchors=n_universal_anchors,
     )
-    args = {
-        "params": p,
-        "phi_bar": bup_angle(p),
-        "barrier": barrier,
-        "equivocal": equivocal,
-        "primary_fan": fan,
-        "secondary_fan": secondary,
-        "y_es": float(equivocal.points[-1, 1]),
-        "value_at_contact": float(equivocal.tau[-1]),
-        "tau_focal": tau_focal,
-    }
-    args.update(_build_polygons(args))
-    args["_primary_index"] = _CurveIndex([ch.points for ch in fan.trajectories])
-    args["_secondary_index"] = _CurveIndex([ch.points for ch in secondary.trajectories])
-    args["_equivocal_index"] = _CurveIndex([equivocal.points])
-    # Full-resolution wall index: band tests and wall distances must resolve
-    # below the simulator's step-scaled bands, which the thinned polygon
-    # points cannot.
-    args["_wall_index"] = _CurveIndex([barrier.points, equivocal.points])
-    return SolutionGeometry(**args)
+    phi_bar = bup_angle(p)
+    y_es = float(equivocal.points[-1, 1])
+    pocket, petal = _build_polygons(p, phi_bar, barrier, equivocal, fan, y_es, tau_focal)
+    return SolutionGeometry(
+        params=p,
+        phi_bar=phi_bar,
+        barrier=barrier,
+        equivocal=equivocal,
+        primary_fan=fan,
+        secondary_fan=secondary,
+        y_es=y_es,
+        value_at_contact=float(equivocal.tau[-1]),
+        tau_focal=tau_focal,
+        _pocket=pocket,
+        _petal=petal,
+        _primary_index=_CurveIndex([ch.points for ch in fan.trajectories]),
+        _secondary_index=_CurveIndex([ch.points for ch in secondary.trajectories]),
+        _equivocal_index=_CurveIndex([equivocal.points]),
+        # Full-resolution wall index: band tests and wall distances must
+        # resolve below the simulator's step-scaled bands, which the thinned
+        # polygon points cannot.
+        _wall_index=_CurveIndex([barrier.points, equivocal.points]),
+    )
 
 
 _GEOMETRY_CACHE: dict[tuple, SolutionGeometry] = {}

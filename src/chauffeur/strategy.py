@@ -3,9 +3,10 @@ evader's deceptive speed policy.
 
 Strategies are stateless given an immutable :class:`SolutionGeometry`.  The
 pursuer's knowledge is a frozen :class:`SpeedEstimate` (running supremum of
-observed evader speeds) that each observation replaces, and the only mutable
-piece is the one-shot switch latch on :class:`EvaderPolicy`, which the
-simulator sets on a per-run copy.
+observed evader speeds) that each observation replaces, and the evader's
+:class:`EvaderPolicy` is frozen too: the one-shot switch latch is a local of
+the simulator's run, passed to :func:`deceptive_policy` at each control
+point.
 
 Measurement model: the pursuer estimates the evader's speed bound as the
 largest speed observed so far (position differencing over one integrator
@@ -17,7 +18,7 @@ non-decreasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import RelState, wrap_angle
 from .solution import (
@@ -128,23 +129,19 @@ def feedback_pair(
     return u, psi, tag
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvaderPolicy:
     """Truthful play, or slow-then-fast deception with a single upward switch.
 
-    ``switch_time``, when set, forces the switch at that time; otherwise the
-    switch fires at the first crossing of the fast-parameter pocket wall
-    (barrier plus equivocal curve), detected by the simulator.  The latch is
-    one-shot: the commanded speed changes at most once and only upward.
+    The deceptive evader plays the slow game at ``mu_low`` until it first
+    crosses the fast game's barrier, then the fast game at ``mu_high``.  The
+    switch is one-shot and upward; the simulator detects the crossing and
+    keeps the latch in its own per-run state.
     """
 
     kind: str = "truthful"  # "truthful" | "deceptive"
     mu_low: float | None = None
     mu_high: float | None = None
-    switch_time: float | None = None
-    switched: bool = field(default=False)
-    switch_point: tuple[float, float] | None = field(default=None)
-    switch_t: float | None = field(default=None)
 
     def __post_init__(self):
         if self.kind not in ("truthful", "deceptive"):
@@ -155,33 +152,21 @@ class EvaderPolicy:
             if self.mu_low > self.mu_high:
                 raise ValueError("deceptive policy requires mu_low <= mu_high")
 
-    def latch_switch(self, t: float, point: tuple[float, float]) -> None:
-        if not self.switched:
-            self.switched = True
-            self.switch_t = t
-            self.switch_point = point
-
 
 def deceptive_policy(
     policy: EvaderPolicy,
+    switched: bool,
     geom_high: SolutionGeometry,
     geom_low: SolutionGeometry,
-    s: RelState,
-    t: float,
-    axis_band: float = SIDE_DEADBAND,
-    wall_band: float = 0.0,
-) -> tuple[float, float, bool]:
-    """(psi, mu_cmd, switched) for the deceptive evader at state ``s``.
+) -> tuple[SolutionGeometry, float]:
+    """(geometry the evader plays, commanded speed).
 
-    Before the switch the evader mimics the slow game's equilibrium heading at
-    the low speed; afterwards it plays the fast game's equilibrium at full
-    speed.  Time-triggered switches latch here; wall-triggered switches are
-    latched by the simulator's event detection.
+    Before the switch the evader mimics the slow game's equilibrium at the
+    low speed; afterwards it plays the fast game's equilibrium at full
+    speed.  A truthful evader always plays the fast game at its bound.
     """
     if policy.kind == "truthful":
-        return evader_feedback(geom_high, s, axis_band, wall_band), geom_high.params.mu, False
-    if not policy.switched and policy.switch_time is not None and t >= policy.switch_time:
-        policy.latch_switch(t, (s.x, s.y))
-    if policy.switched:
-        return evader_feedback(geom_high, s, axis_band, wall_band), policy.mu_high, True
-    return evader_feedback(geom_low, s, axis_band, wall_band), policy.mu_low, False
+        return geom_high, geom_high.params.mu
+    if switched:
+        return geom_high, policy.mu_high
+    return geom_low, policy.mu_low

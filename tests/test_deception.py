@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import chauffeur.deception as deception
+import chauffeur.solution as solution
 from chauffeur.core import RelState
 from chauffeur.deception import (
     ADVANTAGE_CSV_HEADER,
@@ -123,3 +125,17 @@ class TestSweep:
         seq = sweep(0.3, 0.2, 0.5, window=(1.4, 2.0, 0.8, 1.4), spacing=0.3, dt=2e-3, workers=1)
         par = sweep(0.3, 0.2, 0.5, window=(1.4, 2.0, 0.8, 1.4), spacing=0.3, dt=2e-3, workers=2)
         assert [c.gain for c in seq.cells] == [c.gain for c in par.cells]
+
+    def test_worker_uses_the_initializer_geometries(self, geom_03, geom_02, monkeypatch):
+        # A worker plays on the geometries its pool initializer handed it and
+        # never builds one, whatever the process start method.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sweep worker rebuilt a geometry")
+
+        monkeypatch.setattr(solution, "solve", no_solve)
+        monkeypatch.setattr(solution, "_GEOMETRY_CACHE", {})
+        monkeypatch.setattr(deception, "_worker_geoms", None)
+        deception._init_worker(geom_03, geom_02)
+        rep, err = deception._cell_worker((0.3, 0.2, 0.5, 1.7, 1.1, 2e-3, 40.0))
+        assert err is None
+        assert rep.t_truthful is not None and rep.t_deceptive is not None

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import chauffeur
+from chauffeur.core import RelState, validate_params
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -35,3 +36,28 @@ def test_install_and_uninstall_restore_the_originals():
             assert vars(owner)[attr] is not original
     for (owner, attr), original in before.items():
         assert vars(owner)[attr] is original
+
+
+def test_every_target_is_called(geom_03, geom_02, monkeypatch):
+    # A traced name that the package no longer calls would read zero in the
+    # traced figures; each must be reached through its owner at call time.
+    called = set()
+
+    def recording(key, fn):
+        def wrapper(*args, **kwargs):
+            called.add(key)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    targets = _tracing().targets(chauffeur)
+    for owner, attr in targets:
+        monkeypatch.setattr(owner, attr, recording((owner, attr), vars(owner)[attr]))
+
+    chauffeur.solution.solve(validate_params(0.3, 0.5), n_phi=40, d_tau=4e-3)
+    chauffeur.deception.deception_gain(
+        0.3, 0.2, 0.5, RelState(2.152, -0.214), geom1=geom_03, geom2=geom_02
+    )
+    geom_03.value(RelState(1.2, 0.3))
+    missed = [f"{owner.__name__}.{attr}" for owner, attr in targets if (owner, attr) not in called]
+    assert not missed

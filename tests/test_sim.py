@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
+import chauffeur.sim as sim
+import chauffeur.strategy as strategy
 from chauffeur.core import Controls, RelState
+from chauffeur.solution import SIDE_DEADBAND
 from chauffeur.sim import (
     TRAJECTORY_CSV_HEADER,
     Event,
@@ -168,7 +172,47 @@ class TestRunClosedLoop:
         assert a.capture_time == b.capture_time
         assert a.x == b.x and a.y == b.y and a.psi == b.psi and a.mu_cmd == b.mu_cmd
         assert [(e.t, e.kind) for e in a.events] == [(e.t, e.kind) for e in b.events]
-        assert not sc.evader_policy.switched
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.evader_policy.mu_low = 0.3
+
+    def test_one_feedback_per_game_per_control_point(
+        self, params_03, params_02, geom_03, geom_02, monkeypatch
+    ):
+        # Each control evaluation ends with the RK4 step it feeds; within one
+        # evaluation no game's feedback may be computed twice.  Both module
+        # names are recorded, so a second evaluation through the strategy
+        # helpers would show too.
+        groups = [[]]
+        feedback_pair, step_raw = strategy.feedback_pair, sim._step_raw
+
+        def recording_feedback(geom, s, axis_band=SIDE_DEADBAND, wall_band=0.0):
+            groups[-1].append((id(geom), s.x, s.y, axis_band, wall_band))
+            return feedback_pair(geom, s, axis_band, wall_band)
+
+        def recording_step(*args):
+            groups.append([])
+            return step_raw(*args)
+
+        monkeypatch.setattr(strategy, "feedback_pair", recording_feedback)
+        monkeypatch.setattr(sim, "feedback_pair", recording_feedback)
+        monkeypatch.setattr(sim, "_step_raw", recording_step)
+        sc = Scenario(
+            params_truth=params_03,
+            params_low=params_02,
+            initial_rel=RelState(2.152, -0.214),
+            evader_policy=EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3),
+            pursuer_mode="estimating",
+            dt=1e-3,
+            t_max=40.0,
+        )
+        tr = run_closed_loop(sc, geom_03, geom_02)
+        assert tr.capture_time is not None
+        evaluated = [g for g in groups if g]
+        assert len(evaluated) > 1000
+        for g in evaluated:
+            assert len(set(g)) == len(g)
+        # The pursuer and the evader do play different games at some points.
+        assert any(len(g) == 2 for g in evaluated)
 
     def test_capture_location_on_circle(self, params_03, geom_03, rng):
         for _ in range(5):

@@ -557,3 +557,66 @@ def test_nearest_sample_is_the_nearest(geom_03, rng):
         best = float(((pts[:, 0] - x) ** 2 + (pts[:, 1] - y) ** 2).min())
         misses += (gx - x) ** 2 + (gy - y) ** 2 > best
     assert misses == 0
+
+
+def _winding_number(poly: np.ndarray, x: float, y: float) -> int:
+    a = np.arctan2(poly[:, 1] - y, poly[:, 0] - x)
+    turn = np.diff(np.append(a, a[0]))
+    turn = (turn + math.pi) % (2.0 * math.pi) - math.pi
+    return int(round(turn.sum() / (2.0 * math.pi)))
+
+
+def _boundary_distance(poly: np.ndarray, x: float, y: float) -> float:
+    p, q = poly, np.roll(poly, -1, axis=0)
+    v = q - p
+    w = np.array([x, y]) - p
+    t = np.clip((w * v).sum(axis=1) / np.maximum((v * v).sum(axis=1), 1e-300), 0.0, 1.0)
+    foot = p + t[:, None] * v
+    return float(np.hypot(foot[:, 0] - x, foot[:, 1] - y).min())
+
+
+def test_pocket_contains_matches_a_winding_number_oracle(geom_03, geom_02, rng):
+    # The oracle's pocket is drawn from its definition: the full-resolution
+    # barrier and equivocal curve, the rear axis down to the capture circle,
+    # and the circle's arc back to the usable part's end, in x >= 0; the
+    # queries are mirrored at random.
+    for geom in (geom_03, geom_02):
+        l = geom.params.l
+        angles = np.linspace(math.pi, geom.phi_bar, 2000)
+        poly = np.concatenate(
+            [
+                geom.barrier.points,
+                geom.equivocal.points,
+                [[0.0, geom.y_es], [0.0, -l]],
+                np.stack([l * np.sin(angles), l * np.cos(angles)], axis=1),
+            ]
+        )
+        lo, hi = poly.min(axis=0) - 0.1, poly.max(axis=0) + 0.1
+        inside = outside = 0
+        for _ in range(1500):
+            x, y = rng.uniform(0.0, hi[0]), rng.uniform(lo[1], hi[1])
+            if _boundary_distance(poly, x, y) < 1e-3:
+                continue
+            expected = _winding_number(poly, x, y) != 0
+            sign = rng.choice([-1.0, 1.0])
+            assert geom.pocket_contains(float(sign * x), float(y)) == expected, (x, y)
+            inside += expected
+            outside += not expected
+        assert inside > 200 and outside > 200
+
+
+def test_wall_distance_is_the_nearest_wall_sample(geom_03, geom_02, rng):
+    # Near the wall and far from it, the distance is the brute-force minimum
+    # over every barrier and equivocal sample, bitwise.
+    for geom in (geom_03, geom_02):
+        wall = np.concatenate([geom.barrier.points, geom.equivocal.points])
+        near = wall[rng.integers(0, len(wall), 200)] + rng.normal(0.0, 0.03, (200, 2))
+        far = np.stack([rng.uniform(-3.5, 3.5, 200), rng.uniform(-3.0, 3.0, 200)], axis=1)
+        n_near = n_far = 0
+        for x, y in np.concatenate([near, far]):
+            x, y = float(x), float(y)
+            brute = math.sqrt(float(((wall[:, 0] - abs(x)) ** 2 + (wall[:, 1] - y) ** 2).min()))
+            assert geom.wall_distance(x, y) == brute, (x, y)
+            n_near += brute <= 0.08
+            n_far += brute > 0.08
+        assert n_near > 50 and n_far > 50

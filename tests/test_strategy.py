@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -133,9 +134,28 @@ class TestEstimator:
 class TestDeceptivePolicy:
     def test_degenerates_when_speeds_equal(self, params_03, geom_03):
         pol = EvaderPolicy(kind="deceptive", mu_low=0.3, mu_high=0.3)
-        psi, mu_cmd, switched = deceptive_policy(pol, geom_03, geom_03, RelState(2.0, 1.0), 0.0)
-        assert mu_cmd == 0.3 and not switched
-        assert psi == evader_feedback(geom_03, RelState(2.0, 1.0))
+        for switched in (False, True):
+            geom, mu_cmd = deceptive_policy(pol, switched, geom_03, geom_03)
+            assert geom is geom_03 and mu_cmd == 0.3
+
+    def test_game_and_speed_per_phase(self, geom_03, geom_02):
+        truthful = EvaderPolicy(kind="truthful")
+        deceptive = EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3)
+        for switched in (False, True):
+            geom, mu_cmd = deceptive_policy(truthful, switched, geom_03, geom_02)
+            assert geom is geom_03 and mu_cmd == 0.3
+        geom, mu_cmd = deceptive_policy(deceptive, False, geom_03, geom_02)
+        assert geom is geom_02 and mu_cmd == 0.2
+        geom, mu_cmd = deceptive_policy(deceptive, True, geom_03, geom_02)
+        assert geom is geom_03 and mu_cmd == 0.3
+
+    def test_policy_is_frozen(self):
+        pol = EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pol.mu_low = 0.3
+        # The switch is triggered by the barrier crossing only.
+        with pytest.raises(TypeError, match="switch_time"):
+            EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3, switch_time=0.5)
 
     def test_switch_point_lies_on_the_wall(self, params_03, params_02, geom_03, geom_02):
         from chauffeur.sim import Scenario, run_closed_loop
@@ -180,15 +200,6 @@ class TestDeceptivePolicy:
         assert len(changes) <= 1
         for before, after in changes:
             assert after > before
-
-    def test_time_triggered_switch(self, params_03, params_02, geom_03, geom_02):
-        pol = EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3, switch_time=0.5)
-        s = RelState(2.5, 2.0)
-        psi0, mu0, sw0 = deceptive_policy(pol, geom_03, geom_02, s, 0.0)
-        assert mu0 == 0.2 and not sw0
-        psi1, mu1, sw1 = deceptive_policy(pol, geom_03, geom_02, s, 0.6)
-        assert mu1 == 0.3 and sw1
-        assert pol.switch_t == 0.6
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mu_low"):
