@@ -36,7 +36,6 @@ field just outside).
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field
@@ -274,6 +273,76 @@ def focal_time(p: GameParams, barrier: SampledCurve) -> float:
     return float(barrier.tau[k - 1] + w * (barrier.tau[k] - barrier.tau[k - 1]))
 
 
+# Steps per chunk of the fan integrator; its heading tables hold
+# 2 * _FAN_CHUNK + 1 rows per live characteristic.
+_FAN_CHUNK = 128
+
+
+def _integrate_fan(x0, y0, u, mu, heading, h, n_steps, stop=None):
+    """Retrograde RK4 of a whole fan of characteristics at once.
+
+    The field is ``(y u - mu sin psi, 1 - x u - mu cos psi)`` with the
+    pursuer control ``u`` fixed and ``psi = heading(t, cols)``: an array of
+    ``len(t)`` rows for the characteristics ``cols``, or one column shared
+    by all of them.  Steps run in chunks of ``_FAN_CHUNK``.  Per chunk,
+    ``mu sin psi`` and ``mu cos psi`` are tabulated once at the step starts
+    and midpoints, with ``tau`` accumulated step by step, so the end of one
+    step is the start of the next and each RK4 stage is a row lookup.
+
+    ``stop(px, py, qx, qy)`` flags step segments that must not be taken; it
+    runs once per chunk on the whole block of segments.  A characteristic
+    keeps its samples up to its first flagged step, and one stopped at its
+    first step keeps a frozen second sample.  Returns ``(cube, ends)``: the
+    samples of characteristic ``i`` are ``cube[i, :ends[i]]``.
+    """
+    n = len(x0)
+    cube = np.empty((n, n_steps + 1, 2))
+    cube[:, 0, 0] = x0
+    cube[:, 0, 1] = y0
+    ends = np.full(n, n_steps + 1)
+    live = np.arange(n)
+    x, y = x0, y0
+    tau = 0.0
+    half = 0.5 * h
+    stage_row = {0.0: 0, half: 1, h: 2}  # RK4 stage offset -> table row
+    row = 0
+
+    def rhs(xv, yv, c):
+        r = row + stage_row[c]
+        return yv * u - ms[r], 1.0 - xv * u - mc[r]
+
+    k0 = 0
+    while k0 < n_steps and len(live):
+        m = min(_FAN_CHUNK, n_steps - k0)
+        # Sequential sums, as a `tau += h` loop makes them.
+        starts = np.cumsum(np.concatenate(([tau], np.full(m, h))))
+        t = np.empty(2 * m + 1)
+        t[0::2] = starts
+        t[1::2] = starts[:-1] + half
+        psi = heading(t, live)
+        ms, mc = mu * np.sin(psi), mu * np.cos(psi)
+        xs = np.empty((m + 1, len(live)))
+        ys = np.empty((m + 1, len(live)))
+        xs[0], ys[0] = x, y
+        for k in range(m):
+            row = 2 * k
+            x, y = rk4_step(rhs, x, y, h)
+            xs[k + 1], ys[k + 1] = x, y
+        cube[live, k0 + 1 : k0 + m + 1, 0] = xs[1:].T
+        cube[live, k0 + 1 : k0 + m + 1, 1] = ys[1:].T
+        if stop is not None:
+            hit = stop(xs[:-1], ys[:-1], xs[1:], ys[1:])
+            done = hit.any(axis=0)
+            ends[live[done]] = k0 + hit[:, done].argmax(axis=0) + 1
+            keep = ~done
+            live, x, y = live[keep], x[keep], y[keep]
+        tau = starts[-1]
+        k0 += m
+    at_start = ends == 1
+    cube[at_start, 1] = cube[at_start, 0]
+    return cube, np.maximum(ends, 2)
+
+
 def compute_primary_fan(
     p: GameParams,
     n_phi: int = 200,
@@ -283,7 +352,9 @@ def compute_primary_fan(
     """Retrograde characteristics from usable-part angles phi in (0, phi_bar).
 
     All members share the focal time at which the family converges onto one
-    point of the barrier; vectorized RK4 over the whole fan.
+    point of the barrier.  :func:`_integrate_fan` steps the whole fan at once
+    under ``(u, psi) = (+1, phi + tau)``, in chunks whose heading terms are
+    tabulated once.
     """
     if n_phi < 2:
         raise ValueError("n_phi must be at least 2")
@@ -295,25 +366,16 @@ def compute_primary_fan(
         tau_end = focal_time(p, barrier)
     phis = np.linspace(phi_bar / n_phi, phi_bar, n_phi)
     n_steps = max(2, int(round(tau_end / d_tau)))
-    h = tau_end / n_steps
-    mu = p.mu
-    x = p.l * np.sin(phis)
-    y = p.l * np.cos(phis)
-    pts = np.empty((n_phi, n_steps + 1, 2))
-    pts[:, 0, 0] = x
-    pts[:, 0, 1] = y
+    pts, _ = _integrate_fan(
+        p.l * np.sin(phis),
+        p.l * np.cos(phis),
+        1.0,
+        p.mu,
+        lambda t, cols: phis[cols] + t[:, None],
+        tau_end / n_steps,
+        n_steps,
+    )
     taus = np.linspace(0.0, tau_end, n_steps + 1)
-
-    def rhs(xv, yv, c):
-        ang = phis + (tau + c)
-        return yv - mu * np.sin(ang), -xv + 1.0 - mu * np.cos(ang)
-
-    tau = 0.0
-    for k in range(n_steps):
-        x, y = rk4_step(rhs, x, y, h)
-        tau += h
-        pts[:, k + 1, 0] = x
-        pts[:, k + 1, 1] = y
 
     chars = [
         Characteristic(
@@ -469,6 +531,92 @@ def _march_equivocal(
     return np.asarray(pts), np.asarray(vals), np.asarray(ucs)
 
 
+# Cell of the occupancy grid in front of the secondary fan's barrier test.
+_BARRIER_CELL = 0.01
+
+
+@dataclass(frozen=True, eq=False)
+class _BarrierCrossing:
+    """Step-segment test against the thinned barrier polyline.
+
+    An occupancy grid of ``_BARRIER_CELL`` cells marks every cell within two
+    cells of a raster of the polyline with samples at most half a cell
+    apart, so every barrier point lies within a quarter cell of a raster
+    point.  A segment
+    shorter than a cell in both coordinates that crosses the barrier
+    therefore starts in a marked cell.  Longer segments are cut into such
+    pieces.  Only segments with a piece starting in a marked cell take the
+    exact test.
+    """
+
+    b0: np.ndarray  # (m, 2) segment starts
+    b1: np.ndarray  # (m, 2) segment ends
+    origin: np.ndarray  # lower-left corner of cell (0, 0)
+    marked: np.ndarray  # (nx, ny) bool
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> "_BarrierCrossing":
+        bseg = points[:: max(1, len(points) // 80)]
+        if not np.array_equal(bseg[-1], points[-1]):
+            bseg = np.vstack([bseg, points[-1]])
+        b0, b1 = bseg[:-1], bseg[1:]
+        cell = _BARRIER_CELL
+        raster = np.concatenate(
+            [
+                a + np.linspace(0.0, 1.0, n)[:, None] * (b - a)
+                for a, b, n in zip(
+                    b0, b1, 2 + (np.hypot(*(b1 - b0).T) / (0.5 * cell)).astype(int)
+                )
+            ]
+        )
+        origin = bseg.min(axis=0) - 3.0 * cell
+        shape = ((bseg.max(axis=0) - origin) / cell).astype(int) + 4
+        key = ((raster - origin) / cell).astype(int)
+        marked = np.zeros(shape, dtype=bool)
+        for di in range(-2, 3):
+            for dj in range(-2, 3):
+                marked[key[:, 0] + di, key[:, 1] + dj] = True
+        return cls(b0, b1, origin, marked)
+
+    def _in_marked_cell(self, x, y) -> np.ndarray:
+        """Whether each point (x, y) lies in a marked cell."""
+        i = np.floor((x - self.origin[0]) / _BARRIER_CELL)
+        j = np.floor((y - self.origin[1]) / _BARRIER_CELL)
+        nx, ny = self.marked.shape
+        on_grid = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+        out = np.zeros(x.shape, dtype=bool)
+        out[on_grid] = self.marked[i[on_grid].astype(int), j[on_grid].astype(int)]
+        return out
+
+    def __call__(self, px, py, qx, qy) -> np.ndarray:
+        """Which segments (p -> q) cross the barrier; arrays of any one shape."""
+        rx, ry = qx - px, qy - py
+        pieces = 1 + (np.maximum(np.abs(rx), np.abs(ry)) / _BARRIER_CELL).astype(int)
+        near = self._in_marked_cell(px, py)
+        for k in range(1, int(pieces.max(initial=1))):
+            w = np.minimum(k / pieces, 1.0)
+            near |= self._in_marked_cell(px + w * rx, py + w * ry)
+        hit = np.zeros(px.shape, dtype=bool)
+        hit[near] = self.exact(px[near], py[near], qx[near], qy[near])
+        return hit
+
+    def exact(self, px, py, qx, qy) -> np.ndarray:
+        """Which segments (p -> q, 1-D arrays) cross any barrier segment."""
+        b0, b1 = self.b0, self.b1
+        rx = qx - px
+        ry = qy - py
+        sx = (b1[:, 0] - b0[:, 0])[None, :]
+        sy = (b1[:, 1] - b0[:, 1])[None, :]
+        dx = b0[None, :, 0] - px[:, None]
+        dy = b0[None, :, 1] - py[:, None]
+        denom = rx[:, None] * sy - ry[:, None] * sx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (dx * sy - dy * sx) / denom
+            u = (dx * ry[:, None] - dy * rx[:, None]) / denom
+        cross = (np.abs(denom) > 1e-14) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
+        return cross.any(axis=1)
+
+
 def compute_secondary_fan_and_equivocal(
     p: GameParams,
     barrier: SampledCurve | None = None,
@@ -485,7 +633,16 @@ def compute_secondary_fan_and_equivocal(
     at the barrier endpoint is the tributary departure cost, which exceeds
     the barrier's own ride time: the barrier carries a value jump, and the
     jump is what the slow-then-fast evader exploits.
+
+    Each family is one :func:`_integrate_fan` call in tabulated chunks.  A
+    characteristic ends before its first step that leaves ``x >= 0``,
+    enters the capture circle or crosses the thinned barrier; the barrier
+    test is :class:`_BarrierCrossing`, whose occupancy grid sends only step
+    segments near the barrier to the exact intersection test.
     """
+    n_steps = int(round(tau_max / d_tau))
+    if n_steps < 1:
+        raise ValueError(f"tau_max={tau_max!r} is shorter than one step of d_tau={d_tau!r}")
     if barrier is None:
         barrier = compute_barrier(p, d_tau=d_tau)
     jx, jy = barrier.points[-1]
@@ -518,83 +675,19 @@ def compute_secondary_fan_and_equivocal(
     y0s = np.linspace(y_es + 1e-6, -p.l - 1e-6, n_universal_anchors)
     values_u = v_contact + (y0s - y_es) / (1.0 - mu)
 
+    crosses_barrier = _BarrierCrossing.of(barrier.points)
+    l2 = p.l * p.l
     chars: list[Characteristic] = []
 
-    # Barrier polyline (thinned) for characteristic termination: retrograde
-    # arcs must stop at the pocket's inner wall or they would shadow
-    # primary/tributary territory in nearest-characteristic queries.
-    bseg = barrier.points[:: max(1, len(barrier.points) // 80)]
-    if not np.array_equal(bseg[-1], barrier.points[-1]):
-        bseg = np.vstack([bseg, barrier.points[-1]])
-    b0 = bseg[:-1]
-    b1 = bseg[1:]
-    # A step segment outside the barrier's bounding box cannot cross it; the
-    # pad is far wider than the rounding of t and u below.
-    box_lo = bseg.min(axis=0) - 1e-3
-    box_hi = bseg.max(axis=0) + 1e-3
+    def stop(px, py, qx, qy):
+        # Retrograde arcs must stop at the pocket's inner wall or they would
+        # shadow primary/tributary territory in nearest-characteristic queries.
+        return (qx < 0.0) | (qx * qx + qy * qy < l2) | crosses_barrier(px, py, qx, qy)
 
-    def crosses_barrier(px, py, qx, qy):
-        """Vectorized segment-vs-barrier intersection test per characteristic."""
-        hit = np.zeros(len(px), dtype=bool)
-        near = np.nonzero(
-            (np.maximum(px, qx) >= box_lo[0]) & (np.minimum(px, qx) <= box_hi[0])
-            & (np.maximum(py, qy) >= box_lo[1]) & (np.minimum(py, qy) <= box_hi[1])
-        )[0]
-        if len(near) == 0:
-            return hit
-        px, py, qx, qy = px[near], py[near], qx[near], qy[near]
-        rx = qx - px
-        ry = qy - py
-        sx = (b1[:, 0] - b0[:, 0])[None, :]
-        sy = (b1[:, 1] - b0[:, 1])[None, :]
-        dx = b0[None, :, 0] - px[:, None]
-        dy = b0[None, :, 1] - py[:, None]
-        denom = rx[:, None] * sy - ry[:, None] * sx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (dx * sy - dy * sx) / denom
-            u = (dx * ry[:, None] - dy * rx[:, None]) / denom
-        cross = (np.abs(denom) > 1e-14) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        hit[near] = cross.any(axis=1)
-        return hit
-
-    def integrate_family(x0, y0, psi_of_tau, values, anchors, terminal):
-        n = len(x0)
-        n_steps = int(round(tau_max / d_tau))
-        x = x0.copy()
-        y = y0.copy()
-        alive = np.ones(n, dtype=bool)
-        traj = [np.stack([x, y], axis=1)]
-        tau = 0.0
-        h = d_tau
-
-        def rhs(xv, yv, c):
-            psi = psi_of_tau(tau + c)
-            return yv * -1.0 - mu * np.sin(psi), xv + 1.0 - mu * np.cos(psi)
-
-        for _ in range(n_steps):
-            xn, yn = rk4_step(rhs, x, y, h)
-            stop = (xn < 0.0) | (xn * xn + yn * yn < p.l * p.l)
-            if alive.any():
-                live_hit = crosses_barrier(x[alive], y[alive], xn[alive], yn[alive])
-                hit = np.zeros(n, dtype=bool)
-                hit[np.nonzero(alive)[0]] = live_hit
-                stop = stop | hit
-            xn = np.where(alive & ~stop, xn, x)
-            yn = np.where(alive & ~stop, yn, y)
-            alive = alive & ~stop
-            x, y = xn, yn
-            tau += h
-            traj.append(np.stack([x, y], axis=1))
-            if not alive.any():
-                break
-        cube = np.stack(traj, axis=1)  # (n, steps+1, 2)
-        taus = np.arange(cube.shape[1]) * h
-        for i in range(n):
-            # Trim the frozen tail left by the termination mask.
-            d = np.linalg.norm(np.diff(cube[i], axis=0), axis=1)
-            live = int(np.searchsorted(np.cumsum(d[::-1]) > 0.0, True))
-            end = cube.shape[1] - live if live else cube.shape[1]
-            end = max(end, 2)
+    def integrate_family(x0, y0, heading, values, anchors, terminal):
+        cube, ends = _integrate_fan(x0, y0, -1.0, mu, heading, d_tau, n_steps, stop)
+        taus = np.arange(cube.shape[1]) * d_tau
+        for i, end in enumerate(ends.tolist()):
             chars.append(
                 Characteristic(
                     points=cube[i, :end],
@@ -609,7 +702,7 @@ def compute_secondary_fan_and_equivocal(
     integrate_family(
         anchors_e[:, 0].astype(float),
         anchors_e[:, 1].astype(float),
-        lambda tau: math.pi - tau - a_e,
+        lambda t, cols: (math.pi - t)[:, None] - a_e[cols],
         values_e,
         anchors_e,
         "equivocal",
@@ -619,7 +712,7 @@ def compute_secondary_fan_and_equivocal(
     integrate_family(
         zeros,
         y0s.astype(float),
-        lambda tau: np.full_like(y0s, -tau),
+        lambda t, cols: -t[:, None],
         values_u,
         np.stack([zeros, y0s], axis=1),
         "negative_universal",
@@ -1015,22 +1108,18 @@ class SolutionGeometry:
 
     # -- export ----------------------------------------------------------------
 
-    def curve_rows(self):
-        """Rows for the documented geometry CSV layout."""
-        for name, curve in (("barrier", self.barrier), ("equivocal", self.equivocal)):
-            for (x, y), tau in zip(curve.points, curve.tau):
-                yield name, 0, tau, x, y
-        for fan in (self.primary_fan, self.secondary_fan):
-            for bid, ch in enumerate(fan.trajectories):
-                for (x, y), tau in zip(ch.points, ch.tau):
-                    yield fan.family, bid, tau, x, y
-
     def to_csv(self, path: str) -> None:
+        """Write every sampled curve in the documented geometry CSV layout."""
+        curves = [("barrier", 0, self.barrier), ("equivocal", 0, self.equivocal)]
+        for fan in (self.primary_fan, self.secondary_fan):
+            curves += [(fan.family, bid, ch) for bid, ch in enumerate(fan.trajectories)]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(GEOMETRY_CSV_HEADER.split(","))
-            for family, bid, tau, x, y in self.curve_rows():
-                w.writerow([family, bid, f"{tau:.9g}", f"{x:.9g}", f"{y:.9g}"])
+            fh.write(GEOMETRY_CSV_HEADER + "\r\n")
+            fh.writelines(
+                f"{family},{bid},{tau:.9g},{x:.9g},{y:.9g}\r\n"
+                for family, bid, curve in curves
+                for tau, (x, y) in zip(curve.tau.tolist(), curve.points.tolist())
+            )
 
 
 def tributary_value(geometry: SolutionGeometry, s: RelState) -> float:

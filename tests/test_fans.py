@@ -1,0 +1,195 @@
+"""Checks of the characteristic fans against independent re-integrations,
+of the barrier test's grid filter, and of the geometry CSV bytes."""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+
+from chauffeur.core import RelState
+from chauffeur.solution import (
+    _BARRIER_CELL,
+    GEOMETRY_CSV_HEADER,
+    _BarrierCrossing,
+    compute_secondary_fan_and_equivocal,
+    solve,
+)
+
+
+def _oracle_fan(x, y, u, mu, psi, h, n_steps):
+    """Scalar RK4 of dx/dtau = u y - mu sin psi, dy/dtau = 1 - u x - mu cos psi,
+    one characteristic at a time; returns the n_steps + 1 samples."""
+
+    def f(x_, y_, tau_):
+        a = psi(tau_)
+        return u * y_ - mu * math.sin(a), 1.0 - u * x_ - mu * math.cos(a)
+
+    out = [(x, y)]
+    tau = 0.0
+    for _ in range(n_steps):
+        k1 = f(x, y, tau)
+        k2 = f(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], tau + 0.5 * h)
+        k3 = f(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], tau + 0.5 * h)
+        k4 = f(x + h * k3[0], y + h * k3[1], tau + h)
+        x += h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        y += h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        tau += h
+        out.append((x, y))
+    return np.array(out)
+
+
+def _thinned_barrier(points):
+    bseg = points[:: max(1, len(points) // 80)]
+    if not np.array_equal(bseg[-1], points[-1]):
+        bseg = np.vstack([bseg, points[-1]])
+    return bseg
+
+
+def _brute_crossings(seg, bseg):
+    """Which segments (rows of (px, py, qx, qy)) touch any barrier segment,
+    by orientation signs over every pair."""
+
+    def orient(ax, ay, bx, by, cx, cy):
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    px, py, qx, qy = (seg[:, k, None] for k in range(4))
+    ax, ay = bseg[None, :-1, 0], bseg[None, :-1, 1]
+    bx, by = bseg[None, 1:, 0], bseg[None, 1:, 1]
+    d1 = orient(ax, ay, bx, by, px, py)
+    d2 = orient(ax, ay, bx, by, qx, qy)
+    d3 = orient(px, py, qx, qy, ax, ay)
+    d4 = orient(px, py, qx, qy, bx, by)
+    return ((d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)).any(axis=1)
+
+
+class TestFansAgainstScalarOracle:
+    def test_primary_samples(self, params_03, geom_03):
+        mu = params_03.mu
+        for ch in geom_03.primary_fan.trajectories[::66]:
+            n_steps = len(ch.points) - 1
+            h = geom_03.tau_focal / n_steps
+            x0, y0 = params_03.l * math.sin(ch.phi), params_03.l * math.cos(ch.phi)
+            ref = _oracle_fan(x0, y0, 1.0, mu, lambda t, phi=ch.phi: phi + t, h, n_steps)
+            assert np.abs(ch.points - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("i", [0, 1, 30, 43, 100, 157, 163, 199, 217, 219])
+    def test_secondary_samples_and_end(self, params_03, geom_03, i):
+        # Stop rules, judged on the oracle's own steps: a characteristic keeps
+        # every step that stays in x >= 0, outside the capture circle and off
+        # the thinned barrier, and ends before the first one that does not.
+        # One stopped at its first step keeps a frozen second sample.
+        p, d_tau, n_steps = params_03, 1e-3, 8000
+        ch = geom_03.secondary_fan.trajectories[i]
+        ax, ay = ch.anchor
+        if ch.terminal == "equivocal":
+            a_e = math.atan(ay / max(ax, 1e-12))
+            psi = lambda t: math.pi - t - a_e  # noqa: E731
+        else:
+            psi = lambda t: -t  # noqa: E731
+        frozen = len(ch.points) == 2 and np.array_equal(ch.points[0], ch.points[1])
+        kept = 1 if frozen else len(ch.points)
+        ref = _oracle_fan(ax, ay, -1.0, p.mu, psi, d_tau, min(kept, n_steps))
+        assert np.abs(ch.points[:kept] - ref[:kept]).max() < 1e-12
+        assert np.array_equal(ch.tau, np.arange(len(ch.points)) * d_tau)
+
+        seg = np.hstack([ref[:-1], ref[1:]])
+        q = seg[:, 2:]
+        stops = (
+            (q[:, 0] < 0.0)
+            | (q[:, 0] ** 2 + q[:, 1] ** 2 < p.l * p.l)
+            | _brute_crossings(seg, _thinned_barrier(geom_03.barrier.points))
+        )
+        if kept == n_steps + 1:
+            assert not stops.any()
+        else:
+            assert not stops[:-1].any() and stops[-1]
+
+    def test_secondary_needs_one_step(self, params_03, geom_03):
+        with pytest.raises(ValueError, match="tau_max"):
+            compute_secondary_fan_and_equivocal(
+                params_03, barrier=geom_03.barrier, tau_max=4e-4
+            )
+
+
+class TestBarrierGridFilter:
+    def _segments(self, bseg, rng):
+        """Short segments around the thinned barrier: random ones near it,
+        ones through its vertices, ones ending on it (some just short of a
+        grid cell), plus some longer than a cell."""
+        a, b = bseg[:-1], bseg[1:]
+        k = rng.integers(0, len(a), 3000)
+        on = a[k] + rng.uniform(0.0, 1.0, (3000, 1)) * (b[k] - a[k])
+        d = rng.normal(size=(3000, 2))
+        d *= rng.uniform(1e-4, 8e-3, (3000, 1)) / np.hypot(d[:, 0], d[:, 1])[:, None]
+        near_p = on + rng.normal(scale=0.01, size=(3000, 2))
+        s = rng.uniform(0.0, 1.0, (3000, 1))
+        vtx = bseg[rng.integers(0, len(bseg), 3000)]
+        long_d = d * rng.uniform(2.0, 12.0, (3000, 1))
+        # Just short of a cell in the larger coordinate: the farthest start
+        # the grid must still send to the exact test.
+        cell_d = d / np.abs(d).max(axis=1, keepdims=True) * rng.uniform(0.9, 1.0, (3000, 1))
+        cell_d *= _BARRIER_CELL * (1.0 - 1e-9)
+        starts = np.concatenate([near_p, vtx - s * d, on - d, on + d, on - long_d, on - cell_d])
+        ends = np.concatenate(
+            [near_p + d, vtx + (1.0 - s) * d, on, on, on + 0.3 * long_d, on]
+        )
+        return starts, ends
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_same_hits_as_the_unfiltered_test(self, which, request, rng):
+        geom = request.getfixturevalue(which)
+        test = _BarrierCrossing.of(geom.barrier.points)
+        starts, ends = self._segments(_thinned_barrier(geom.barrier.points), rng)
+        args = (starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1])
+        want = test.exact(*args)
+        assert want.sum() > 3000  # the set is not all misses
+        assert np.array_equal(test(*args), want)
+        # Any one array shape, as the fan integrator passes (steps, characteristics).
+        grid = tuple(v[:12000].reshape(60, 200) for v in args)
+        assert np.array_equal(test(*grid), want[:12000].reshape(60, 200))
+
+
+class TestGeometryCsvBytes:
+    def test_matches_a_csv_writer_rendering(self, params_03, tmp_path):
+        g = solve(params_03, n_phi=20, d_tau=5e-3)
+        path = tmp_path / "geom.csv"
+        g.to_csv(str(path))
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(GEOMETRY_CSV_HEADER.split(","))
+        curves = [("barrier", 0, g.barrier), ("equivocal", 0, g.equivocal)]
+        for fan in (g.primary_fan, g.secondary_fan):
+            curves += [(fan.family, bid, ch) for bid, ch in enumerate(fan.trajectories)]
+        for family, bid, curve in curves:
+            for (x, y), tau in zip(curve.points, curve.tau):
+                w.writerow([family, bid, f"{tau:.9g}", f"{x:.9g}", f"{y:.9g}"])
+        assert path.read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="value() prices a pocket point next to the capture arc by its dive "
+    "to the pocket wall, but truthful closed-loop play from there captures "
+    "almost at once through the arc",
+)
+@pytest.mark.parametrize("x, y", [(0.507, 0.219), (0.477, 0.278)])
+def test_value_next_to_the_capture_arc(params_03, geom_03, x, y):
+    from chauffeur.sim import Scenario, run_closed_loop
+    from chauffeur.strategy import EvaderPolicy
+
+    s = RelState(x, y)
+    v = geom_03.value(s)
+    sc = Scenario(
+        params_truth=params_03,
+        params_low=params_03,
+        initial_rel=s,
+        evader_policy=EvaderPolicy(kind="truthful"),
+        pursuer_mode="informed",
+        dt=1e-3,
+        t_max=max(20.0, 10.0 * v),
+    )
+    tr = run_closed_loop(sc, geom_03, geom_03)
+    assert tr.capture_time is not None
+    assert abs(tr.capture_time - v) < 5e-3 * (1.0 + v)
