@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, RelState, frozen_rhs, rk4_step, to_relative
+from .core import TWO_PI, GameParams, RelState, frozen_rhs, rk4_step, to_relative
 
 # Region tags.
 CAPTURED = "Captured"
@@ -56,8 +57,6 @@ DISPERSAL = "Dispersal"
 
 # Signed-distance dead band for classification side tests.
 SIDE_DEADBAND = 1e-6
-
-TWO_PI_ = 2.0 * math.pi
 
 GEOMETRY_CSV_HEADER = "family,branch_id,tau,x,y"
 
@@ -134,11 +133,11 @@ def turn_alignment(x: float, y: float) -> tuple[float, float] | None:
     delta = math.atan2(y, cx)
     half = math.acos(max(-1.0, min(1.0, -1.0 / r)))
     best = None
-    for t in ((-delta + half) % TWO_PI_, (-delta - half) % TWO_PI_):
+    for t in ((-delta + half) % TWO_PI, (-delta - half) % TWO_PI):
         ahead = cx * math.sin(t) + y * math.cos(t)
         if ahead >= -1e-9:
             # Exact alignments at t ~ 2*pi are t ~ 0 cases hit from below.
-            if t > TWO_PI_ - 1e-9:
+            if t > TWO_PI - 1e-9:
                 t = 0.0
             if best is None or t < best:
                 best = t
@@ -849,32 +848,86 @@ def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class _Polygon:
-    """Closed polygon whose edge arrays and padded bounding box are built
-    once, for repeated even-odd membership tests."""
+    """Closed polygon indexed by horizontal slabs for exact even-odd tests.
 
-    x1: np.ndarray
-    y1: np.ndarray
-    x2: np.ndarray
-    y2: np.ndarray
+    ``ys`` holds the distinct vertex y values in ascending order.  Slab k is
+    ``[ys[k], ys[k + 1])``, and ``slabs[k]`` lists ``(x1, y1, x2 - x1,
+    y2 - y1)`` for each edge with ``min(y1, y2) <= ys[k] < max(y1, y2)``.
+    Those are exactly the edges for which ``(y1 > y) != (y2 > y)`` holds
+    anywhere in the slab, so a ray cast over one slab's edges, with the
+    crossing abscissa written as the same float expression, gives the
+    answer of a scan over every edge, bit for bit.  Below ``ys[0]`` and in
+    the top slab no edge qualifies.  ``pts`` holds the vertices and
+    ``bbox`` their bounding box padded by 1e-9.
+    """
+
+    pts: np.ndarray
     bbox: tuple
+    ys: list
+    slabs: tuple
 
     @classmethod
     def of(cls, pts: np.ndarray) -> "_Polygon":
-        x, y = np.ascontiguousarray(pts.T)
+        x1, y1 = pts[:, 0], pts[:, 1]
+        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
         lo, hi = pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9
         bbox = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-        return cls(x, y, np.roll(x, -1), np.roll(y, -1), bbox)
+        ys = np.unique(y1)
+        # Edge e spans slabs first[e] .. stop[e] - 1 (none when horizontal).
+        first = np.searchsorted(ys, np.minimum(y1, y2))
+        stop = np.searchsorted(ys, np.maximum(y1, y2))
+        count = stop - first
+        edge = np.repeat(np.arange(len(pts)), count)
+        slab = np.arange(len(edge)) + np.repeat(first - (np.cumsum(count) - count), count)
+        order = np.argsort(slab, kind="stable")
+        edge = edge[order]
+        bounds = np.searchsorted(slab[order], np.arange(len(ys) + 1)).tolist()
+        rows = list(
+            zip(x1[edge].tolist(), y1[edge].tolist(), (x2 - x1)[edge].tolist(), (y2 - y1)[edge].tolist())
+        )
+        slabs = tuple(tuple(rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+        return cls(pts, bbox, ys.tolist(), slabs)
 
     def contains(self, x: float, y: float) -> bool:
-        """Even-odd ray cast, after a bounding-box test."""
+        """Even-odd ray cast over the edges of the slab holding ``y``, after
+        a bounding-box test.  Numpy scalars are taken as Python floats."""
         bx = self.bbox
         if not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]):
             return False
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        cond = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        return bool(np.count_nonzero(cond & (xs > x)) % 2)
+        x, y = float(x), float(y)
+        k = bisect_right(self.ys, y) - 1
+        if k < 0:
+            return False
+        inside = False
+        for x1, y1, dx, dy in self.slabs[k]:
+            if x1 + (y - y1) * dx / dy > x:
+                inside = not inside
+        return inside
+
+
+@dataclass(frozen=True, eq=False)
+class _DeadBand:
+    """Samples of a curve sorted by x, for the exact test whether one lies
+    closer than ``SIDE_DEADBAND`` to a point."""
+
+    xs: list
+    ys: list
+
+    @classmethod
+    def of(cls, pts: np.ndarray) -> "_DeadBand":
+        order = np.argsort(pts[:, 0], kind="stable")
+        return cls(pts[order, 0].tolist(), pts[order, 1].tolist())
+
+    def hit(self, x: float, y: float) -> bool:
+        """True when some sample lies closer than ``SIDE_DEADBAND``; only
+        samples within twice that in x can, and bisection finds them."""
+        xs, ys = self.xs, self.ys
+        lo = bisect_left(xs, x - 2.0 * SIDE_DEADBAND)
+        for k in range(lo, bisect_right(xs, x + 2.0 * SIDE_DEADBAND, lo)):
+            dx, dy = xs[k] - x, ys[k] - y
+            if math.sqrt(dx * dx + dy * dy) < SIDE_DEADBAND:
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +952,7 @@ class SolutionGeometry:
     _petal: _Polygon = field(repr=False, default=None)
     _primary_index: _CurveIndex = field(repr=False, default=None)
     _secondary_index: _CurveIndex = field(repr=False, default=None)
-    _equivocal_index: _CurveIndex = field(repr=False, default=None)
+    _equivocal_band: _DeadBand = field(repr=False, default=None)
     _wall_index: _CurveIndex = field(repr=False, default=None)
 
     # -- region tests --------------------------------------------------------
@@ -944,6 +997,13 @@ class SolutionGeometry:
         simulator passes step-scaled bands so feedback chatter cannot flip a
         trajectory off a line or off the pocket wall it is committed to.
         Geometric queries use the defaults (dead band 1e-6).
+
+        Near the pocket's box, a state within ``SIDE_DEADBAND`` of an
+        equivocal sample is tagged equivocal; the samples are kept sorted by
+        x, so bisection finds the few that can be that close.  Pocket and
+        petal membership then look up the one slab of edges at the state's
+        y (see ``_Polygon``).  Both tests are exact: they answer as a scan
+        over every sample or edge would.
         """
         p = self.params
         x, y = s.x, s.y
@@ -964,8 +1024,7 @@ class SolutionGeometry:
             and bx[2] - wall_band <= y <= bx[3] + wall_band
         )
         if near_box:
-            d_eq = self._equivocal_index.distance_within(x, y, 0.05)
-            if d_eq is not None and d_eq < SIDE_DEADBAND:
+            if self._equivocal_band.hit(x, y):
                 return Region(EQUIVOCAL, mirrored)
             if self.pocket_contains(x, y):
                 return Region(SECONDARY, mirrored)
@@ -1203,7 +1262,7 @@ def solve(
         _petal=petal,
         _primary_index=_CurveIndex([ch.points for ch in fan.trajectories]),
         _secondary_index=_CurveIndex([ch.points for ch in secondary.trajectories]),
-        _equivocal_index=_CurveIndex([equivocal.points]),
+        _equivocal_band=_DeadBand.of(equivocal.points),
         # Full-resolution wall index: band tests and wall distances must
         # resolve below the simulator's step-scaled bands, which the thinned
         # polygon points cannot.

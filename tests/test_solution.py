@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from chauffeur.core import RelState, rel_rhs, validate_params
+from chauffeur.sim import Scenario, run_closed_loop
 from chauffeur.solution import (
+    EQUIVOCAL,
     GEOMETRY_CSV_HEADER,
     SECONDARY,
+    SIDE_DEADBAND,
     TRIBUTARY,
+    _DeadBand,
+    _Polygon,
     _retro_rhs,
     bup_angle,
     bup_point,
@@ -21,6 +26,7 @@ from chauffeur.solution import (
     tributary_value,
     turn_alignment,
 )
+from chauffeur.strategy import EvaderPolicy
 
 
 class TestUsablePart:
@@ -620,3 +626,179 @@ def test_wall_distance_is_the_nearest_wall_sample(geom_03, geom_02, rng):
             n_near += brute <= 0.08
             n_far += brute > 0.08
         assert n_near > 50 and n_far > 50
+
+
+def _even_odd_scan(pts: np.ndarray, bbox: tuple, x: float, y: float) -> bool:
+    """Pocket/petal membership as a numpy scan over every edge: the
+    reference the slab index must reproduce bit for bit."""
+    bx = bbox
+    if not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]):
+        return False
+    x1, y1 = np.ascontiguousarray(pts.T)
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    cond = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    return bool(np.count_nonzero(cond & (xs > x)) % 2)
+
+
+def _deadband_scan(pts: np.ndarray, x: float, y: float) -> bool:
+    """Whether some sample lies closer than SIDE_DEADBAND, by a brute-force
+    minimum over every sample."""
+    d2 = (pts[:, 0] - x) ** 2 + (pts[:, 1] - y) ** 2
+    return math.sqrt(float(d2.min())) < SIDE_DEADBAND
+
+
+def _membership_queries(poly, rng) -> list:
+    """Seeded points in the padded box, every vertex y exactly (the slab
+    boundaries), vertex x one ulp either side, and y just below the lowest
+    vertex and at the highest."""
+    x0, x1, y0, y1 = poly.bbox
+    pts = poly.pts
+    out = list(zip(rng.uniform(x0, x1, 4000).tolist(), rng.uniform(y0, y1, 4000).tolist()))
+    for vx, vy in pts.tolist():
+        out.append((vx, vy))
+        out.append((math.nextafter(vx, -math.inf), vy))
+        out.append((math.nextafter(vx, math.inf), vy))
+        out.append((float(rng.uniform(x0, x1)), vy))
+    lowest, highest = float(pts[:, 1].min()), float(pts[:, 1].max())
+    for x in rng.uniform(x0, x1, 200).tolist():
+        out.append((x, math.nextafter(lowest, -math.inf)))
+        out.append((x, lowest))
+        out.append((x, highest))
+    return out
+
+
+class TestSlabMembership:
+    def test_matches_the_edge_scan_on_both_geometries(self, geom_03, geom_02, rng):
+        for geom in (geom_03, geom_02):
+            for poly in (geom._pocket, geom._petal):
+                inside = 0
+                for x, y in _membership_queries(poly, rng):
+                    expected = _even_odd_scan(poly.pts, poly.bbox, x, y)
+                    assert poly.contains(x, y) == expected, (x, y)
+                    inside += expected
+                assert inside > 500
+
+    def test_numpy_scalar_queries(self, geom_03, rng):
+        poly = geom_03._pocket
+        x0, x1, y0, y1 = poly.bbox
+        for x, y in zip(rng.uniform(x0, x1, 300), rng.uniform(y0, y1, 300)):
+            assert isinstance(x, np.float64)
+            expected = _even_odd_scan(poly.pts, poly.bbox, x, y)
+            assert poly.contains(x, y) == expected
+            assert geom_03.pocket_contains(x, y) == expected
+
+    def test_horizontal_edges_repeated_y_and_a_notch(self, rng):
+        # A box with a notch cut down from its top edge, a spike below its
+        # bottom edge and collinear vertices along the bottom.
+        pts = np.array(
+            [
+                [0.0, 0.0], [0.5, -1.0], [1.0, 0.0], [2.5, 0.0], [4.0, 0.0], [4.0, 3.0],
+                [3.0, 3.0], [3.0, 1.0], [2.0, 1.0], [2.0, 3.0], [0.0, 3.0],
+            ]
+        )
+        poly = _Polygon.of(pts)
+        assert poly.ys == [-1.0, 0.0, 1.0, 3.0]
+        assert poly.contains(2.5, 0.5) and not poly.contains(2.5, 2.0)
+        assert poly.contains(0.5, -0.5) and not poly.contains(1.5, -0.5)
+        assert poly.contains(1.0, 2.0) and poly.contains(3.5, 2.0)
+        queries = [(x, y) for x in np.arange(-0.5, 4.75, 0.25) for y in np.arange(-1.5, 3.75, 0.25)]
+        queries += list(zip(rng.uniform(-0.5, 4.5, 2000), rng.uniform(-1.5, 3.5, 2000)))
+        for x, y in queries:
+            assert poly.contains(x, y) == _even_odd_scan(pts, poly.bbox, x, y), (x, y)
+
+
+class TestEquivocalDeadBand:
+    @pytest.mark.parametrize("offset", [0.0, 1e-7, 9.99e-7, 1e-6, 1.01e-6, 1e-3])
+    def test_matches_the_brute_force_minimum(self, geom_03, geom_02, rng, offset):
+        hits = 0
+        for geom in (geom_03, geom_02):
+            pts = geom.equivocal.points
+            # The dead band is tested only within the pocket's box, which is
+            # drawn from thinned wall samples.
+            bx = geom._pocket.bbox
+            for j in rng.integers(0, len(pts), 400).tolist():
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                x = float(pts[j, 0] + offset * math.cos(a))
+                y = float(pts[j, 1] + offset * math.sin(a))
+                if x <= SIDE_DEADBAND:  # the axis tests come first
+                    continue
+                in_box = bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]
+                expected = in_box and _deadband_scan(pts, x, y)
+                sign = float(rng.choice([-1.0, 1.0]))
+                tag = geom.classify(RelState(sign * x, y)).tag
+                assert (tag == EQUIVOCAL) == expected, (x, y)
+                hits += expected
+        if offset < 9e-7:
+            assert hits > 700
+        if offset > 1e-6:
+            assert hits == 0
+
+    def test_band_is_open_at_exactly_its_width(self):
+        # On the wall samples no query lands at exactly SIDE_DEADBAND (their
+        # ulp is far coarser than its last bit); near the origin one does.
+        pts = np.array([[0.0, 0.0], [3e-6, 0.0], [0.0, 5e-6], [0.0, -5e-6], [-2e-6, 1e-6]])
+        band = _DeadBand.of(pts)
+        assert band.xs == sorted(pts[:, 0].tolist())
+        for x, y, expected in [
+            (SIDE_DEADBAND, 0.0, False),
+            (math.nextafter(SIDE_DEADBAND, 0.0), 0.0, True),
+            (0.0, 4e-6, False),
+            (0.0, math.nextafter(4e-6, 1.0), True),
+            (-1e-6, 1e-6, False),
+            (-1.5e-6, 1e-6, True),
+        ]:
+            assert _deadband_scan(pts, x, y) == expected, (x, y)
+            assert band.hit(x, y) == expected, (x, y)
+
+
+class _CountingScanPolygon:
+    """Stand-in for ``_Polygon`` that scans every edge."""
+
+    def __init__(self, poly):
+        self.pts, self.bbox, self.calls = poly.pts, poly.bbox, 0
+
+    def contains(self, x, y):
+        self.calls += 1
+        return _even_odd_scan(self.pts, self.bbox, x, y)
+
+
+class _CountingScanDeadBand:
+    """Stand-in for the sorted dead-band lookup that scans every sample."""
+
+    def __init__(self, pts):
+        self.pts, self.calls = pts, 0
+
+    def hit(self, x, y):
+        self.calls += 1
+        return _deadband_scan(self.pts, x, y)
+
+
+def test_reference_games_are_bitwise_equal_under_scan_oracles(params_03, params_02, geom_03, geom_02):
+    # The same truthful and deceptive reference runs, once on the indexed
+    # geometries and once with every pocket, petal and dead-band test
+    # replaced by a scan over all edges or samples.
+    def scanned(geom):
+        return dataclasses.replace(
+            geom,
+            _pocket=_CountingScanPolygon(geom._pocket),
+            _petal=_CountingScanPolygon(geom._petal),
+            _equivocal_band=_CountingScanDeadBand(geom.equivocal.points),
+        )
+
+    scan_03, scan_02 = scanned(geom_03), scanned(geom_02)
+    s0 = RelState(2.152, -0.214)
+    for policy, mode in (
+        (EvaderPolicy(kind="truthful"), "informed"),
+        (EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3), "estimating"),
+    ):
+        sc = Scenario(params_03, params_02, s0, policy, pursuer_mode=mode, t_max=12.0)
+        fast = run_closed_loop(sc, geom_03, geom_02)
+        slow = run_closed_loop(sc, scan_03, scan_02)
+        assert fast.capture_time is not None
+        assert SECONDARY in fast.region
+        for f in dataclasses.fields(fast):
+            assert repr(getattr(fast, f.name)) == repr(getattr(slow, f.name)), f.name
+    for geom in (scan_03, scan_02):
+        assert min(geom._pocket.calls, geom._petal.calls, geom._equivocal_band.calls) > 100
