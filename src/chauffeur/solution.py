@@ -14,16 +14,20 @@ is symmetric about the y axis).  The construction, in build order:
   at tau = l/mu, which is the focal time where the whole primary family
   converges (the primary region closes there), and the recorded endpoint
   anchors the equivocal curve.
-* primary fan: the same retrograde family for ``phi`` in ``(0, phi_bar)``;
-  every member is integrated to the shared focal time.
+* primary fan: the same retrograde family for ``phi`` in ``(0, phi_bar)``,
+  run to the shared focal time.  The heading turns at the pursuer's own
+  rate, ``psi = c + u tau`` with ``(c, u) = (phi, +1)``, so every sample is
+  exact: with ``z = (x - u) + i y``,
+  ``z(tau) = exp(-i u tau) (z0 - i mu tau exp(-i c))``.
 * equivocal curve: marched retrograde from the barrier endpoint with the
   evader in pure pursuit of the origin and the pursuer control solved per
   step so that the tributary departure cost grows at unit rate (the two
   escape options stay equal in cost).  Its y-axis contact ``(0, y_es)``
   closes the pocket and bounds the negative universal line.
-* secondary fan: ``u = -1`` arcs integrated retrograde from equivocal-curve
-  anchors and from the negative universal line; they fill the pocket
-  enclosed by barrier, equivocal curve, axis segment and capture circle.
+* secondary fan: ``u = -1`` arcs from equivocal-curve anchors
+  (``c = pi - atan(y_ES / x_ES)``) and from the negative universal line
+  (``c = 0``), in the same closed form; they fill the pocket enclosed by
+  barrier, equivocal curve, axis segment and capture circle.
 
 Values: tributary points, both universal lines and the dispersal line are
 closed form (turn alignment plus straight chase); pocket and petal points
@@ -272,71 +276,52 @@ def focal_time(p: GameParams, barrier: SampledCurve) -> float:
     return float(barrier.tau[k - 1] + w * (barrier.tau[k] - barrier.tau[k - 1]))
 
 
-# Steps per chunk of the fan integrator; its heading tables hold
-# 2 * _FAN_CHUNK + 1 rows per live characteristic.
+# Steps per chunk of the fan evaluation: the stop rule runs once per chunk.
 _FAN_CHUNK = 128
 
 
-def _integrate_fan(x0, y0, u, mu, heading, h, n_steps, stop=None):
-    """Retrograde RK4 of a whole fan of characteristics at once.
+def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
+    """Exact retrograde flow of a whole fan of characteristics at once.
 
-    The field is ``(y u - mu sin psi, 1 - x u - mu cos psi)`` with the
-    pursuer control ``u`` fixed and ``psi = heading(t, cols)``: an array of
-    ``len(t)`` rows for the characteristics ``cols``, or one column shared
-    by all of them.  Steps run in chunks of ``_FAN_CHUNK``.  Per chunk,
-    ``mu sin psi`` and ``mu cos psi`` are tabulated once at the step starts
-    and midpoints, with ``tau`` accumulated step by step, so the end of one
-    step is the start of the next and each RK4 stage is a row lookup.
+    Every fan family turns the evader's heading at the pursuer's own turn
+    rate, ``psi = c + u tau`` with ``u = +-1`` fixed and a phase ``c`` per
+    characteristic.  The field ``(u y - mu sin psi, 1 - u x - mu cos psi)``
+    is then a resonantly forced rotation: with ``z = (x - u) + i y`` it reads
+    ``z' = -i u z - i mu exp(-i psi)``, solved by
 
-    ``stop(px, py, qx, qy)`` flags step segments that must not be taken; it
-    runs once per chunk on the whole block of segments.  A characteristic
-    keeps its samples up to its first flagged step, and one stopped at its
-    first step keeps a frozen second sample.  Returns ``(cube, ends)``: the
-    samples of characteristic ``i`` are ``cube[i, :ends[i]]``.
+        z(tau) = exp(-i u tau) (z0 - i mu tau exp(-i c)).
+
+    Samples are evaluated at ``taus`` (``taus[0] = 0`` gives ``(x0, y0)``)
+    in chunks of ``_FAN_CHUNK`` steps.  ``stop(px, py, qx, qy)`` flags step
+    segments that must not be taken; it runs once per chunk on that block
+    of segments.  A characteristic keeps its samples up to its first
+    flagged step, and one stopped at its first step keeps a frozen second
+    sample.  Returns ``(cube, ends)``: the samples of characteristic ``i``
+    are ``cube[i, :ends[i]]``.
     """
-    n = len(x0)
+    n, n_steps = len(x0), len(taus) - 1
     cube = np.empty((n, n_steps + 1, 2))
     cube[:, 0, 0] = x0
     cube[:, 0, 1] = y0
     ends = np.full(n, n_steps + 1)
+    z0 = (x0 - u) + 1j * y0
+    drift = -1j * mu * np.exp(-1j * c)
     live = np.arange(n)
-    x, y = x0, y0
-    tau = 0.0
-    half = 0.5 * h
-    stage_row = {0.0: 0, half: 1, h: 2}  # RK4 stage offset -> table row
-    row = 0
-
-    def rhs(xv, yv, c):
-        r = row + stage_row[c]
-        return yv * u - ms[r], 1.0 - xv * u - mc[r]
-
     k0 = 0
     while k0 < n_steps and len(live):
-        m = min(_FAN_CHUNK, n_steps - k0)
-        # Sequential sums, as a `tau += h` loop makes them.
-        starts = np.cumsum(np.concatenate(([tau], np.full(m, h))))
-        t = np.empty(2 * m + 1)
-        t[0::2] = starts
-        t[1::2] = starts[:-1] + half
-        psi = heading(t, live)
-        ms, mc = mu * np.sin(psi), mu * np.cos(psi)
-        xs = np.empty((m + 1, len(live)))
-        ys = np.empty((m + 1, len(live)))
-        xs[0], ys[0] = x, y
-        for k in range(m):
-            row = 2 * k
-            x, y = rk4_step(rhs, x, y, h)
-            xs[k + 1], ys[k + 1] = x, y
-        cube[live, k0 + 1 : k0 + m + 1, 0] = xs[1:].T
-        cube[live, k0 + 1 : k0 + m + 1, 1] = ys[1:].T
+        t = taus[k0 + 1 : k0 + 1 + _FAN_CHUNK]
+        k1 = k0 + len(t)
+        z = np.exp(-1j * u * t) * (z0[live, None] + drift[live, None] * t)
+        seg = cube[live, k0 : k1 + 1]
+        seg[:, 1:, 0] = z.real + u
+        seg[:, 1:, 1] = z.imag
+        cube[live, k0 + 1 : k1 + 1] = seg[:, 1:]
         if stop is not None:
-            hit = stop(xs[:-1], ys[:-1], xs[1:], ys[1:])
-            done = hit.any(axis=0)
-            ends[live[done]] = k0 + hit[:, done].argmax(axis=0) + 1
-            keep = ~done
-            live, x, y = live[keep], x[keep], y[keep]
-        tau = starts[-1]
-        k0 += m
+            hit = stop(seg[:, :-1, 0], seg[:, :-1, 1], seg[:, 1:, 0], seg[:, 1:, 1])
+            done = hit.any(axis=1)
+            ends[live[done]] = k0 + hit[done].argmax(axis=1) + 1
+            live = live[~done]
+        k0 = k1
     at_start = ends == 1
     cube[at_start, 1] = cube[at_start, 0]
     return cube, np.maximum(ends, 2)
@@ -351,9 +336,9 @@ def compute_primary_fan(
     """Retrograde characteristics from usable-part angles phi in (0, phi_bar).
 
     All members share the focal time at which the family converges onto one
-    point of the barrier.  :func:`_integrate_fan` steps the whole fan at once
-    under ``(u, psi) = (+1, phi + tau)``, in chunks whose heading terms are
-    tabulated once.
+    point of the barrier.  Under ``(u, psi) = (+1, phi + tau)`` each member
+    has the closed form of :func:`_integrate_fan` with phase ``c = phi``,
+    evaluated on ``n_steps + 1`` evenly spaced times up to the focal time.
     """
     if n_phi < 2:
         raise ValueError("n_phi must be at least 2")
@@ -365,16 +350,8 @@ def compute_primary_fan(
         tau_end = focal_time(p, barrier)
     phis = np.linspace(phi_bar / n_phi, phi_bar, n_phi)
     n_steps = max(2, int(round(tau_end / d_tau)))
-    pts, _ = _integrate_fan(
-        p.l * np.sin(phis),
-        p.l * np.cos(phis),
-        1.0,
-        p.mu,
-        lambda t, cols: phis[cols] + t[:, None],
-        tau_end / n_steps,
-        n_steps,
-    )
     taus = np.linspace(0.0, tau_end, n_steps + 1)
+    pts, _ = _integrate_fan(p.l * np.sin(phis), p.l * np.cos(phis), 1.0, phis, p.mu, taus)
 
     chars = [
         Characteristic(
@@ -466,7 +443,9 @@ def _march_equivocal(
     control is pure pursuit of the origin.  The control root is followed by
     continuity (narrow bracket around the previous step's control, widened on
     demand) because a second, spurious root branch exists near the barrier;
-    a Brent iteration on that bracket finds it.
+    a Brent iteration on that bracket finds it.  Each residual keeps its
+    stepped point, keyed by control, so the accepted step is not integrated
+    again; Brent may return a control other than its last evaluation.
     Returns (points, value, u) arrays ending at the interpolated axis contact.
     """
     x, y = start
@@ -475,9 +454,10 @@ def _march_equivocal(
     vals = [v]
     u_prev = 0.7
     ucs: list[float] = []
+    stepped: dict[float, tuple[float, float]] = {}  # this step's points by control
 
     def residual(u, x_, y_, v_, h_):
-        xn, yn = _rk4_equivocal(p, x_, y_, u, h_)
+        xn, yn = stepped[u] = _rk4_equivocal(p, x_, y_, u, h_)
         dep = _tributary_value_raw(p, xn, yn)
         if dep is None:
             return None
@@ -508,12 +488,12 @@ def _march_equivocal(
     guard = int(40.0 / d_tau)
     for _ in range(guard):
         h = d_tau
+        stepped.clear()
         u = solve_u(x, y, v, h, u_prev)
         if not ucs:
             ucs.append(u)  # endpoint sample reuses the first interior control
-        xn, yn = _rk4_equivocal(p, x, y, u, h)
         u_prev = u
-        x, y = xn, yn
+        x, y = stepped[u]
         v += h
         pts.append((x, y))
         vals.append(v)
@@ -633,7 +613,10 @@ def compute_secondary_fan_and_equivocal(
     the barrier's own ride time: the barrier carries a value jump, and the
     jump is what the slow-then-fast evader exploits.
 
-    Each family is one :func:`_integrate_fan` call in tabulated chunks.  A
+    Both families steer ``psi = c - tau`` under ``u = -1``: the junction
+    family with ``c = pi - atan(y_ES / x_ES)``, the rear-line family with
+    ``c = 0``.  Each family is one :func:`_integrate_fan` call, which
+    evaluates their closed form at ``tau = k d_tau`` chunk by chunk.  A
     characteristic ends before its first step that leaves ``x >= 0``,
     enters the capture circle or crosses the thinned barrier; the barrier
     test is :class:`_BarrierCrossing`, whose occupancy grid sends only step
@@ -683,9 +666,10 @@ def compute_secondary_fan_and_equivocal(
         # shadow primary/tributary territory in nearest-characteristic queries.
         return (qx < 0.0) | (qx * qx + qy * qy < l2) | crosses_barrier(px, py, qx, qy)
 
-    def integrate_family(x0, y0, heading, values, anchors, terminal):
-        cube, ends = _integrate_fan(x0, y0, -1.0, mu, heading, d_tau, n_steps, stop)
-        taus = np.arange(cube.shape[1]) * d_tau
+    taus = np.arange(n_steps + 1) * d_tau
+
+    def integrate_family(x0, y0, c, values, anchors, terminal):
+        cube, ends = _integrate_fan(x0, y0, -1.0, c, mu, taus, stop)
         for i, end in enumerate(ends.tolist()):
             chars.append(
                 Characteristic(
@@ -701,7 +685,7 @@ def compute_secondary_fan_and_equivocal(
     integrate_family(
         anchors_e[:, 0].astype(float),
         anchors_e[:, 1].astype(float),
-        lambda t, cols: (math.pi - t)[:, None] - a_e[cols],
+        math.pi - a_e,
         values_e,
         anchors_e,
         "equivocal",
@@ -711,7 +695,7 @@ def compute_secondary_fan_and_equivocal(
     integrate_family(
         zeros,
         y0s.astype(float),
-        lambda t, cols: -t[:, None],
+        zeros,
         values_u,
         np.stack([zeros, y0s], axis=1),
         "negative_universal",
@@ -908,19 +892,27 @@ class _Polygon:
 @dataclass(frozen=True, eq=False)
 class _DeadBand:
     """Samples of a curve sorted by x, for the exact test whether one lies
-    closer than ``SIDE_DEADBAND`` to a point."""
+    closer than ``SIDE_DEADBAND`` to a point.  ``bbox`` is the samples'
+    extent padded by ``SIDE_DEADBAND``."""
 
     xs: list
     ys: list
+    bbox: tuple
 
     @classmethod
     def of(cls, pts: np.ndarray) -> "_DeadBand":
         order = np.argsort(pts[:, 0], kind="stable")
-        return cls(pts[order, 0].tolist(), pts[order, 1].tolist())
+        lo, hi = pts.min(axis=0) - SIDE_DEADBAND, pts.max(axis=0) + SIDE_DEADBAND
+        bbox = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        return cls(pts[order, 0].tolist(), pts[order, 1].tolist(), bbox)
 
     def hit(self, x: float, y: float) -> bool:
         """True when some sample lies closer than ``SIDE_DEADBAND``; only
-        samples within twice that in x can, and bisection finds them."""
+        points in ``bbox`` and samples within twice that in x can, and
+        bisection finds them."""
+        bx = self.bbox
+        if not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]):
+            return False
         xs, ys = self.xs, self.ys
         lo = bisect_left(xs, x - 2.0 * SIDE_DEADBAND)
         for k in range(lo, bisect_right(xs, x + 2.0 * SIDE_DEADBAND, lo)):
@@ -998,12 +990,12 @@ class SolutionGeometry:
         trajectory off a line or off the pocket wall it is committed to.
         Geometric queries use the defaults (dead band 1e-6).
 
-        Near the pocket's box, a state within ``SIDE_DEADBAND`` of an
-        equivocal sample is tagged equivocal; the samples are kept sorted by
-        x, so bisection finds the few that can be that close.  Pocket and
-        petal membership then look up the one slab of edges at the state's
-        y (see ``_Polygon``).  Both tests are exact: they answer as a scan
-        over every sample or edge would.
+        A state within ``SIDE_DEADBAND`` of an equivocal sample is tagged
+        equivocal; the samples are kept sorted by x, so bisection finds the
+        few that can be that close (see ``_DeadBand``).  Pocket and petal
+        membership then look up the one slab of edges at the state's y (see
+        ``_Polygon``).  Both tests are exact: they answer as a scan over
+        every sample or edge would.
         """
         p = self.params
         x, y = s.x, s.y
@@ -1018,14 +1010,14 @@ class SolutionGeometry:
             if y <= self.y_es:
                 return Region(DISPERSAL, mirrored)
             return Region(UNIVERSAL_NEGATIVE, mirrored)
+        if self._equivocal_band.hit(x, y):
+            return Region(EQUIVOCAL, mirrored)
         bx = self._pocket.bbox
         near_box = (
             bx[0] - wall_band <= x <= bx[1] + wall_band
             and bx[2] - wall_band <= y <= bx[3] + wall_band
         )
         if near_box:
-            if self._equivocal_band.hit(x, y):
-                return Region(EQUIVOCAL, mirrored)
             if self.pocket_contains(x, y):
                 return Region(SECONDARY, mirrored)
             if wall_band > 0.0:

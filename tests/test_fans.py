@@ -1,5 +1,6 @@
 """Checks of the characteristic fans against independent re-integrations,
-of the barrier test's grid filter, and of the geometry CSV bytes."""
+of RK4's convergence to the fans' closed form, of the barrier test's grid
+filter, and of the geometry CSV bytes."""
 
 import csv
 import io
@@ -111,6 +112,57 @@ class TestFansAgainstScalarOracle:
             compute_secondary_fan_and_equivocal(
                 params_03, barrier=geom_03.barrier, tau_max=4e-4
             )
+
+
+class TestRk4ConvergesToTheClosedForm:
+    """The scalar oracle at coarse steps h and h/2, compared with the fan's
+    own samples at the same times, must show RK4's fourth-order rate: the
+    closed form is the limit RK4 approaches, not a copy of it."""
+
+    @staticmethod
+    def _error_ratio(points, x0, y0, u, mu, psi, h_fine, n_coarse):
+        errs = []
+        for stride in (20, 10):
+            n = n_coarse * (20 // stride)
+            ref = _oracle_fan(x0, y0, u, mu, psi, stride * h_fine, n)
+            errs.append(np.abs(ref - points[: n * stride + 1 : stride]).max())
+        assert errs[1] > 1e-13  # well above the closed form's rounding
+        return errs[0] / errs[1]
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_primary_members(self, which, request):
+        geom = request.getfixturevalue(which)
+        p = geom.params
+        for ch in geom.primary_fan.trajectories[::66]:
+            n_steps = len(ch.points) - 1
+            ratio = self._error_ratio(
+                ch.points,
+                p.l * math.sin(ch.phi),
+                p.l * math.cos(ch.phi),
+                1.0,
+                p.mu,
+                lambda t, phi=ch.phi: phi + t,
+                geom.tau_focal / n_steps,
+                n_steps // 20,
+            )
+            assert 12.0 <= ratio <= 20.0, (ch.phi, ratio)
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    @pytest.mark.parametrize("i", [30, 100, 163, 199])
+    def test_secondary_members(self, which, i, request):
+        geom = request.getfixturevalue(which)
+        ch = geom.secondary_fan.trajectories[i]
+        assert len(ch.points) > 100
+        ax, ay = ch.anchor
+        if ch.terminal == "equivocal":
+            a_e = math.atan(ay / max(ax, 1e-12))
+            psi = lambda t: math.pi - t - a_e  # noqa: E731
+        else:
+            psi = lambda t: -t  # noqa: E731
+        d_tau = 1e-3
+        n_coarse = (len(ch.points) - 1) // 20
+        ratio = self._error_ratio(ch.points, ax, ay, -1.0, geom.params.mu, psi, d_tau, n_coarse)
+        assert 12.0 <= ratio <= 20.0, ratio
 
 
 class TestBarrierGridFilter:

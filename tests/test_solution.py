@@ -715,17 +715,13 @@ class TestEquivocalDeadBand:
         hits = 0
         for geom in (geom_03, geom_02):
             pts = geom.equivocal.points
-            # The dead band is tested only within the pocket's box, which is
-            # drawn from thinned wall samples.
-            bx = geom._pocket.bbox
             for j in rng.integers(0, len(pts), 400).tolist():
                 a = rng.uniform(0.0, 2.0 * math.pi)
                 x = float(pts[j, 0] + offset * math.cos(a))
                 y = float(pts[j, 1] + offset * math.sin(a))
                 if x <= SIDE_DEADBAND:  # the axis tests come first
                     continue
-                in_box = bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]
-                expected = in_box and _deadband_scan(pts, x, y)
+                expected = _deadband_scan(pts, x, y)
                 sign = float(rng.choice([-1.0, 1.0]))
                 tag = geom.classify(RelState(sign * x, y)).tag
                 assert (tag == EQUIVOCAL) == expected, (x, y)
@@ -734,6 +730,20 @@ class TestEquivocalDeadBand:
             assert hits > 700
         if offset > 1e-6:
             assert hits == 0
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_every_sample_is_equivocal(self, which, request):
+        # Including the samples outside the pocket polygon's box, which is
+        # drawn from the thinned wall: the lowest point and the largest x.
+        geom = request.getfixturevalue(which)
+        bx = geom._pocket.bbox
+        outside = 0
+        for x, y in geom.equivocal.points.tolist():
+            if x <= SIDE_DEADBAND:
+                continue
+            assert geom.classify(RelState(x, y)).tag == EQUIVOCAL, (x, y)
+            outside += not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3])
+        assert outside >= 3
 
     def test_band_is_open_at_exactly_its_width(self):
         # On the wall samples no query lands at exactly SIDE_DEADBAND (their
