@@ -713,91 +713,105 @@ def compute_secondary_fan_and_equivocal(
 # ---------------------------------------------------------------------------
 
 
+class NearestSampleError(RuntimeError):
+    """No stored sample passed the ring rule within the search cap."""
+
+
 class _CurveIndex:
-    """Bucketed nearest-sample lookup over a set of polylines."""
+    """Bucketed nearest-sample lookup over a set of polylines.
+
+    The samples are stored once, sorted by bucket ``(i, j) = floor(p / cell)``:
+    row i, then column j, then input order (``sx``, ``sy``, ``owner``,
+    ``local``).  ``keys`` holds each non-empty bucket's key ``i * span + j -
+    j_lo`` in that order and ``starts`` its first sorted position, plus the
+    end, so one row's buckets with columns ``j0..j1`` are one contiguous
+    slice.  The ring-r box around a bucket is ``2r - 1`` row slices, and
+    scanning them in row order visits its samples in sorted order.
+    """
 
     def __init__(self, curves: list[np.ndarray], cell: float = 0.08):
         self.curves = curves
-        pts = np.concatenate(curves, axis=0)
-        owner = np.concatenate(
-            [np.full(len(c), i, dtype=np.int32) for i, c in enumerate(curves)]
-        )
-        local = np.concatenate([np.arange(len(c), dtype=np.int32) for c in curves])
-        self.pts = pts
-        self.owner = owner
-        self.local = local
         self.cell = cell
+        pts = np.concatenate(curves, axis=0)
         key = np.floor(pts / cell).astype(np.int64)
-        self.buckets: dict[tuple[int, int], np.ndarray] = {}
-        order = np.lexsort((key[:, 1], key[:, 0]))
-        sk = key[order]
-        splits = np.nonzero((np.diff(sk[:, 0]) != 0) | (np.diff(sk[:, 1]) != 0))[0] + 1
-        for chunk in np.split(order, splits):
-            k = (int(key[chunk[0], 0]), int(key[chunk[0], 1]))
-            self.buckets[k] = chunk
+        self.j_lo = int(key[:, 1].min())
+        self.span = int(key[:, 1].max()) - self.j_lo + 1
+        flat = key[:, 0] * self.span + (key[:, 1] - self.j_lo)
+        order = np.argsort(flat, kind="stable")
+        self.sx = pts[order, 0]
+        self.sy = pts[order, 1]
+        self.owner = np.repeat(np.arange(len(curves)), [len(c) for c in curves])[order]
+        self.local = np.concatenate([np.arange(len(c)) for c in curves])[order]
+        sk = flat[order]
+        first = np.flatnonzero(np.diff(sk, prepend=sk[0] - 1))
+        self.keys = sk[first].tolist()
+        self.starts = first.tolist() + [len(sk)]
 
-    def _scan(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """(sample ids, squared distances, argmin) of the first accepted ring."""
-        ci = int(math.floor(x / self.cell))
-        cj = int(math.floor(y / self.cell))
+    def _slices(self, x: float, y: float, ring: int) -> list[tuple[int, int]]:
+        """Non-empty (start, stop) row slices of the ring box around (x, y)."""
+        ci = math.floor(x / self.cell)
+        cj = math.floor(y / self.cell)
+        j0 = max(cj - ring + 1 - self.j_lo, 0)
+        j1 = min(cj + ring - 1 - self.j_lo, self.span - 1)
+        keys, starts, out = self.keys, self.starts, []
+        for i in range(ci - ring + 1, ci + ring):
+            lo = bisect_left(keys, i * self.span + j0)
+            hi = bisect_right(keys, i * self.span + j1, lo)
+            if lo < hi:
+                out.append((starts[lo], starts[hi]))
+        return out
+
+    def _d2(self, a: int, b: int, x: float, y: float) -> np.ndarray:
+        return (self.sx[a:b] - x) ** 2 + (self.sy[a:b] - y) ** 2
+
+    def _scan(self, x: float, y: float) -> tuple[list, int, float]:
+        """([(start, squared distances)] per slice, sorted position, squared
+        distance) of the first minimum in the first accepted ring."""
         for ring in range(1, 40):
-            cand = []
-            for i in range(ci - ring + 1, ci + ring):
-                for j in range(cj - ring + 1, cj + ring):
-                    got = self.buckets.get((i, j))
-                    if got is not None:
-                        cand.append(got)
-            if not cand:
-                continue
-            ids = np.concatenate(cand)
-            d = self.pts[ids]
-            d2 = (d[:, 0] - x) ** 2 + (d[:, 1] - y) ** 2
-            k = int(np.argmin(d2))
+            parts = [(a, self._d2(a, b, x, y)) for a, b in self._slices(x, y, ring)]
+            k, best = -1, math.inf
+            for a, d2 in parts:
+                m = int(d2.argmin())
+                if d2[m] < best:
+                    k, best = a + m, float(d2[m])
             # A sample one ring farther out can still be closer; accept
             # once the ring radius exceeds the best distance found.  An
             # unscanned sample can lie within (ring - 1) * cell, so this is
             # not exact (test_nearest_sample_is_the_nearest).
-            if math.sqrt(d2[k]) <= (ring - 0.5) * self.cell or ring >= 39:
-                return ids, d2, k
-        raise RuntimeError("nearest-curve query failed")
+            if k >= 0 and math.sqrt(best) <= (ring - 0.5) * self.cell:
+                return parts, k, best
+        raise NearestSampleError(f"no sample within the ring-39 box of ({x}, {y})")
 
     def nearest(self, x: float, y: float) -> tuple[int, int]:
         """(curve id, local sample id) of the nearest stored sample."""
-        ids, _, k = self._scan(x, y)
-        return int(self.owner[ids[k]]), int(self.local[ids[k]])
+        _, k, _ = self._scan(x, y)
+        return int(self.owner[k]), int(self.local[k])
 
     def nearest_two(self, x: float, y: float) -> list[tuple[int, int, float]]:
         """Up to two (curve id, sample id, distance) entries from distinct curves."""
-        ids, d2, k = self._scan(x, y)
-        owners = self.owner[ids]
-        out = [(int(owners[k]), int(self.local[ids[k]]), float(math.sqrt(d2[k])))]
-        other = owners != owners[k]
-        if other.any():
-            k2 = int(np.argmin(np.where(other, d2, np.inf)))
-            out.append((int(owners[k2]), int(self.local[ids[k2]]), float(math.sqrt(d2[k2]))))
+        parts, k, best = self._scan(x, y)
+        own = self.owner[k]
+        out = [(int(own), int(self.local[k]), math.sqrt(best))]
+        k2, best2 = -1, math.inf
+        for a, d2 in parts:
+            d2 = np.where(self.owner[a : a + len(d2)] != own, d2, np.inf)
+            m = int(d2.argmin())
+            if d2[m] < best2:
+                k2, best2 = a + m, float(d2[m])
+        if k2 >= 0:
+            out.append((int(self.owner[k2]), int(self.local[k2]), math.sqrt(best2)))
         return out
 
     def distance_within(self, x: float, y: float, radius: float) -> float | None:
         """Distance to the nearest sample if within ~radius, else None.
 
-        Only inspects the 3x3 bucket neighbourhood, so ``radius`` must not
-        exceed the bucket cell size.
+        Only inspects the ring-2 box (three row slices), so ``radius`` must
+        not exceed the bucket cell size.
         """
-        ci = int(math.floor(x / self.cell))
-        cj = int(math.floor(y / self.cell))
-        best = None
-        for i in (ci - 1, ci, ci + 1):
-            for j in (cj - 1, cj, cj + 1):
-                got = self.buckets.get((i, j))
-                if got is None:
-                    continue
-                d = self.pts[got]
-                m = float(((d[:, 0] - x) ** 2 + (d[:, 1] - y) ** 2).min())
-                if best is None or m < best:
-                    best = m
-        if best is None:
+        parts = self._slices(x, y, 2)
+        if not parts:
             return None
-        best = math.sqrt(best)
+        best = math.sqrt(min(float(self._d2(a, b, x, y).min()) for a, b in parts))
         return best if best <= radius else None
 
 
@@ -805,29 +819,32 @@ def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray
     """Project (x, y) onto the polyline around sample j.
 
     Returns the distance to the foot followed by each of ``series`` (one
-    value per sample) interpolated at the foot.
+    value per sample) interpolated at the foot.  The window of up to three
+    samples is read once as Python floats.
     """
-    best_d2 = (points[j, 0] - x) ** 2 + (points[j, 1] - y) ** 2
+    x, y = float(x), float(y)
+    lo = max(j - 1, 0)
+    win = points[lo : j + 2].tolist()
+    px, py = win[j - lo]
+    best_d2 = (px - x) ** 2 + (py - y) ** 2
     best = None
-    for a in (j - 1, j):
-        if a < 0 or a + 1 >= len(points):
-            continue
-        px, py = points[a]
-        qx, qy = points[a + 1]
+    for a in range(len(win) - 1):
+        (px, py), (qx, qy) = win[a], win[a + 1]
         vx, vy = qx - px, qy - py
         vv = vx * vx + vy * vy
         if vv <= 0.0:
             continue
         t = ((x - px) * vx + (y - py) * vy) / vv
-        t = min(max(t, 0.0), 1.0)
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t  # min(max(t, 0), 1)
         d2 = (px + t * vx - x) ** 2 + (py + t * vy - y) ** 2
         if d2 < best_d2:
             best_d2 = d2
             best = (a, t)
+    vals = [s[lo : j + 2].tolist() for s in series]
     if best is None:
-        return (math.sqrt(best_d2), *(float(s[j]) for s in series))
+        return (math.sqrt(best_d2), *(v[j - lo] for v in vals))
     a, t = best
-    return (math.sqrt(best_d2), *(float(s[a] + t * (s[a + 1] - s[a])) for s in series))
+    return (math.sqrt(best_d2), *(v[a] + t * (v[a + 1] - v[a]) for v in vals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1041,8 +1058,8 @@ class SolutionGeometry:
         d = self._wall_index.distance_within(x, y, 0.08)
         if d is not None:
             return d
-        pts = self._wall_index.pts
-        return float(math.sqrt(((pts[:, 0] - x) ** 2 + (pts[:, 1] - y) ** 2).min()))
+        ix = self._wall_index
+        return math.sqrt(float(((ix.sx - x) ** 2 + (ix.sy - y) ** 2).min()))
 
     def wall_section(self, x: float, y: float) -> str:
         """Which wall section a near-wall point belongs to: barrier or equivocal."""

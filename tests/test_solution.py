@@ -13,8 +13,11 @@ from chauffeur.solution import (
     SECONDARY,
     SIDE_DEADBAND,
     TRIBUTARY,
+    NearestSampleError,
+    _CurveIndex,
     _DeadBand,
     _Polygon,
+    _project,
     _retro_rhs,
     bup_angle,
     bup_point,
@@ -553,7 +556,7 @@ def test_geometry_is_frozen(geom_03):
 )
 def test_nearest_sample_is_the_nearest(geom_03, rng):
     idx = geom_03._secondary_index
-    pts = idx.pts
+    pts = np.stack([idx.sx, idx.sy], axis=1)
     bx = geom_03._pocket_bbox
     misses = 0
     for _ in range(500):
@@ -812,3 +815,217 @@ def test_reference_games_are_bitwise_equal_under_scan_oracles(params_03, params_
             assert repr(getattr(fast, f.name)) == repr(getattr(slow, f.name)), f.name
     for geom in (scan_03, scan_02):
         assert min(geom._pocket.calls, geom._petal.calls, geom._equivocal_band.calls) > 100
+
+
+class _RingRuleScan:
+    """Stand-in for ``_CurveIndex`` that applies the documented ring rule
+    over every sample: ring r holds the samples whose bucket lies fewer
+    than r buckets from the query's in both directions; the first minimum
+    in row-major bucket order (row, column, input order) is accepted once
+    its distance is at most (r - 0.5) * cell, up to ring 39."""
+
+    def __init__(self, curves, cell=0.08):
+        pts = np.concatenate(curves)
+        owner = np.concatenate([np.full(len(c), i) for i, c in enumerate(curves)])
+        local = np.concatenate([np.arange(len(c)) for c in curves])
+        b = np.floor(pts / cell).astype(np.int64)
+        order = np.lexsort((np.arange(len(pts)), b[:, 1], b[:, 0]))
+        self.curves, self.cell, self.calls = curves, cell, 0
+        self.b, self.owner, self.local = b[order], owner[order], local[order]
+        self.sx, self.sy = pts[order, 0], pts[order, 1]
+        self._last = (None,)
+
+    def _ring(self, x, y, ring):
+        if self._last[0] != (x, y):  # bucket distance and d2 of every sample
+            ci, cj = math.floor(x / self.cell), math.floor(y / self.cell)
+            cheb = np.maximum(np.abs(self.b[:, 0] - ci), np.abs(self.b[:, 1] - cj))
+            self._last = ((x, y), cheb, (self.sx - x) ** 2 + (self.sy - y) ** 2)
+        _, cheb, d2 = self._last
+        box = cheb < ring
+        return box, np.where(box, d2, np.inf)
+
+    def _scan(self, x, y):
+        self.calls += 1
+        for ring in range(1, 40):
+            box, d2 = self._ring(x, y, ring)
+            if box.any():
+                k = int(np.argmin(d2))
+                if math.sqrt(d2[k]) <= (ring - 0.5) * self.cell:
+                    return box, d2, k
+        raise NearestSampleError((x, y))
+
+    def nearest(self, x, y):
+        _, _, k = self._scan(x, y)
+        return int(self.owner[k]), int(self.local[k])
+
+    def nearest_two(self, x, y):
+        box, d2, k = self._scan(x, y)
+        out = [(int(self.owner[k]), int(self.local[k]), math.sqrt(d2[k]))]
+        other = box & (self.owner != self.owner[k])
+        if other.any():
+            k2 = int(np.argmin(np.where(other, d2, np.inf)))
+            out.append((int(self.owner[k2]), int(self.local[k2]), math.sqrt(d2[k2])))
+        return out
+
+    def distance_within(self, x, y, radius):
+        box, d2 = self._ring(x, y, 2)
+        if not box.any():
+            return None
+        d = math.sqrt(float(d2.min()))
+        return d if d <= radius else None
+
+
+def _index_queries(idx, rng, n):
+    """Seeded points in the samples' padded box, points near samples,
+    exact samples and points just across bucket edges."""
+    pts = np.stack([idx.sx, idx.sy], axis=1)
+    lo, hi = pts.min(axis=0) - 0.3, pts.max(axis=0) + 0.3
+    out = [(float(rng.uniform(lo[0], hi[0])), float(rng.uniform(lo[1], hi[1]))) for _ in range(n)]
+    for x, y in pts[rng.integers(0, len(pts), n)].tolist():
+        out.append((x, y))
+        out.append((x + float(rng.normal(0.0, 0.02)), y + float(rng.normal(0.0, 0.02))))
+        edge = math.floor(x / idx.cell) * idx.cell
+        out.append((math.nextafter(edge, -math.inf), y))
+    return out
+
+
+def _geometry_indices(geom):
+    return {
+        "_primary_index": [ch.points for ch in geom.primary_fan.trajectories],
+        "_secondary_index": [ch.points for ch in geom.secondary_fan.trajectories],
+        "_wall_index": [geom.barrier.points, geom.equivocal.points],
+    }
+
+
+class TestCurveIndex:
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_matches_the_ring_rule_over_all_samples(self, which, request, rng):
+        geom = request.getfixturevalue(which)
+        for name, curves in _geometry_indices(geom).items():
+            idx, ref = getattr(geom, name), _RingRuleScan(curves)
+            hits = 0
+            for x, y in _index_queries(idx, rng, 50):
+                assert idx.nearest(x, y) == ref.nearest(x, y), (name, x, y)
+                assert repr(idx.nearest_two(x, y)) == repr(ref.nearest_two(x, y)), (name, x, y)
+                got = idx.distance_within(x, y, 0.08)
+                assert repr(got) == repr(ref.distance_within(x, y, 0.08)), (name, x, y)
+                hits += got is not None
+            assert hits > 100, name
+
+    def test_stores_every_sample_once_in_bucket_order(self, geom_03):
+        idx = geom_03._secondary_index
+        ref = _RingRuleScan(_geometry_indices(geom_03)["_secondary_index"])
+        assert np.array_equal(idx.sx, ref.sx) and np.array_equal(idx.sy, ref.sy)
+        assert np.array_equal(idx.owner, ref.owner) and np.array_equal(idx.local, ref.local)
+        assert len(idx.keys) == len(set(idx.keys)) and idx.starts[-1] == len(idx.sx)
+
+    def test_ties_go_to_the_first_sample_in_bucket_order(self):
+        # Four samples 1.25 from the query, one in each neighbouring bucket
+        # of a unit grid, given in the reverse of row-major bucket order.
+        curves = [np.array([p]) for p in ([1.75, 0.5], [0.5, 1.75], [0.5, -0.75], [-0.75, 0.5])]
+        idx, ref = _CurveIndex(curves, cell=1.0), _RingRuleScan(curves, cell=1.0)
+        assert idx.nearest(0.5, 0.5) == ref.nearest(0.5, 0.5) == (3, 0)
+        assert idx.nearest_two(0.5, 0.5) == ref.nearest_two(0.5, 0.5) == [(3, 0, 1.25), (2, 0, 1.25)]
+        assert idx.distance_within(0.5, 0.5, 1.25) == 1.25
+
+    def test_ring_cap_raises_a_named_error(self):
+        # One short curve: a query 4.1 away along the diagonal has it in
+        # its ring-39 box but never within (39 - 0.5) * cell = 3.08; one
+        # far away has no sample in any ring.
+        idx = _CurveIndex([np.array([[0.0, 0.0], [0.01, 0.0]])])
+        ref = _RingRuleScan(idx.curves)
+        for x, y in ((2.9, 2.9), (100.0, -100.0)):
+            for lookup in (idx.nearest, idx.nearest_two, ref.nearest):
+                with pytest.raises(NearestSampleError):
+                    lookup(x, y)
+        assert issubclass(NearestSampleError, RuntimeError)
+        assert idx.nearest(3.0, 0.0) == (0, 1)
+        assert idx.distance_within(2.9, 2.9, 0.08) is None
+
+
+def _project_numpy(points, j, x, y, *series):
+    """``_project`` as it was written on numpy scalars indexed one at a
+    time: the oracle the float version must reproduce bit for bit."""
+    best_d2 = (points[j, 0] - x) ** 2 + (points[j, 1] - y) ** 2
+    best = None
+    for a in (j - 1, j):
+        if a < 0 or a + 1 >= len(points):
+            continue
+        px, py = points[a]
+        qx, qy = points[a + 1]
+        vx, vy = qx - px, qy - py
+        vv = vx * vx + vy * vy
+        if vv <= 0.0:
+            continue
+        t = ((x - px) * vx + (y - py) * vy) / vv
+        t = min(max(t, 0.0), 1.0)
+        d2 = (px + t * vx - x) ** 2 + (py + t * vy - y) ** 2
+        if d2 < best_d2:
+            best_d2 = d2
+            best = (a, t)
+    if best is None:
+        return (math.sqrt(best_d2), *(float(s[j]) for s in series))
+    a, t = best
+    return (math.sqrt(best_d2), *(float(s[a] + t * (s[a + 1] - s[a])) for s in series))
+
+
+def test_project_matches_the_numpy_scalar_version(geom_03, geom_02, rng):
+    cases = [(geom.equivocal.points, (geom.equivocal.tau, geom.equivocal.u)) for geom in (geom_03, geom_02)]
+    for geom in (geom_03, geom_02):
+        for fan in (geom.primary_fan, geom.secondary_fan):
+            for ci in rng.integers(0, len(fan.trajectories), 40).tolist():
+                ch = fan.trajectories[ci]
+                cases.append((ch.points, (ch.tau,)))
+    # A repeated sample (a zero-length segment) and a two-sample curve.
+    cases.append((np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [2.0, 0.0]]), (np.arange(4.0),)))
+    cases.append((np.array([[0.0, 0.0], [1.0, 1.0]]), (np.array([0.0, 2.0]), np.array([1.0, -1.0]))))
+    clamped = interior = 0
+    for points, series in cases:
+        n = len(points)
+        js = {0, n - 1, *rng.integers(0, n, 12).tolist()}
+        for j in sorted(js):
+            for _ in range(4):
+                x, y = points[j] + rng.normal(0.0, 0.05, 2)
+                for qx, qy in ((float(x), float(y)), (x, y), (float(points[j, 0]), float(points[j, 1]))):
+                    got = _project(points, j, qx, qy, *series)
+                    assert repr(got) == repr(_project_numpy(points, j, qx, qy, *series)), (j, qx, qy)
+                    assert all(type(v) is float for v in got)
+                    on_sample = got[1:] == tuple(float(s[j]) for s in series)
+                    clamped += on_sample
+                    interior += not on_sample
+    assert clamped > 100 and interior > 1000
+
+
+def test_values_and_reference_games_are_bitwise_equal_under_the_ring_rule_scan(
+    params_03, params_02, geom_03, geom_02, rng
+):
+    # The same pocket values and reference runs, once on the slice index
+    # and once with every index replaced by the brute-force ring rule.
+    def scanned(geom):
+        return dataclasses.replace(
+            geom, **{name: _RingRuleScan(curves) for name, curves in _geometry_indices(geom).items()}
+        )
+
+    scan_03, scan_02 = scanned(geom_03), scanned(geom_02)
+    for geom, scan in ((geom_03, scan_03), (geom_02, scan_02)):
+        bx = geom._pocket.bbox
+        n = 0
+        while n < 5:
+            x, y = float(rng.uniform(bx[0], bx[1])), float(rng.uniform(bx[2], bx[3]))
+            s = RelState(x, y)
+            if geom.classify(s).tag != SECONDARY:
+                continue
+            assert repr(geom.value(s)) == repr(scan.value(s)), (x, y)
+            n += 1
+    s0 = RelState(2.152, -0.214)
+    for policy, mode in (
+        (EvaderPolicy(kind="truthful"), "informed"),
+        (EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3), "estimating"),
+    ):
+        sc = Scenario(params_03, params_02, s0, policy, pursuer_mode=mode, t_max=12.0)
+        fast = run_closed_loop(sc, geom_03, geom_02)
+        slow = run_closed_loop(sc, scan_03, scan_02)
+        assert SECONDARY in fast.region
+        for f in dataclasses.fields(fast):
+            assert repr(getattr(fast, f.name)) == repr(getattr(slow, f.name)), f.name
+    assert scan_03._secondary_index.calls > 1000
