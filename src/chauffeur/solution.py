@@ -7,23 +7,27 @@ is symmetric about the y axis).  The construction, in build order:
   ``[0, acos(mu))`` measured clockwise off +y; its boundary point (BUP)
   ``(l sin(phi_bar), l cos(phi_bar))`` with ``phi_bar = acos(mu)`` anchors
   the barrier.
-* barrier: retrograde arc from the BUP under ``(u, psi) = (+1, phi_bar+tau)``.
-  Integration stops where the retrograde tangent turns back toward the
-  capture circle (the local x-extremum of the arc).  Two interior times
-  matter along the way: the arc exits the unit turn disc centred at (1, 0)
-  at tau = l/mu, which is the focal time where the whole primary family
-  converges (the primary region closes there), and the recorded endpoint
-  anchors the equivocal curve.
+* barrier: retrograde arc from the BUP under ``(u, psi) = (+1, phi_bar+tau)``,
+  the ``phi = phi_bar`` member of the primary family, so it is evaluated in
+  the same closed form (below) on the accumulated grid ``tau += d_tau``.  It
+  stops where the retrograde tangent turns back toward the capture circle
+  (the local x-extremum of the arc), found by bisecting ``dx/dtau`` on the
+  closed form.  Two interior times matter along the way: the arc exits the
+  unit turn disc centred at (1, 0) at tau = l/mu, which is the focal time
+  where the whole primary family converges (the primary region closes
+  there), and the recorded endpoint anchors the equivocal curve.
 * primary fan: the same retrograde family for ``phi`` in ``(0, phi_bar)``,
   run to the shared focal time.  The heading turns at the pursuer's own
   rate, ``psi = c + u tau`` with ``(c, u) = (phi, +1)``, so every sample is
   exact: with ``z = (x - u) + i y``,
   ``z(tau) = exp(-i u tau) (z0 - i mu tau exp(-i c))``.
 * equivocal curve: marched retrograde from the barrier endpoint with the
-  evader in pure pursuit of the origin and the pursuer control solved per
-  step so that the tributary departure cost grows at unit rate (the two
-  escape options stay equal in cost).  Its y-axis contact ``(0, y_es)``
-  closes the pocket and bounds the negative universal line.
+  evader in pure pursuit of the origin, ``(sin psi, cos psi) = -(x, y)/r``,
+  and the pursuer control solved per step so that the tributary departure
+  cost grows at unit rate (the two escape options stay equal in cost).  The
+  root solve starts from the control's linear prediction and falls back to
+  a continuity ladder around the previous control.  Its y-axis contact
+  ``(0, y_es)`` closes the pocket and bounds the negative universal line.
 * secondary fan: ``u = -1`` arcs from equivocal-curve anchors
   (``c = pi - atan(y_ES / x_ES)``) and from the negative universal line
   (``c = 0``), in the same closed form; they fill the pocket enclosed by
@@ -189,8 +193,7 @@ def _tributary_value_raw(p: GameParams, x: float, y: float) -> float | None:
 
 
 def _retro_rhs(x: float, y: float, u: float, psi: float, mu: float) -> tuple[float, float]:
-    # Retrograde form of the relative kinematics: d/dtau = -d/dt.  Kept as
-    # its own expression: negating rel_rhs slows the barrier and the march.
+    # Retrograde form of the relative kinematics: d/dtau = -d/dt.
     return (y * u - mu * math.sin(psi), -x * u + 1.0 - mu * math.cos(psi))
 
 
@@ -201,14 +204,26 @@ def primary_retro_rhs(
     return _retro_rhs(x, y, 1.0, phi + tau, p.mu)
 
 
-def _rk4_primary(p: GameParams, x: float, y: float, tau: float, phi: float, h: float):
-    return rk4_step(lambda x_, y_, c: primary_retro_rhs(p, x_, y_, tau + c, phi), x, y, h)
+# Steps per chunk of the closed-form evaluation: the barrier's and the fans'
+# stop rules run once per chunk.
+_FAN_CHUNK = 128
+
+
+def _fan_xy(x0, y0, u, c, mu, t):
+    """Exact retrograde flow of the ``(u, psi = c + u tau)`` characteristic
+    from ``(x0, y0)``, evaluated at the times ``t``; see :func:`_integrate_fan`.
+    Broadcasts like numpy: one start and many times, or a column of starts
+    against a row of times."""
+    z0 = (x0 - u) + 1j * y0
+    drift = -1j * mu * np.exp(-1j * c)
+    z = np.exp(-1j * u * t) * (z0 + drift * t)
+    return z.real + u, z.imag
 
 
 def compute_barrier(
     p: GameParams, d_tau: float = 1e-3, tau_max: float | None = None
 ) -> SampledCurve:
-    """Retrograde-integrate the barrier from the BUP to its endpoint.
+    """Retrograde barrier from the BUP to its endpoint.
 
     The endpoint is where the retrograde tangent turns back toward the
     capture circle: the first local x-maximum reached after the arc has left
@@ -217,47 +232,60 @@ def compute_barrier(
     endpoints, and the equivocal curve could not anchor there because the
     departure cost only exists outside the disc.)  ``tau_max``, when given,
     caps the arc early.
+
+    The barrier is the ``phi = phi_bar`` member of the primary family, so
+    its samples are the closed form :func:`_fan_xy`, evaluated
+    ``_FAN_CHUNK`` steps at a time on the accumulated grid ``tau += d_tau``
+    (the last step shortened to ``tau_max``).  A step arms the endpoint test
+    once it ends outside the disc with ``dx/dtau > 0``; the first later step
+    that ends with ``dx/dtau <= 0`` is bisected for the tangent-vertical
+    time, which replaces that step's end as the last sample.
     """
     if d_tau >= 0.01:
         raise ValueError(f"d_tau={d_tau!r} too coarse; the barrier march requires d_tau < 0.01")
     if d_tau <= 0.0:
         raise ValueError("d_tau must be positive")
-    phi = bup_angle(p)
-    x, y = bup_point(p)
-    pts = [(x, y)]
-    taus = [0.0]
-    tau = 0.0
-    cap = tau_max if tau_max is not None else math.inf
-    armed = False
+    phi, mu = bup_angle(p), p.mu
+    x0, y0 = bup_point(p)
 
+    def at(t):
+        """(x, y, dx/dtau) of the barrier at the times t."""
+        x, y = _fan_xy(x0, y0, 1.0, phi, mu, t)
+        return x, y, y - mu * np.sin(phi + t)
+
+    ts, tau, armed = [0.0], 0.0, False
+    cap = tau_max if tau_max is not None else math.inf
     while tau < cap:
-        h = min(d_tau, cap - tau)
-        xn, yn = _rk4_primary(p, x, y, tau, phi, h)
-        dx_n = primary_retro_rhs(p, xn, yn, tau + h, phi)[0]
-        outside = (xn - 1.0) ** 2 + yn ** 2 >= 1.0
-        if armed and dx_n <= 0.0:
-            # Bisect the tangent-vertical time inside this step.
-            lo, hi = 0.0, h
+        t = []
+        while len(t) < _FAN_CHUNK and tau < cap:
+            tau += min(d_tau, cap - tau)
+            t.append(tau)
+        x, y, dx = at(np.array(t))
+        # The endpoint test applies from the step after the arming one.
+        first = 0
+        if not armed:
+            arming = np.flatnonzero(((x - 1.0) ** 2 + y**2 >= 1.0) & (dx > 0.0))
+            armed = len(arming) > 0
+            first = int(arming[0]) + 1 if armed else len(t)
+        turned = np.flatnonzero(dx[first:] <= 0.0)
+        end = first + int(turned[0]) if len(turned) else len(t)
+        if max(t[:end], default=0.0) > 100.0:
+            raise RuntimeError("barrier march failed to terminate")
+        ts += t[:end]
+        if end < len(t):
+            # Bisect the tangent-vertical time inside the step after ts[-1].
+            lo, hi = 0.0, min(d_tau, cap - ts[-1])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                xm, ym = _rk4_primary(p, x, y, tau, phi, mid)
-                if primary_retro_rhs(p, xm, ym, tau + mid, phi)[0] <= 0.0:
+                if at(ts[-1] + mid)[2] <= 0.0:
                     hi = mid
                 else:
                     lo = mid
-            xe, ye = _rk4_primary(p, x, y, tau, phi, hi)
-            pts.append((xe, ye))
-            taus.append(tau + hi)
+            ts.append(ts[-1] + hi)
             break
-        if not armed and outside and dx_n > 0.0:
-            armed = True
-        x, y = xn, yn
-        tau += h
-        pts.append((x, y))
-        taus.append(tau)
-        if tau > 100.0:
-            raise RuntimeError("barrier march failed to terminate")
-    return SampledCurve(kind="barrier", points=np.asarray(pts), tau=np.asarray(taus))
+    x, y, _ = at(np.array(ts))
+    x[0], y[0] = x0, y0
+    return SampledCurve(kind="barrier", points=np.stack([x, y], axis=1), tau=np.array(ts))
 
 
 def focal_time(p: GameParams, barrier: SampledCurve) -> float:
@@ -274,10 +302,6 @@ def focal_time(p: GameParams, barrier: SampledCurve) -> float:
     k = int(idx[0])
     w = r2[k - 1] / (r2[k - 1] - r2[k])
     return float(barrier.tau[k - 1] + w * (barrier.tau[k] - barrier.tau[k - 1]))
-
-
-# Steps per chunk of the fan evaluation: the stop rule runs once per chunk.
-_FAN_CHUNK = 128
 
 
 def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
@@ -304,17 +328,15 @@ def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
     cube[:, 0, 0] = x0
     cube[:, 0, 1] = y0
     ends = np.full(n, n_steps + 1)
-    z0 = (x0 - u) + 1j * y0
-    drift = -1j * mu * np.exp(-1j * c)
     live = np.arange(n)
     k0 = 0
     while k0 < n_steps and len(live):
         t = taus[k0 + 1 : k0 + 1 + _FAN_CHUNK]
         k1 = k0 + len(t)
-        z = np.exp(-1j * u * t) * (z0[live, None] + drift[live, None] * t)
         seg = cube[live, k0 : k1 + 1]
-        seg[:, 1:, 0] = z.real + u
-        seg[:, 1:, 1] = z.imag
+        seg[:, 1:, 0], seg[:, 1:, 1] = _fan_xy(
+            x0[live, None], y0[live, None], u, c[live, None], mu, t
+        )
         cube[live, k0 + 1 : k1 + 1] = seg[:, 1:]
         if stop is not None:
             hit = stop(seg[:, :-1, 0], seg[:, :-1, 1], seg[:, 1:, 0], seg[:, 1:, 1])
@@ -371,15 +393,16 @@ def compute_primary_fan(
 # ---------------------------------------------------------------------------
 
 
-def _pp_heading(x: float, y: float) -> float:
-    # Pure pursuit of the origin: relative velocity direction from E toward P.
-    return math.atan2(-x, -y)
-
-
 def _rk4_equivocal(p: GameParams, x: float, y: float, u: float, h: float):
-    # psi is pure-pursuit feedback, re-evaluated at every RK4 stage.
+    # The evader is in pure pursuit of the origin at every RK4 stage:
+    # (sin psi, cos psi) = -(x, y) / r in the retrograde field.
     mu = p.mu
-    return rk4_step(lambda x_, y_, c: _retro_rhs(x_, y_, u, _pp_heading(x_, y_), mu), x, y, h)
+
+    def f(x_, y_, _c):
+        r = math.hypot(x_, y_)
+        return (y_ * u + mu * x_ / r, 1.0 - x_ * u + mu * y_ / r)
+
+    return rk4_step(f, x, y, h)
 
 
 def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -433,6 +456,14 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
             d = e = b - a
 
 
+# Warm-started equal-cost bracket: the linear prediction of the control
+# plus or minus max(_WARM_WIDTH |last second difference|, _WARM_FLOOR).
+_WARM_WIDTH = 4.0
+_WARM_FLOOR = 1e-9
+# Half-widths of the continuity ladder around the previous control.
+_LADDER = (0.1, 0.25, 0.5, 1.0)
+
+
 def _march_equivocal(
     p: GameParams, start: tuple[float, float], v_start: float, d_tau: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,58 +472,74 @@ def _march_equivocal(
     Per step the pursuer control is solved so the tributary departure cost at
     the stepped point equals the running cost plus the step; the evader
     control is pure pursuit of the origin.  The control root is followed by
-    continuity (narrow bracket around the previous step's control, widened on
-    demand) because a second, spurious root branch exists near the barrier;
-    a Brent iteration on that bracket finds it.  Each residual keeps its
-    stepped point, keyed by control, so the accepted step is not integrated
-    again; Brent may return a control other than its last evaluation.
-    Returns (points, value, u) arrays ending at the interpolated axis contact.
+    continuity, because a second, spurious root branch exists near the
+    barrier.  From the fourth step on, the first bracket is the linear
+    prediction ``2 u[k-1] - u[k-2]`` plus or minus ``_WARM_WIDTH`` times the
+    last second difference of the control (at least ``_WARM_FLOOR``).  When
+    that bracket holds no sign change or an undefined residual, and on the
+    first three steps, the continuity ladder takes over: brackets of
+    half-width ``_LADDER`` around the previous step's control, the first
+    with a sign change winning.  A Brent iteration on the bracket finds the
+    root.  Each residual keeps its stepped point, keyed by control, so the
+    accepted step is not integrated again; Brent may return a control other
+    than its last evaluation.  Returns (points, value, u) arrays ending at
+    the interpolated axis contact.
     """
     x, y = start
     v = v_start
+    h = d_tau
     pts = [(x, y)]
     vals = [v]
-    u_prev = 0.7
-    ucs: list[float] = []
+    ucs: list[float] = []  # ucs[0] repeats the first step's control
     stepped: dict[float, tuple[float, float]] = {}  # this step's points by control
 
-    def residual(u, x_, y_, v_, h_):
-        xn, yn = stepped[u] = _rk4_equivocal(p, x_, y_, u, h_)
+    def residual(u):
+        xn, yn = stepped[u] = _rk4_equivocal(p, x, y, u, h)
         dep = _tributary_value_raw(p, xn, yn)
         if dep is None:
             return None
-        return dep - (v_ + h_)
+        return dep - (v + h)
 
-    def solve_u(x_, y_, v_, h_, seed):
-        for half in (0.1, 0.25, 0.5, 1.0):
-            lo = max(-1.0, seed - half)
-            hi = min(1.0, seed + half)
-            r_lo = residual(lo, x_, y_, v_, h_)
-            r_hi = residual(hi, x_, y_, v_, h_)
-            if r_lo is None or r_hi is None:
-                continue
-            if r_lo == 0.0:
-                return lo
-            if r_hi == 0.0:
-                return hi
-            if (r_lo < 0.0) == (r_hi < 0.0):
-                continue
-            return _brent_root(lambda u: residual(u, x_, y_, v_, h_), lo, hi, r_lo, r_hi)
+    def bracketed(lo, hi):
+        """Root in [lo, hi], or None without a defined sign change there."""
+        r_lo = residual(lo)
+        r_hi = residual(hi)
+        if r_lo is None or r_hi is None:
+            return None
+        if r_lo == 0.0:
+            return lo
+        if r_hi == 0.0:
+            return hi
+        if (r_lo < 0.0) == (r_hi < 0.0):
+            return None
+        return _brent_root(residual, lo, hi, r_lo, r_hi)
+
+    def solve_u():
+        if len(ucs) >= 4:
+            u1, u2, u3 = ucs[-1], ucs[-2], ucs[-3]
+            half = max(_WARM_WIDTH * abs(u1 - 2.0 * u2 + u3), _WARM_FLOOR)
+            pred = 2.0 * u1 - u2
+            lo, hi = max(-1.0, pred - half), min(1.0, pred + half)
+            u = bracketed(lo, hi) if lo <= hi else None
+            if u is not None:
+                return u
+        seed = ucs[-1] if ucs else 0.7
+        for half in _LADDER:
+            u = bracketed(max(-1.0, seed - half), min(1.0, seed + half))
+            if u is not None:
+                return u
         raise EqualCostBracketError(
             "equal-cost locus lost at "
-            f"({x_:.6f}, {y_:.6f}), v={v_:.6f}: residuals "
-            f"u=-1 -> {residual(-1.0, x_, y_, v_, h_)!r}, "
-            f"u=+1 -> {residual(1.0, x_, y_, v_, h_)!r}"
+            f"({x:.6f}, {y:.6f}), v={v:.6f}: residuals "
+            f"u=-1 -> {residual(-1.0)!r}, u=+1 -> {residual(1.0)!r}"
         )
 
     guard = int(40.0 / d_tau)
     for _ in range(guard):
-        h = d_tau
         stepped.clear()
-        u = solve_u(x, y, v, h, u_prev)
+        u = solve_u()
         if not ucs:
             ucs.append(u)  # endpoint sample reuses the first interior control
-        u_prev = u
         x, y = stepped[u]
         v += h
         pts.append((x, y))
@@ -959,7 +1006,7 @@ class SolutionGeometry:
     tau_focal: float
     _pocket: _Polygon = field(repr=False, default=None)
     _petal: _Polygon = field(repr=False, default=None)
-    _primary_index: _CurveIndex = field(repr=False, default=None)
+    _primary_index: _CurveIndex = field(repr=False, default=None)  # see _primary_lookup
     _secondary_index: _CurveIndex = field(repr=False, default=None)
     _equivocal_band: _DeadBand = field(repr=False, default=None)
     _wall_index: _CurveIndex = field(repr=False, default=None)
@@ -1071,9 +1118,20 @@ class SolutionGeometry:
 
     # -- characteristic queries ----------------------------------------------
 
+    def _primary_lookup(self) -> _CurveIndex:
+        """The primary fan's sample index, built on first use: it holds more
+        samples than the other indices together, and most uses of a
+        geometry never query the primary region.  Two threads may both
+        build it; the indices are equal, so either may be kept."""
+        index = self._primary_index
+        if index is None:
+            index = _CurveIndex([ch.points for ch in self.primary_fan.trajectories])
+            object.__setattr__(self, "_primary_index", index)
+        return index
+
     def primary_data(self, x: float, y: float) -> tuple[float, float]:
         """(phi, tau) of the primary characteristic sample nearest to (x, y)."""
-        ci, j = self._primary_index.nearest(x, y)
+        ci, j = self._primary_lookup().nearest(x, y)
         ch = self.primary_fan.trajectories[ci]
         _, tau = _project(ch.points, j, x, y, ch.tau)
         return ch.phi, tau
@@ -1269,7 +1327,6 @@ def solve(
         tau_focal=tau_focal,
         _pocket=pocket,
         _petal=petal,
-        _primary_index=_CurveIndex([ch.points for ch in fan.trajectories]),
         _secondary_index=_CurveIndex([ch.points for ch in secondary.trajectories]),
         _equivocal_band=_DeadBand.of(equivocal.points),
         # Full-resolution wall index: band tests and wall distances must

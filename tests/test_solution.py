@@ -1,24 +1,32 @@
+import contextlib
 import csv
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from chauffeur.core import RelState, rel_rhs, validate_params
+from chauffeur import solution
+from chauffeur.core import RelState, rel_rhs, rk4_step, validate_params
 from chauffeur.sim import Scenario, run_closed_loop
 from chauffeur.solution import (
     EQUIVOCAL,
     GEOMETRY_CSV_HEADER,
+    PRIMARY,
     SECONDARY,
     SIDE_DEADBAND,
     TRIBUTARY,
     NearestSampleError,
     _CurveIndex,
     _DeadBand,
+    _fan_xy,
+    _march_equivocal,
     _Polygon,
     _project,
     _retro_rhs,
+    _rk4_equivocal,
+    _tributary_value_raw,
     bup_angle,
     bup_point,
     compute_barrier,
@@ -26,6 +34,7 @@ from chauffeur.solution import (
     dubins_cs_turn_time,
     focal_time,
     primary_retro_rhs,
+    solve,
     tributary_value,
     turn_alignment,
 )
@@ -124,6 +133,68 @@ class TestBarrier:
     def test_tau_max_caps_the_arc(self, params_03):
         b = compute_barrier(params_03, d_tau=1e-3, tau_max=0.25)
         assert abs(b.tau[-1] - 0.25) < 1e-12
+
+    @pytest.mark.parametrize("which", ["params_03", "params_02"])
+    def test_closed_form_against_the_oracle(self, which, request):
+        # Fine-step RK4 of the barrier's own equations, at grid times and at
+        # the bisected endpoint.
+        p = request.getfixturevalue(which)
+        b = compute_barrier(p, d_tau=1e-3)
+        for k in (250, 900, 1600, len(b.tau) - 2, len(b.tau) - 1):
+            tau = float(b.tau[k])
+            ox, oy = _oracle_barrier_point(p, tau, int(round(tau / 1e-4)))
+            assert math.hypot(b.points[k, 0] - ox, b.points[k, 1] - oy) < 1e-10, (k, tau)
+
+    @pytest.mark.parametrize("tau_max", [None, 0.25, 1.0])
+    def test_tau_grid_is_the_accumulated_step_grid(self, params_03, tau_max):
+        b = compute_barrier(params_03, d_tau=1e-3, tau_max=tau_max)
+        cap = math.inf if tau_max is None else tau_max
+        grid = [0.0]
+        while len(grid) < len(b.tau) and grid[-1] < cap:
+            grid.append(grid[-1] + min(1e-3, cap - grid[-1]))
+        if tau_max is None:
+            # The endpoint lies inside the last step of the grid.
+            assert np.array_equal(b.tau[:-1], grid[:-1])
+            assert grid[-2] < b.tau[-1] <= grid[-1]
+        else:
+            assert np.array_equal(b.tau, grid) and grid[-1] >= cap
+
+    @pytest.mark.parametrize("which", ["params_03", "params_02"])
+    @pytest.mark.parametrize(
+        "d_tau, chunk", [(1e-3, 128), (3e-3, 128), (7e-4, 128), (1e-3, 1), (3e-3, 7)]
+    )
+    def test_chunked_stop_rule_matches_the_step_by_step_rule(
+        self, which, d_tau, chunk, request, monkeypatch
+    ):
+        # The arming and endpoint tests run on whole chunks of steps; the
+        # reference takes them one step at a time.
+        # Short chunks put the arming and the endpoint on chunk edges.
+        monkeypatch.setattr(solution, "_FAN_CHUNK", chunk)
+        p = request.getfixturevalue(which)
+        phi, (x0, y0) = bup_angle(p), bup_point(p)
+
+        def at(t):
+            x, y = _fan_xy(x0, y0, 1.0, phi, p.mu, t)
+            return float(x), float(y), primary_retro_rhs(p, float(x), float(y), t, phi)[0]
+
+        taus, armed, tau = [0.0], False, 0.0
+        while True:
+            x, y, dx = at(tau + d_tau)
+            if armed and dx <= 0.0:
+                lo, hi = 0.0, d_tau
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if at(tau + mid)[2] <= 0.0 else (mid, hi)
+                taus.append(tau + hi)
+                break
+            armed = armed or ((x - 1.0) ** 2 + y**2 >= 1.0 and dx > 0.0)
+            tau += d_tau
+            taus.append(tau)
+        b = compute_barrier(p, d_tau=d_tau)
+        assert len(b.tau) == len(taus)
+        assert np.array_equal(b.tau[:-1], taus[:-1])
+        assert abs(b.tau[-1] - taus[-1]) <= 1e-15
+        assert abs(primary_retro_rhs(p, *b.points[-1], b.tau[-1], phi)[0]) < 1e-9
 
 
 class TestPrimaryFan:
@@ -341,17 +412,17 @@ class TestEquivocalCurve:
             assert dep is not None
             assert abs(dep - vals[k]) < 5e-4
 
-    def test_every_step_meets_equal_cost(self, params_03, geom_03):
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_every_step_meets_equal_cost(self, which, request):
         # Solver-independent: each marched point's departure cost equals the
         # running cost plus one step.  The last sample is interpolated onto
         # the axis, so it is skipped.
-        from chauffeur.solution import _tributary_value_raw
-
-        pts = geom_03.equivocal.points
-        vals = geom_03.equivocal.tau
+        geom = request.getfixturevalue(which)
+        pts = geom.equivocal.points
+        vals = geom.equivocal.tau
         d_tau = 1e-3
         for k in range(len(pts) - 2):
-            dep = _tributary_value_raw(params_03, pts[k + 1, 0], pts[k + 1, 1])
+            dep = _tributary_value_raw(geom.params, pts[k + 1, 0], pts[k + 1, 1])
             assert dep is not None
             assert abs(dep - (vals[k] + d_tau)) <= 1e-12, k
 
@@ -365,6 +436,140 @@ class TestEquivocalCurve:
             k = int(frac * len(pts))
             stay, depart = branch_costs(params_03, geom_03, k, dt=1e-4, ride=0.4)
             assert abs(stay - depart) < 5e-3
+
+
+def _ladder_march(p, start, v_start, d_tau):
+    """The equivocal march with the continuity ladder alone, the reference
+    for the warm-started bracket: per step, brackets of half-width 0.1,
+    0.25, 0.5 and 1 around the previous control, the first with a sign
+    change solved by Brent.  The same stepper and residual as the package,
+    looked up at call time.  Returns (points, values, controls)."""
+    x, y = start
+    v, h = v_start, d_tau
+    pts, vals, ucs = [(x, y)], [v], []
+    stepped = {}
+
+    def residual(u):
+        xn, yn = stepped[u] = solution._rk4_equivocal(p, x, y, u, h)
+        dep = solution._tributary_value_raw(p, xn, yn)
+        return None if dep is None else dep - (v + h)
+
+    def solve_u(seed):
+        for half in (0.1, 0.25, 0.5, 1.0):
+            lo, hi = max(-1.0, seed - half), min(1.0, seed + half)
+            r_lo, r_hi = residual(lo), residual(hi)
+            if r_lo is None or r_hi is None:
+                continue
+            if r_lo == 0.0:
+                return lo
+            if r_hi == 0.0:
+                return hi
+            if (r_lo < 0.0) == (r_hi < 0.0):
+                continue
+            return solution._brent_root(residual, lo, hi, r_lo, r_hi)
+        raise AssertionError("ladder lost the root")
+
+    u = 0.7
+    while True:
+        stepped.clear()
+        u = solve_u(u)
+        if not ucs:
+            ucs.append(u)
+        x, y = stepped[u]
+        v += h
+        pts.append((x, y))
+        vals.append(v)
+        ucs.append(u)
+        if x <= 0.0:
+            x0, y0 = pts[-2]
+            w = x0 / (x0 - x)
+            pts[-1] = (0.0, y0 + w * (y - y0))
+            vals[-1] = vals[-2] + w * h
+            return np.asarray(pts), np.asarray(vals), np.asarray(ucs)
+
+
+@contextlib.contextmanager
+def _counting_residuals():
+    """Counts calls of the module-global departure cost while active."""
+    original = solution._tributary_value_raw
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    solution._tributary_value_raw = counted
+    try:
+        yield calls
+    finally:
+        solution._tributary_value_raw = original
+
+
+@pytest.fixture(scope="module")
+def march_runs():
+    """Per pair: (start, start value, ladder march, its residual calls)."""
+    cache = {}
+
+    def get(p, barrier):
+        key = (p.mu, p.l)
+        if key not in cache:
+            start = tuple(float(c) for c in barrier.points[-1])
+            v0 = _tributary_value_raw(p, *start)
+            with _counting_residuals() as calls:
+                ladder = _ladder_march(p, start, v0, 1e-3)
+            cache[key] = (start, v0, ladder, calls[0])
+        return cache[key]
+
+    return get
+
+
+class TestEquivocalMarch:
+    def test_pure_pursuit_field_matches_the_heading_form(self, rng):
+        # (sin psi, cos psi) = -(x, y) / r is the heading atan2(-x, -y).
+        for _ in range(200):
+            x, y = rng.uniform(-3.0, 3.0, 2)
+            u, h = rng.uniform(-1.0, 1.0), 1e-3
+            p = validate_params(rng.choice([0.2, 0.3, 0.5]), 0.5)
+
+            def heading_form(x_, y_, _c):
+                return _retro_rhs(x_, y_, u, math.atan2(-x_, -y_), p.mu)
+
+            got = _rk4_equivocal(p, x, y, u, h)
+            want = rk4_step(heading_form, x, y, h)
+            assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) < 1e-14
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_warm_start_matches_the_ladder_only_march(self, which, request, march_runs):
+        geom = request.getfixturevalue(which)
+        p = geom.params
+        start, v0, (pts, vals, ucs), ladder_calls = march_runs(p, geom.barrier)
+        with _counting_residuals() as calls:
+            got = _march_equivocal(p, start, v0, 1e-3)
+        e = geom.equivocal
+        for a, b in zip(got, (e.points, e.tau, e.u)):
+            assert np.array_equal(a, b)  # the geometry holds this march
+        assert len(e.points) == len(pts)
+        assert np.abs(e.u - ucs).max() <= 1e-11
+        assert np.abs(e.points - pts).max() <= 1e-13
+        assert np.abs(e.tau - vals).max() <= 1e-13
+        # The warm bracket is what saves residual calls.
+        assert calls[0] < 0.8 * ladder_calls
+
+    def test_an_empty_warm_bracket_falls_back_to_the_ladder(self, geom_03, march_runs, monkeypatch):
+        # A zero-width warm bracket is one control, whose residual has no
+        # sign change: every step from the fourth on takes the ladder, and
+        # the march is the ladder-only one, bit for bit, at two extra
+        # residual calls per such step.
+        p = geom_03.params
+        start, v0, ladder, ladder_calls = march_runs(p, geom_03.barrier)
+        monkeypatch.setattr(solution, "_WARM_WIDTH", 0.0)
+        monkeypatch.setattr(solution, "_WARM_FLOOR", 0.0)
+        with _counting_residuals() as calls:
+            got = _march_equivocal(p, start, v0, 1e-3)
+        for a, b in zip(got, ladder):
+            assert np.array_equal(a, b)
+        steps = len(ladder[0]) - 1
+        assert calls[0] == ladder_calls + 2 * (steps - 3)
 
 
 class TestClassifyAndValue:
@@ -902,7 +1107,11 @@ class TestCurveIndex:
     def test_matches_the_ring_rule_over_all_samples(self, which, request, rng):
         geom = request.getfixturevalue(which)
         for name, curves in _geometry_indices(geom).items():
-            idx, ref = getattr(geom, name), _RingRuleScan(curves)
+            if name == "_primary_index":
+                idx = geom._primary_lookup()  # built on first use
+            else:
+                idx = getattr(geom, name)
+            ref = _RingRuleScan(curves)
             hits = 0
             for x, y in _index_queries(idx, rng, 50):
                 assert idx.nearest(x, y) == ref.nearest(x, y), (name, x, y)
@@ -911,6 +1120,30 @@ class TestCurveIndex:
                 assert repr(got) == repr(ref.distance_within(x, y, 0.08)), (name, x, y)
                 hits += got is not None
             assert hits > 100, name
+
+    def test_primary_index_is_built_on_first_use(self, rng):
+        geom = solve(validate_params(0.3, 0.5), n_phi=40, d_tau=4e-3)
+        assert geom._primary_index is None
+        cold = pickle.loads(pickle.dumps(geom))
+        fan = np.concatenate([ch.points for ch in geom.primary_fan.trajectories])
+        queries = [
+            (float(x), float(y))
+            for x, y in fan[rng.integers(0, len(fan), 60)] + rng.normal(0.0, 0.01, (60, 2))
+        ]
+        before = [geom.primary_data(x, y) for x, y in queries]
+        assert isinstance(geom._primary_index, _CurveIndex)
+        warm = pickle.loads(pickle.dumps(geom))
+        assert cold._primary_index is None and isinstance(warm._primary_index, _CurveIndex)
+        for g in (geom, cold, warm):
+            assert repr([g.primary_data(x, y) for x, y in queries]) == repr(before)
+        assert isinstance(cold._primary_index, _CurveIndex)
+        ref = _RingRuleScan([ch.points for ch in geom.primary_fan.trajectories])
+        assert [geom._primary_index.nearest(x, y) for x, y in queries] == [
+            ref.nearest(x, y) for x, y in queries
+        ]
+        tagged = [RelState(x, y) for x, y in queries if geom.classify(RelState(x, y)).tag == PRIMARY]
+        assert len(tagged) > 10
+        assert [repr(cold.value(s)) for s in tagged] == [repr(warm.value(s)) for s in tagged]
 
     def test_stores_every_sample_once_in_bucket_order(self, geom_03):
         idx = geom_03._secondary_index
