@@ -5,17 +5,7 @@ equilibrium strategies, closed-loop simulation with event detection, and
 deception analysis under asymmetric knowledge of the evader's top speed.
 """
 
-from .core import (
-    Controls,
-    GameParams,
-    GlobalState,
-    RelState,
-    rel_dynamics,
-    to_global,
-    to_relative,
-    validate_params,
-    wrap_angle,
-)
+from .core import Controls, GameParams, RelState, validate_params, wrap_angle
 from .deception import AdvantageMap, DeceptionReport, deception_gain, sweep
 from .sim import Scenario, Trajectory, detect_events, run_closed_loop, step
 from .solution import (
@@ -32,25 +22,13 @@ from .solution import (
     dubins_cs_turn_time,
     get_geometry,
     solve,
-    tributary_value,
 )
-from .strategy import (
-    EvaderPolicy,
-    SpeedEstimate,
-    deceptive_policy,
-    estimator_update,
-    evader_feedback,
-    pursuer_feedback,
-)
+from .strategy import EvaderPolicy, SpeedEstimate, deceptive_policy, estimator_update
 
 __all__ = [
     "Controls",
     "GameParams",
-    "GlobalState",
     "RelState",
-    "rel_dynamics",
-    "to_global",
-    "to_relative",
     "validate_params",
     "wrap_angle",
     "CharacteristicField",
@@ -66,7 +44,6 @@ __all__ = [
     "dubins_cs_turn_time",
     "get_geometry",
     "solve",
-    "tributary_value",
     "AdvantageMap",
     "DeceptionReport",
     "deception_gain",
@@ -80,6 +57,4 @@ __all__ = [
     "SpeedEstimate",
     "deceptive_policy",
     "estimator_update",
-    "evader_feedback",
-    "pursuer_feedback",
 ]

@@ -1,15 +1,16 @@
 """Command-line front end: geometry export, classification, single runs, sweeps.
 
 Configuration is an INI-style key-value document with sections [game],
-[initial], [integrator], [sweep] and [output]; unknown keys or sections are
-rejected so stale configs fail loudly.  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 non-capture.
+[initial], [integrator], [sweep] and [output]; unknown keys or sections and
+non-finite numbers are rejected so bad configs fail loudly.  Exit codes: 0
+success, 2 config error, 3 numerical failure, 4 non-capture.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -78,9 +79,12 @@ class RunConfig:
 def _getfloat(cp: configparser.ConfigParser, section: str, key: str, line_hint: str) -> float:
     raw = cp.get(section, key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{line_hint}: key '{key}' in [{section}] is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{line_hint}: key '{key}' in [{section}] is not finite: {raw!r}")
+    return value
 
 
 def parse_config(text: str, command: str, source: str = "<config>") -> RunConfig:
@@ -172,32 +176,6 @@ def parse_config(text: str, command: str, source: str = "<config>") -> RunConfig
         if cfg.spacing <= 0:
             raise ConfigError(f"{source}: spacing must be positive")
     return cfg
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig back to the documented key-value layout."""
-    out = ["[game]", f"mu1 = {cfg.mu1:.9g}"]
-    if cfg.mu2 is not None:
-        out.append(f"mu2 = {cfg.mu2:.9g}")
-    out.append(f"l = {cfg.l:.9g}")
-    out.append(f"evader = {cfg.evader}")
-    out.append(f"pursuer = {cfg.pursuer}")
-    if cfg.x0 is not None and cfg.y0 is not None:
-        out += ["", "[initial]", f"x0 = {cfg.x0:.9g}", f"y0 = {cfg.y0:.9g}"]
-    out += ["", "[integrator]", f"dt = {cfg.dt:.9g}", f"t_max = {cfg.t_max:.9g}"]
-    if cfg.x_min is not None:
-        out += [
-            "",
-            "[sweep]",
-            f"x_min = {cfg.x_min:.9g}",
-            f"x_max = {cfg.x_max:.9g}",
-            f"y_min = {cfg.y_min:.9g}",
-            f"y_max = {cfg.y_max:.9g}",
-            f"spacing = {cfg.spacing:.9g}",
-            f"workers = {cfg.workers}",
-        ]
-    out += ["", "[output]", f"directory = {cfg.directory}", f"prefix = {cfg.prefix}", ""]
-    return "\n".join(out)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:

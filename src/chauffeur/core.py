@@ -1,4 +1,4 @@
-"""Game parameters, coordinate frames and the reduced-order relative kinematics.
+"""Game parameters and the reduced-order relative kinematics.
 
 Conventions (used consistently across the package):
 
@@ -6,9 +6,7 @@ Conventions (used consistently across the package):
   evader speed ``mu`` and the capture radius ``l`` are dimensionless and time
   is measured in turn-radius transits.
 * All headings are measured clockwise from the +Y axis, so a heading ``th``
-  moves along ``(sin th, cos th)``.  Most libraries assume counterclockwise
-  from +X; the rotation matrices below are written for this convention and
-  should not be "fixed".
+  moves along ``(sin th, cos th)``.
 * The relative frame puts the pursuer at the origin with the +Y axis along
   its heading.  The evader's relative position is ``(x, y)`` and its relative
   heading is ``psi = theta_E - theta_P``.
@@ -57,18 +55,6 @@ def validate_params(mu: float, l: float) -> GameParams:
             "(capture-from-everywhere parameter regime)"
         )
     return GameParams(mu=mu, l=l)
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """World-frame poses: pursuer position/heading and evader position."""
-
-    pursuer_pos: tuple[float, float]
-    pursuer_heading: float
-    evader_pos: tuple[float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pursuer_heading", wrap_angle(self.pursuer_heading))
 
 
 @dataclass(frozen=True)
@@ -125,32 +111,4 @@ def rk4_step(f, x, y, h):
     return (
         x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
         y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y),
-    )
-
-
-def rel_dynamics(s: RelState, c: Controls) -> tuple[float, float]:
-    """Time derivative of the relative state under controls ``c``."""
-    return rel_rhs(s.x, s.y, c.u, c.psi, c.mu_cmd)
-
-
-def to_relative(g: GlobalState) -> RelState:
-    """Rotate/translate the evader's world position into the pursuer frame."""
-    dx = g.evader_pos[0] - g.pursuer_pos[0]
-    dy = g.evader_pos[1] - g.pursuer_pos[1]
-    c = math.cos(g.pursuer_heading)
-    s = math.sin(g.pursuer_heading)
-    # Clockwise-from-+Y convention: this is the inverse of the pursuer's
-    # heading rotation, not the usual CCW-from-+X matrix.
-    return RelState(x=dx * c - dy * s, y=dx * s + dy * c)
-
-
-def to_global(
-    s: RelState, pursuer_pos: tuple[float, float], pursuer_heading: float
-) -> tuple[float, float]:
-    """Evader world position for a relative state and pursuer pose."""
-    c = math.cos(pursuer_heading)
-    si = math.sin(pursuer_heading)
-    return (
-        pursuer_pos[0] + s.x * c + s.y * si,
-        pursuer_pos[1] - s.x * si + s.y * c,
     )

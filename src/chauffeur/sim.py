@@ -51,10 +51,10 @@ class Scenario:
     t_max: float = 60.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt={self.dt!r} must be finite and positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max={self.t_max!r} must be finite and positive")
         if self.pursuer_mode not in ("informed", "estimating"):
             raise ValueError(f"unknown pursuer mode {self.pursuer_mode!r}")
         if self.initial_rel.captured(self.params_truth.l):
@@ -91,17 +91,6 @@ class Trajectory:
     events: list[Event] = field(default_factory=list)
     capture_time: float | None = None
     capture_point: tuple[float, float] | None = None
-
-    def samples(self):
-        """Typed view: (t, RelState, Controls, mu_hat, region tag) per sample."""
-        for k in range(len(self.t)):
-            yield (
-                self.t[k],
-                RelState(self.x[k], self.y[k]),
-                Controls(u=self.u[k], psi=self.psi[k], mu_cmd=self.mu_cmd[k]),
-                self.mu_hat[k],
-                self.region[k],
-            )
 
     def to_csv(self, path: str) -> None:
         ev_at = {}
@@ -257,6 +246,10 @@ def run_closed_loop(
     n_max = int(math.ceil(sc.t_max / dt))
     in_pocket = geom_truth.pocket_contains(x, y)
 
+    def hold_band(x_, y_):
+        """Width of the wall-hold strip after a deceptive switch."""
+        return max(2.0 * dt * (1.0 + math.hypot(x_, y_)), 3e-3)
+
     def controls_at(x_, y_):
         """(u, psi, mu_cmd, region tag) under the current knowledge state."""
         band = max(SIDE_DEADBAND, 3.0 * dt * max(1.0, abs(y_)))
@@ -266,10 +259,7 @@ def run_closed_loop(
         # sampling resolution; the hold releases once the trajectory is
         # solidly interior so the eventual exit through the equal-cost wall
         # is as crisp as truthful play's.
-        if wall_hold:
-            wband = max(2.0 * dt * (1.0 + math.hypot(x_, y_)), 3e-3)
-        else:
-            wband = 0.0
+        wband = hold_band(x_, y_) if wall_hold else 0.0
         if sc.pursuer_mode == "informed":
             geom_p = geom_truth
         else:
@@ -375,10 +365,8 @@ def run_closed_loop(
         if captured:
             break
 
-        if wall_hold and in_pocket:
-            wb = max(2.0 * dt * (1.0 + math.hypot(xn, yn)), 3e-3)
-            if geom_truth.wall_distance(xn, yn) > 2.0 * wb:
-                wall_hold = False
+        if wall_hold and in_pocket and geom_truth.wall_distance(xn, yn) > 2.0 * hold_band(xn, yn):
+            wall_hold = False
 
         # Queue the realized evader speed of this step (the step average when
         # a wall crossing split it) for latency-delayed observation.

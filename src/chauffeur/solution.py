@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, GameParams, RelState, frozen_rhs, rk4_step, to_relative
+from .core import TWO_PI, GameParams, RelState, frozen_rhs, rk4_step
 
 # Region tags.
 CAPTURED = "Captured"
@@ -163,12 +163,12 @@ def dubins_cs_turn_time(
     mirrored otherwise) until its heading ray passes through the target in
     the forward direction.  Independent of the evader speed by construction.
     """
-    from .core import GlobalState  # local import to keep module load light
-
-    rel = to_relative(
-        GlobalState(pursuer_pos=pursuer_pos, pursuer_heading=pursuer_heading, evader_pos=target)
-    )
-    res = turn_alignment(abs(rel.x), rel.y)
+    dx = target[0] - pursuer_pos[0]
+    dy = target[1] - pursuer_pos[1]
+    c, s = math.cos(pursuer_heading), math.sin(pursuer_heading)
+    # Headings run clockwise from +Y, so this is the inverse of the pursuer's
+    # heading rotation, not the usual CCW-from-+X matrix; do not "fix" it.
+    res = turn_alignment(abs(dx * c - dy * s), dx * s + dy * c)
     if res is None:
         raise ValueError(
             "target lies strictly inside the unit turn circle on the turning "
@@ -187,21 +187,18 @@ def _tributary_value_raw(p: GameParams, x: float, y: float) -> float | None:
     return t + (s0 + p.mu * t - p.l) / (1.0 - p.mu)
 
 
+def secondary_heading(ch: Characteristic, tau: float) -> float:
+    """Evader heading, unwrapped, at local time ``tau`` on a secondary
+    characteristic: the ``u = -1`` family ``psi = c - tau``."""
+    if ch.terminal == "equivocal":
+        ax, ay = ch.anchor
+        return math.pi - tau - math.atan(ay / ax)
+    return -tau
+
+
 # ---------------------------------------------------------------------------
 # retrograde integration
 # ---------------------------------------------------------------------------
-
-
-def _retro_rhs(x: float, y: float, u: float, psi: float, mu: float) -> tuple[float, float]:
-    # Retrograde form of the relative kinematics: d/dtau = -d/dt.
-    return (y * u - mu * math.sin(psi), -x * u + 1.0 - mu * math.cos(psi))
-
-
-def primary_retro_rhs(
-    p: GameParams, x: float, y: float, tau: float, phi: float
-) -> tuple[float, float]:
-    """Retrograde field of the (u, psi) = (+1, phi + tau) family."""
-    return _retro_rhs(x, y, 1.0, phi + tau, p.mu)
 
 
 # Steps per chunk of the closed-form evaluation: the barrier's and the fans'
@@ -1208,12 +1205,7 @@ class SolutionGeometry:
         for _ in range(guard):
             if x <= 1e-9:
                 break
-            ch, tau = self.secondary_data(x, y)
-            if ch.terminal == "equivocal":
-                ax, ay = ch.anchor
-                psi = math.pi - tau - math.atan(ay / ax)
-            else:
-                psi = -tau
+            psi = secondary_heading(*self.secondary_data(x, y))
             xn, yn = rk4_step(frozen_rhs(-1.0, psi, mu), x, y, h)
             if not self.pocket_contains(xn, yn):
                 # Locate the wall crossing and price the tributary departure.
@@ -1246,21 +1238,6 @@ class SolutionGeometry:
                 for family, bid, curve in curves
                 for tau, (x, y) in zip(curve.tau.tolist(), curve.points.tolist())
             )
-
-
-def tributary_value(geometry: SolutionGeometry, s: RelState) -> float:
-    """Closed-form capture time for a tributary-region state.
-
-    Raises if the state does not classify as tributary (or dispersal, whose
-    mirror-tied play is tributary on either branch).
-    """
-    region = geometry.classify(s)
-    if region.tag not in (TRIBUTARY, DISPERSAL):
-        raise ValueError(f"state {s} classifies as {region.tag}, not tributary")
-    v = _tributary_value_raw(geometry.params, abs(s.x), s.y)
-    if v is None:
-        raise ValueError(f"state {s} has no turn alignment")
-    return v
 
 
 def _build_polygons(

@@ -31,6 +31,7 @@ from .solution import (
     UNIVERSAL_NEGATIVE,
     UNIVERSAL_POSITIVE,
     SolutionGeometry,
+    secondary_heading,
     turn_alignment,
 )
 
@@ -84,35 +85,7 @@ def _feedback_halfplane(
         _, u_eq = geom.equivocal_data(x, y)
         return u_eq, math.atan2(-x, -y), tag
     # Secondary: toward the junction recorded on the nearest characteristic.
-    ch, tau = geom.secondary_data(x, y)
-    if ch.terminal == "equivocal":
-        ax, ay = ch.anchor
-        psi = wrap_angle(math.pi - tau - math.atan(ay / ax))
-    else:
-        psi = wrap_angle(-tau)
-    return -1.0, psi, tag
-
-
-def pursuer_feedback(
-    geom: SolutionGeometry,
-    s: RelState,
-    axis_band: float = SIDE_DEADBAND,
-    wall_band: float = 0.0,
-) -> float:
-    """Equilibrium turn rate: +1 primary/tributary, -1 secondary, 0 on the
-    universal lines, interior control on the equivocal curve; mirror-negated
-    for x < 0 queries."""
-    return feedback_pair(geom, s, axis_band, wall_band)[0]
-
-
-def evader_feedback(
-    geom: SolutionGeometry,
-    s: RelState,
-    axis_band: float = SIDE_DEADBAND,
-    wall_band: float = 0.0,
-) -> float:
-    """Equilibrium relative heading; mirror-negated for x < 0 queries."""
-    return feedback_pair(geom, s, axis_band, wall_band)[1]
+    return -1.0, wrap_angle(secondary_heading(*geom.secondary_data(x, y))), tag
 
 
 def feedback_pair(
@@ -121,7 +94,12 @@ def feedback_pair(
     axis_band: float = SIDE_DEADBAND,
     wall_band: float = 0.0,
 ) -> tuple[float, float, str]:
-    """(u, psi, region tag) in one classification pass; used by the simulator."""
+    """Equilibrium (u, psi, region tag) in one classification pass.
+
+    u is +1 in the primary and tributary regions, -1 in the secondary one, 0
+    on the universal lines and the interior control on the equivocal curve;
+    x < 0 queries are answered by mirroring, which negates u and psi.
+    """
     mirrored = s.x < 0.0
     u, psi, tag = _feedback_halfplane(geom, abs(s.x), s.y, axis_band, wall_band)
     if mirrored:

@@ -3,19 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chauffeur.core import (
-    Controls,
-    GlobalState,
-    RelState,
-    frozen_rhs,
-    rel_dynamics,
-    rel_rhs,
-    rk4_step,
-    to_global,
-    to_relative,
-    validate_params,
-    wrap_angle,
-)
+from chauffeur.core import Controls, frozen_rhs, rel_rhs, rk4_step, validate_params, wrap_angle
 
 
 class TestValidateParams:
@@ -38,12 +26,10 @@ class TestValidateParams:
 
 class TestRelDynamics:
     def test_head_on_chase_closes_at_one_minus_mu(self):
-        c = Controls(u=0.0, psi=0.0, mu_cmd=0.5)
-        assert rel_dynamics(RelState(0.0, 2.0), c) == (0.0, -0.5)
+        assert rel_rhs(0.0, 2.0, 0.0, 0.0, 0.5) == (0.0, -0.5)
 
     def test_direct_substitution(self):
-        c = Controls(u=1.0, psi=math.pi / 2, mu_cmd=0.3)
-        dx, dy = rel_dynamics(RelState(1.0, 0.0), c)
+        dx, dy = rel_rhs(1.0, 0.0, 1.0, math.pi / 2, 0.3)
         assert abs(dx - 0.3) < 1e-15
         assert abs(dy) < 1e-15
 
@@ -95,53 +81,6 @@ class TestRelDynamics:
         with pytest.raises(ValueError):
             Controls(u=0.0, psi=0.0, mu_cmd=-0.1)
         assert abs(abs(Controls(u=0.0, psi=3 * math.pi, mu_cmd=0.0).psi) - math.pi) < 1e-12
-
-
-def _independent_inverse(rel, pursuer_pos, heading):
-    """Matrix-inverse oracle for to_global, built from first principles."""
-    c, s = math.cos(heading), math.sin(heading)
-    # to_relative applies [[c, -s], [s, c]] to the displacement; invert it.
-    m = np.linalg.inv(np.array([[c, -s], [s, c]]))
-    d = m @ np.array([rel.x, rel.y])
-    return (pursuer_pos[0] + d[0], pursuer_pos[1] + d[1])
-
-
-class TestFrames:
-    def test_identity_frame(self):
-        g = GlobalState(pursuer_pos=(0.0, 0.0), pursuer_heading=0.0, evader_pos=(1.2, -0.7))
-        r = to_relative(g)
-        assert abs(r.x - 1.2) < 1e-15 and abs(r.y + 0.7) < 1e-15
-
-    def test_quarter_turn_heading_plus_x(self):
-        # Heading pi/2 is the +X direction (angles run clockwise from +Y), so
-        # an evader at (1, 0) sits dead ahead: relative (0, 1).
-        g = GlobalState(pursuer_pos=(0.0, 0.0), pursuer_heading=math.pi / 2, evader_pos=(1.0, 0.0))
-        r = to_relative(g)
-        assert abs(r.x) < 1e-15 and abs(r.y - 1.0) < 1e-15
-
-    def test_to_global_inverts_quarter_turn(self):
-        e = to_global(RelState(0.0, 1.0), (0.0, 0.0), math.pi / 2)
-        assert abs(e[0] - 1.0) < 1e-15 and abs(e[1]) < 1e-15
-
-    def test_round_trip_against_independent_inverse(self, rng):
-        for _ in range(1000):
-            pp = tuple(rng.uniform(-5, 5, 2))
-            th = rng.uniform(-math.pi, math.pi)
-            ep = tuple(rng.uniform(-5, 5, 2))
-            rel = to_relative(GlobalState(pursuer_pos=pp, pursuer_heading=th, evader_pos=ep))
-            back = to_global(rel, pp, th)
-            oracle = _independent_inverse(rel, pp, th)
-            assert math.hypot(back[0] - ep[0], back[1] - ep[1]) < 1e-12
-            assert math.hypot(back[0] - oracle[0], back[1] - oracle[1]) < 1e-12
-
-    def test_transform_is_isometry(self, rng):
-        for _ in range(200):
-            pp = tuple(rng.uniform(-5, 5, 2))
-            th = rng.uniform(-math.pi, math.pi)
-            ep = tuple(rng.uniform(-5, 5, 2))
-            rel = to_relative(GlobalState(pursuer_pos=pp, pursuer_heading=th, evader_pos=ep))
-            world = math.hypot(ep[0] - pp[0], ep[1] - pp[1])
-            assert abs(math.hypot(rel.x, rel.y) - world) < 1e-12
 
 
 class TestRk4Step:

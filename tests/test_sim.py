@@ -329,7 +329,21 @@ class TestRunClosedLoop:
                 dt=0.0,
             )
 
-    def test_samples_view_and_csv(self, params_03, geom_03, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dt", math.inf), ("dt", math.nan), ("t_max", math.inf), ("t_max", math.nan), ("t_max", -1.0)],
+    )
+    def test_scenario_rejects_non_finite_steps_by_name(self, params_03, key, value):
+        with pytest.raises(ValueError, match=f"{key}=.* must be finite and positive"):
+            Scenario(
+                params_truth=params_03,
+                params_low=params_03,
+                initial_rel=RelState(2.0, 0.0),
+                evader_policy=EvaderPolicy(kind="truthful"),
+                **{key: value},
+            )
+
+    def test_trajectory_csv_layout(self, params_03, geom_03, tmp_path):
         sc = Scenario(
             params_truth=params_03,
             params_low=params_03,
@@ -340,8 +354,6 @@ class TestRunClosedLoop:
             t_max=5.0,
         )
         tr = run_closed_loop(sc, geom_03, geom_03)
-        t0, s0, c0, mu_hat0, tag0 = next(iter(tr.samples()))
-        assert t0 == 0.0 and isinstance(s0, RelState) and isinstance(c0, Controls)
         path = tmp_path / "traj.csv"
         tr.to_csv(str(path))
         with open(path) as fh:

@@ -24,7 +24,6 @@ from chauffeur.solution import (
     _march_equivocal,
     _Polygon,
     _project,
-    _retro_rhs,
     _rk4_equivocal,
     _tributary_value_raw,
     bup_angle,
@@ -33,9 +32,7 @@ from chauffeur.solution import (
     compute_primary_fan,
     dubins_cs_turn_time,
     focal_time,
-    primary_retro_rhs,
     solve,
-    tributary_value,
     turn_alignment,
 )
 from chauffeur.strategy import EvaderPolicy
@@ -84,6 +81,12 @@ def _oracle_barrier_point(p, tau_target, n_steps):
     return x, y
 
 
+def _primary_retro(p, x, y, tau, phi):
+    """Retrograde field (d/dtau = -d/dt) of the (u, psi) = (+1, phi + tau) family."""
+    fx, fy = rel_rhs(x, y, 1.0, phi + tau, p.mu)
+    return -fx, -fy
+
+
 class TestBarrier:
     def test_starts_at_bup(self, params_03, geom_03):
         b = geom_03.barrier
@@ -95,7 +98,7 @@ class TestBarrier:
     def test_tangent_to_capture_circle_at_bup(self, params_03):
         # The retrograde velocity at tau=0 is perpendicular to the radius.
         bx, by = bup_point(params_03)
-        vx, vy = primary_retro_rhs(params_03, bx, by, 0.0, bup_angle(params_03))
+        vx, vy = _primary_retro(params_03, bx, by, 0.0, bup_angle(params_03))
         dot = (bx * vx + by * vy) / (math.hypot(bx, by) * math.hypot(vx, vy))
         assert abs(dot) < 1e-6
 
@@ -119,10 +122,10 @@ class TestBarrier:
         phi = bup_angle(params_03)
         xe, ye = b.points[-1]
         te = b.tau[-1]
-        assert abs(primary_retro_rhs(params_03, xe, ye, te, phi)[0]) < 1e-9
+        assert abs(_primary_retro(params_03, xe, ye, te, phi)[0]) < 1e-9
         xm, ym = b.points[-10]
         tm = b.tau[-10]
-        assert primary_retro_rhs(params_03, xm, ym, tm, phi)[0] > 0.0
+        assert _primary_retro(params_03, xm, ym, tm, phi)[0] > 0.0
 
     def test_focal_time_matches_turn_disc_exit(self, params_03, geom_03):
         # The primary family collapses onto the barrier where it leaves the
@@ -175,7 +178,7 @@ class TestBarrier:
 
         def at(t):
             x, y = _fan_xy(x0, y0, 1.0, phi, p.mu, t)
-            return float(x), float(y), primary_retro_rhs(p, float(x), float(y), t, phi)[0]
+            return float(x), float(y), _primary_retro(p, float(x), float(y), t, phi)[0]
 
         taus, armed, tau = [0.0], False, 0.0
         while True:
@@ -194,7 +197,7 @@ class TestBarrier:
         assert len(b.tau) == len(taus)
         assert np.array_equal(b.tau[:-1], taus[:-1])
         assert abs(b.tau[-1] - taus[-1]) <= 1e-15
-        assert abs(primary_retro_rhs(p, *b.points[-1], b.tau[-1], phi)[0]) < 1e-9
+        assert abs(_primary_retro(p, *b.points[-1], b.tau[-1], phi)[0]) < 1e-9
 
 
 class TestPrimaryFan:
@@ -212,7 +215,7 @@ class TestPrimaryFan:
 
     def test_axis_member_initial_velocity(self, params_03):
         # At phi = 0 the retrograde velocity at the usable part is (l, 1-mu).
-        vx, vy = primary_retro_rhs(params_03, 0.0, params_03.l, 0.0, 0.0)
+        vx, vy = _primary_retro(params_03, 0.0, params_03.l, 0.0, 0.0)
         assert abs(vx - params_03.l) < 1e-15
         assert abs(vy - (1.0 - params_03.mu)) < 1e-15
 
@@ -297,6 +300,39 @@ class TestDubinsTurnTime:
         with pytest.raises(ValueError, match="turn circle"):
             dubins_cs_turn_time((0.0, 0.0), 0.0, (0.7, 0.3))
 
+    @pytest.mark.parametrize("d", [0.5, 3.0])
+    def test_quarter_turn_heading_frame(self, d):
+        # Heading pi/2 is the world +X direction (headings run clockwise from
+        # +Y): a target at (d, 0) is dead ahead and one at (-d, 0) dead
+        # astern.  Astern the pursuer turns until its heading ray is tangent
+        # from the turn circle, pi + 2 atan(1/d).  A sign error in the frame
+        # rotation swaps the two answers; |x| mirroring cannot hide it.
+        pose = ((1.0, -2.0), math.pi / 2)
+        assert abs(dubins_cs_turn_time(*pose, (1.0 + d, -2.0))) < 1e-12
+        t = dubins_cs_turn_time(*pose, (1.0 - d, -2.0))
+        assert abs(t - (math.pi + 2.0 * math.atan(1.0 / d))) < 1e-12
+
+    def test_invariant_under_rigid_motions(self, rng):
+        # Rotating the world clockwise by a (headings shift by +a) and
+        # translating it leaves the turn duration unchanged.
+        checked = 0
+        for _ in range(300):
+            px, py, tx, ty, ox, oy = rng.uniform(-4.0, 4.0, 6)
+            th, a = rng.uniform(-math.pi, math.pi, 2)
+            c, s = math.cos(a), math.sin(a)
+
+            def moved(x, y):
+                return (x * c + y * s + ox, -x * s + y * c + oy)
+
+            try:
+                t0 = dubins_cs_turn_time((px, py), th, (tx, ty))
+            except ValueError:
+                continue
+            t1 = dubins_cs_turn_time(moved(px, py), th + a, moved(tx, ty))
+            assert abs(t1 - t0) < 1e-9
+            checked += 1
+        assert checked > 200
+
     def test_mirrored_target(self):
         t_right = dubins_cs_turn_time((0.0, 0.0), 0.0, (3.0, 0.0))
         t_left = dubins_cs_turn_time((0.0, 0.0), 0.0, (-3.0, 0.0))
@@ -343,7 +379,7 @@ class TestTributaryValue:
             s = RelState(x, y)
             if geom_03.classify(s).tag != TRIBUTARY:
                 continue
-            v = tributary_value(geom_03, s)
+            v = geom_03.value(s)
             sc = Scenario(
                 params_truth=params_03,
                 params_low=params_03,
@@ -357,10 +393,6 @@ class TestTributaryValue:
             assert tr.capture_time is not None
             assert abs(tr.capture_time - v) < 2e-3
             checked += 1
-
-    def test_precondition_reported(self, geom_03):
-        with pytest.raises(ValueError, match="classifies as"):
-            tributary_value(geom_03, RelState(2.152, -0.214))
 
     def test_alignment_root_forward_separation(self, rng):
         # s0 returned by the alignment equals sqrt(R^2 - 1) with the target
@@ -392,12 +424,12 @@ class TestEquivocalCurve:
         assert geom_03.y_es < -params_03.l
 
     def test_pure_pursuit_heading_on_curve(self, geom_03):
-        from chauffeur.strategy import evader_feedback
+        from chauffeur.strategy import feedback_pair
 
         pts = geom_03.equivocal.points
         for k in range(len(pts) // 10, len(pts), len(pts) // 10):
             x, y = pts[k]
-            psi = evader_feedback(geom_03, RelState(x, y))
+            psi = feedback_pair(geom_03, RelState(x, y))[1]
             want = math.atan2(-x, -y)
             err = abs((psi - want + math.pi) % (2 * math.pi) - math.pi)
             assert err < 1e-4
@@ -532,7 +564,8 @@ class TestEquivocalMarch:
             p = validate_params(rng.choice([0.2, 0.3, 0.5]), 0.5)
 
             def heading_form(x_, y_, _c):
-                return _retro_rhs(x_, y_, u, math.atan2(-x_, -y_), p.mu)
+                fx, fy = rel_rhs(x_, y_, u, math.atan2(-x_, -y_), p.mu)
+                return -fx, -fy
 
             got = _rk4_equivocal(p, x, y, u, h)
             want = rk4_step(heading_form, x, y, h)
@@ -721,15 +754,6 @@ class TestGeometryCsv:
         assert row[0] == "barrier" and row[1] == "0"
         assert len(row) == 5
         float(row[2]), float(row[3]), float(row[4])
-
-
-def test_retro_rhs_is_negated_rel_rhs(rng):
-    # The retrograde field keeps its own expression for speed; it must stay
-    # the exact negation of the forward one.
-    for x, y, u, psi, mu in rng.uniform(-4.0, 4.0, (20000, 5)):
-        rx, ry = _retro_rhs(x, y, u, psi, mu)
-        fx, fy = rel_rhs(x, y, u, psi, mu)
-        assert rx == -fx and ry == -fy
 
 
 class TestWallCrossing:

@@ -3,25 +3,23 @@ import math
 
 import pytest
 
-from chauffeur.core import RelState
-from chauffeur.solution import SECONDARY, TRIBUTARY, turn_alignment
+from chauffeur.core import RelState, rel_rhs, wrap_angle
+from chauffeur.solution import SECONDARY, TRIBUTARY, secondary_heading, turn_alignment
 from chauffeur.strategy import (
     EvaderPolicy,
     SpeedEstimate,
     deceptive_policy,
     estimator_update,
-    evader_feedback,
     feedback_pair,
-    pursuer_feedback,
 )
 
 
 class TestPursuerFeedback:
     def test_zero_on_positive_universal_line(self, params_03, geom_03):
-        assert pursuer_feedback(geom_03, RelState(0.0, params_03.l + 1.0)) == 0.0
+        assert feedback_pair(geom_03, RelState(0.0, params_03.l + 1.0))[0] == 0.0
 
     def test_hard_left_in_pocket(self, geom_03):
-        assert pursuer_feedback(geom_03, RelState(2.152, -0.214)) == -1.0
+        assert feedback_pair(geom_03, RelState(2.152, -0.214))[0] == -1.0
 
     def test_mirror_antisymmetry(self, geom_03, rng):
         for _ in range(40):
@@ -29,8 +27,8 @@ class TestPursuerFeedback:
             y = rng.uniform(-2.5, 2.5)
             if x * x + y * y <= 0.26:
                 continue
-            u = pursuer_feedback(geom_03, RelState(x, y))
-            assert pursuer_feedback(geom_03, RelState(-x, y)) == -u
+            u = feedback_pair(geom_03, RelState(x, y))[0]
+            assert feedback_pair(geom_03, RelState(-x, y))[0] == -u
 
     def test_sign_agrees_with_region(self, geom_03, rng):
         for _ in range(60):
@@ -38,7 +36,7 @@ class TestPursuerFeedback:
             y = rng.uniform(-2.5, 2.5)
             s = RelState(x, y)
             tag = geom_03.classify(s).tag
-            u = pursuer_feedback(geom_03, s)
+            u = feedback_pair(geom_03, s)[0]
             if tag in (TRIBUTARY, "Primary"):
                 assert u == 1.0
             elif tag == SECONDARY:
@@ -47,7 +45,7 @@ class TestPursuerFeedback:
 
 class TestEvaderFeedback:
     def test_flees_straight_on_universal_line(self, params_03, geom_03):
-        assert evader_feedback(geom_03, RelState(0.0, params_03.l + 1.0)) == 0.0
+        assert feedback_pair(geom_03, RelState(0.0, params_03.l + 1.0))[1] == 0.0
 
     def test_constant_world_heading_in_tributary(self, params_03, geom_03):
         # Along the equilibrium pair the evader's world heading
@@ -55,8 +53,6 @@ class TestEvaderFeedback:
         # alignment does too.  Integrate the pair with stage-level feedback
         # (continuous controls) so the check is not polluted by the
         # simulator's sample-and-hold discretization.
-        from chauffeur.core import rel_rhs
-
         x, y = 2.0, 1.5
         dt = 1e-3
         heads = []
@@ -83,7 +79,7 @@ class TestEvaderFeedback:
 
     def test_pure_pursuit_on_equivocal_curve(self, geom_03):
         x, y = geom_03.equivocal.points[len(geom_03.equivocal.points) // 2]
-        psi = evader_feedback(geom_03, RelState(x, y))
+        psi = feedback_pair(geom_03, RelState(x, y))[1]
         want = math.atan2(-x, -y)
         assert abs((psi - want + math.pi) % (2 * math.pi) - math.pi) < 1e-4
 
@@ -93,8 +89,8 @@ class TestEvaderFeedback:
             y = rng.uniform(-2.5, 2.5)
             if x * x + y * y <= 0.26:
                 continue
-            a = evader_feedback(geom_03, RelState(x, y))
-            b = evader_feedback(geom_03, RelState(-x, y))
+            a = feedback_pair(geom_03, RelState(x, y))[1]
+            b = feedback_pair(geom_03, RelState(-x, y))[1]
             assert abs(a + b) < 1e-12 or abs(abs(a) - math.pi) < 1e-9
 
 
@@ -216,16 +212,36 @@ class TestSpeedBoundViolation:
             SpeedEstimate.from_observation(1.2)
 
 
-class TestFeedbackEntryPoints:
-    def test_single_component_feedbacks_match_the_pair(self, geom_03, geom_02, rng):
-        # Mirrored states and widened bands included.
+class TestSecondaryHeading:
+    def test_feedback_wraps_the_shared_heading_law(self, geom_03, geom_02, rng):
+        # Mirrored states and widened bands included; both terminal kinds.
+        terminals = set()
         for geom in (geom_03, geom_02):
-            for _ in range(300):
+            for _ in range(400):
                 x, y = rng.uniform(-3.0, 3.0), rng.uniform(-2.5, 2.0)
-                if x * x + y * y <= 0.26:
-                    continue
                 band, wall = rng.choice([1e-6, 3e-3]), rng.choice([0.0, 3e-3])
                 s = RelState(float(x), float(y))
+                if geom.classify(s, axis_band=band, wall_band=wall).tag != SECONDARY:
+                    continue
                 u, psi, _ = feedback_pair(geom, s, axis_band=band, wall_band=wall)
-                assert pursuer_feedback(geom, s, band, wall) == u
-                assert evader_feedback(geom, s, band, wall) == psi
+                ch, tau = geom.secondary_data(abs(s.x), s.y)
+                terminals.add(ch.terminal)
+                want = wrap_angle(secondary_heading(ch, tau))
+                assert (u, psi) == ((1.0, wrap_angle(-want)) if x < 0.0 else (-1.0, want))
+        assert terminals == {"equivocal", "negative_universal"}
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_heading_is_the_fan_tangent(self, which, request):
+        # Central differences of each sampled characteristic follow the
+        # retrograde field under (u, psi) = (-1, secondary_heading).
+        geom = request.getfixturevalue(which)
+        mu = geom.params.mu
+        worst = 0.0
+        for ch in geom.secondary_fan.trajectories[::5]:
+            pts, tau = ch.points, ch.tau
+            for k in range(1, len(tau) - 1, max(1, len(tau) // 7)):
+                h = tau[k + 1] - tau[k - 1]
+                fx, fy = rel_rhs(*pts[k], -1.0, secondary_heading(ch, tau[k]), mu)
+                dx, dy = (pts[k + 1] - pts[k - 1]) / h
+                worst = max(worst, math.hypot(dx + fx, dy + fy))
+        assert worst < 1e-5
