@@ -77,10 +77,12 @@ class Controls:
     mu_cmd: float
 
     def __post_init__(self):
-        if abs(self.u) > 1.0 + 1e-12:
+        if not abs(self.u) <= 1.0 + 1e-12:
             raise ValueError(f"turn rate u={self.u!r} outside [-1, 1]")
-        if self.mu_cmd < 0.0:
-            raise ValueError(f"commanded speed mu_cmd={self.mu_cmd!r} negative")
+        if not abs(self.psi) < math.inf:
+            raise ValueError(f"relative heading psi={self.psi!r} must be finite")
+        if not 0.0 <= self.mu_cmd < math.inf:
+            raise ValueError(f"commanded speed mu_cmd={self.mu_cmd!r} must be finite and >= 0")
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
 

@@ -5,7 +5,10 @@ discontinuities (region changes, estimator jumps, the deceptive switch) land
 on sample or event boundaries: a step containing a pocket-wall crossing is
 split at the crossing.  Events are located by interpolation within the
 offending step: capture (the radius crossing ``l``), barrier contacts (the
-deceptive switch trigger), and y-axis crossings.
+deceptive switch trigger), and y-axis crossings.  The loop scans a step only
+when an event can lie in it: x changes sign, the step ends on or inside the
+capture circle, or pocket membership flips.  Other steps hold no event, so
+skipping their scan changes no sample or event.
 
 Near the universal lines the feedback is evaluated with an axis band a few
 steps wide; inside it the line strategies (u = 0, psi = 0) hold the
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .core import Controls, GameParams, RelState, frozen_rhs, rk4_step
 from .solution import SIDE_DEADBAND, SolutionGeometry, get_geometry
-from .strategy import EvaderPolicy, SpeedEstimate, deceptive_policy, estimator_update, feedback_pair
+from .strategy import EvaderPolicy, _check_speed, deceptive_policy, feedback_pair
 
 TRAJECTORY_CSV_HEADER = "t,x,y,u,psi,mu_cmd,mu_hat,region,event"
 
@@ -126,8 +129,8 @@ def _nearest_index(ts: list[float], t: float) -> int:
 
 def step(s: RelState, c: Controls, dt: float) -> RelState:
     """One fixed-step RK4 update of the relative kinematics."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt={dt!r} must be finite and positive")
     x, y = _step_raw(s.x, s.y, c.u, c.psi, c.mu_cmd, dt)
     return RelState(x, y)
 
@@ -225,7 +228,12 @@ def run_closed_loop(
         )
     policy = sc.evader_policy
     dt = sc.dt
+    t_max = sc.t_max
     mu_truth = sc.params_truth.mu
+    mu_low = sc.params_low.mu
+    l = geom_truth.params.l
+    ll = l * l
+    estimating = sc.pursuer_mode == "estimating"
     # Equal speeds degenerate deception to truthful play: the switch is a
     # no-op and must not perturb the trajectory.
     deceptive = policy.kind == "deceptive" and policy.mu_low != policy.mu_high
@@ -235,22 +243,33 @@ def run_closed_loop(
     traj = Trajectory(t=[], x=[], y=[], u=[], psi=[], mu_cmd=[], mu_hat=[], region=[])
 
     switched = False  # the one-shot latch is per-run: a reused scenario reruns alike
-    # First observation: the speed the evader is about to command.  Later
-    # observations queue until one latency interval has elapsed.
-    estimate = SpeedEstimate.from_observation(policy.mu_low if deceptive else mu_truth)
+
+    def evader_game():
+        """(geometry, commanded speed) of the evader; changes only at the switch."""
+        if deceptive:
+            return deceptive_policy(policy, switched, geom_truth, geom_low)
+        return geom_truth, mu_truth
+
+    geom_e, mu_e = evader_game()
+    # The pursuer's estimate is a float under strategy's check and sup rule
+    # (see ``SpeedEstimate``).  First observation: the speed the evader is
+    # about to command.  Later observations queue until one latency interval
+    # has elapsed.
+    mu_hat = policy.mu_low if deceptive else mu_truth
+    _check_speed(mu_hat)
     pending: list[tuple[float, float]] = []
     released = 0
     wall_hold = False
     last_barrier_t = -math.inf
 
-    n_max = int(math.ceil(sc.t_max / dt))
+    n_max = int(math.ceil(t_max / dt))
     in_pocket = geom_truth.pocket_contains(x, y)
 
     def hold_band(x_, y_):
         """Width of the wall-hold strip after a deceptive switch."""
         return max(2.0 * dt * (1.0 + math.hypot(x_, y_)), 3e-3)
 
-    def controls_at(x_, y_):
+    def controls_at(x_, y_, geom_p):
         """(u, psi, mu_cmd, region tag) under the current knowledge state."""
         band = max(SIDE_DEADBAND, 3.0 * dt * max(1.0, abs(y_)))
         # Between a deceptive switch on the pocket wall and the dive settling
@@ -260,19 +279,6 @@ def run_closed_loop(
         # solidly interior so the eventual exit through the equal-cost wall
         # is as crisp as truthful play's.
         wband = hold_band(x_, y_) if wall_hold else 0.0
-        if sc.pursuer_mode == "informed":
-            geom_p = geom_truth
-        else:
-            # Two-speed world: the estimate only ever equals one of the two
-            # candidate bounds, so two cached geometries suffice.
-            near_truth = abs(estimate.mu_hat - mu_truth) <= abs(
-                estimate.mu_hat - sc.params_low.mu
-            )
-            geom_p = geom_truth if near_truth else geom_low
-        if deceptive:
-            geom_e, mu_cmd_ = deceptive_policy(policy, switched, geom_truth, geom_low)
-        else:
-            geom_e, mu_cmd_ = geom_truth, mu_truth
         # One feedback per distinct game: the evader reuses the pursuer's
         # when both play the same one.  The logged tag is the true game's
         # region, not the pursuer's belief.
@@ -283,14 +289,33 @@ def run_closed_loop(
             if geom_e is geom_truth:
                 tag_ = tag_e
         if geom_p is not geom_truth and geom_e is not geom_truth:
-            tag_ = geom_truth.classify(state, axis_band=band, wall_band=wband).tag
-        return u_, psi_, mu_cmd_, tag_
+            tag_ = geom_truth._tag(abs(x_), y_, band, wband)
+        return u_, psi_, mu_e, tag_
+
+    def events_in(t0, x0, y0, t1, x1, y1):
+        """``detect_events`` over a step that crosses no pocket wall, scanned
+        only if it changes the sign of x or ends on or inside the capture
+        circle: otherwise it holds no event."""
+        if (x0 > 0.0) == (x1 > 0.0) and x1 * x1 + y1 * y1 - ll > 0.0:
+            return []
+        return detect_events(
+            (t0, x0, y0), (t1, x1, y1), geom_truth, in_prev=False, in_next=False
+        )
 
     for _ in range(n_max + 1):
         while released < len(pending) and pending[released][0] + ESTIMATOR_LATENCY <= t + 1e-12:
-            estimate = estimator_update(estimate, pending[released][1])
+            observed = pending[released][1]
+            _check_speed(observed)
+            mu_hat = max(mu_hat, observed)
             released += 1
-        u, psi, mu_cmd, tag = controls_at(x, y)
+        # Two-speed world: the estimate only ever equals one of the two
+        # candidate bounds, so two cached geometries suffice.
+        geom_p = (
+            geom_low
+            if estimating and not abs(mu_hat - mu_truth) <= abs(mu_hat - mu_low)
+            else geom_truth
+        )
+        u, psi, mu_cmd, tag = controls_at(x, y, geom_p)
 
         traj.t.append(t)
         traj.x.append(x)
@@ -298,10 +323,10 @@ def run_closed_loop(
         traj.u.append(u)
         traj.psi.append(psi)
         traj.mu_cmd.append(mu_cmd)
-        traj.mu_hat.append(estimate.mu_hat)
+        traj.mu_hat.append(mu_hat)
         traj.region.append(tag)
 
-        if t >= sc.t_max:
+        if t >= t_max:
             break
 
         xn, yn = _step_raw(x, y, u, psi, mu_cmd, dt)
@@ -309,43 +334,38 @@ def run_closed_loop(
         observed_speed = mu_cmd
 
         in_next = geom_truth.pocket_contains(xn, yn)
-        flip = _pocket_flip((t, x, y), (tn, xn, yn), geom_truth, in_pocket, in_next)
-        if flip is None:
-            evs = detect_events(
-                (t, x, y), (tn, xn, yn), geom_truth, in_prev=in_pocket, in_next=in_next
-            )
+        if in_next == in_pocket:
+            evs = events_in(t, x, y, tn, xn, yn)
         else:
             # Split the step at the wall so the control handoff (and a
             # deceptive switch) happens at the crossing, not a sample late;
             # capture times otherwise carry a first-order step error.  The
             # substep event scans pass equal memberships to suppress the wall
             # re-detection already handled here.
-            tw, loc, section = flip
+            tw, loc, section = _pocket_flip(
+                (t, x, y), (tn, xn, yn), geom_truth, in_pocket, in_next
+            )
             w = (tw - t) / dt
             xm, ym = _step_raw(x, y, u, psi, mu_cmd, w * dt)
-            evs = detect_events(
-                (t, x, y), (tw, xm, ym), geom_truth, in_prev=False, in_next=False
-            )
+            evs = events_in(t, x, y, tw, xm, ym)
             if section == "barrier" and tw - last_barrier_t > 0.1:
                 last_barrier_t = tw
                 evs.append(Event(tw, BARRIER_CROSS, loc))
                 if deceptive and not switched:
                     switched = True
+                    geom_e, mu_e = evader_game()
                     evs.append(Event(tw, SWITCH, loc))
                     wall_hold = True
-            u2, psi2, mu_cmd2, _ = controls_at(xm, ym)
+            u2, psi2, mu_cmd2, _ = controls_at(xm, ym, geom_p)
             xn, yn = _step_raw(xm, ym, u2, psi2, mu_cmd2, (1.0 - w) * dt)
             observed_speed = w * mu_cmd + (1.0 - w) * mu_cmd2
             in_next = geom_truth.pocket_contains(xn, yn)
-            evs.extend(
-                detect_events(
-                    (tw, xm, ym), (tn, xn, yn), geom_truth, in_prev=False, in_next=False
-                )
-            )
+            evs.extend(events_in(tw, xm, ym, tn, xn, yn))
         in_pocket = in_next
 
         captured = False
-        evs.sort(key=lambda e: (e.t, e.kind == CAPTURE))
+        if evs:
+            evs.sort(key=lambda e: (e.t, e.kind == CAPTURE))
         for e in evs:
             if e.kind == CAPTURE:
                 traj.events.append(e)
@@ -357,7 +377,7 @@ def run_closed_loop(
                 traj.u.append(u)
                 traj.psi.append(psi)
                 traj.mu_cmd.append(mu_cmd)
-                traj.mu_hat.append(estimate.mu_hat)
+                traj.mu_hat.append(mu_hat)
                 traj.region.append("Captured")
                 captured = True
                 break

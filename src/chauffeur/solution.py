@@ -1058,21 +1058,22 @@ class SolutionGeometry:
         ``_Polygon``).  Both tests are exact: they answer as a scan over
         every sample or edge would.
         """
+        return Region(self._tag(abs(s.x), s.y, axis_band, wall_band), s.x < 0.0)
+
+    def _tag(self, x: float, y: float, axis_band: float, wall_band: float) -> str:
+        """:meth:`classify`'s region tag of (x, y), with x already mirrored
+        into x >= 0; the closed loop asks for it on floats."""
         p = self.params
-        x, y = s.x, s.y
-        mirrored = x < 0.0
-        if mirrored:
-            x = -x
         if x * x + y * y <= p.l * p.l:
-            return Region(CAPTURED, mirrored)
+            return CAPTURED
         if x <= axis_band:
             if y > p.l:
-                return Region(UNIVERSAL_POSITIVE, mirrored)
+                return UNIVERSAL_POSITIVE
             if y <= self.y_es:
-                return Region(DISPERSAL, mirrored)
-            return Region(UNIVERSAL_NEGATIVE, mirrored)
+                return DISPERSAL
+            return UNIVERSAL_NEGATIVE
         if self._equivocal_band.hit(x, y):
-            return Region(EQUIVOCAL, mirrored)
+            return EQUIVOCAL
         bx = self._pocket.bbox
         near_box = (
             bx[0] - wall_band <= x <= bx[1] + wall_band
@@ -1080,15 +1081,15 @@ class SolutionGeometry:
         )
         if near_box:
             if self.pocket_contains(x, y):
-                return Region(SECONDARY, mirrored)
+                return SECONDARY
             if wall_band > 0.0:
                 d_wall = self._wall_index.distance_within(x, y, min(wall_band, 0.06))
                 if d_wall is not None:
                     # On-wall states belong to the pocket's closure.
-                    return Region(SECONDARY, mirrored)
+                    return SECONDARY
         if self.petal_contains(x, y):
-            return Region(PRIMARY, mirrored)
-        return Region(TRIBUTARY, mirrored)
+            return PRIMARY
+        return TRIBUTARY
 
     def wall_distance(self, x: float, y: float) -> float:
         """Distance to the pocket wall (barrier plus equivocal chain).

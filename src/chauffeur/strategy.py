@@ -2,11 +2,12 @@
 evader's deceptive speed policy.
 
 Strategies are stateless given an immutable :class:`SolutionGeometry`.  The
-pursuer's knowledge is a frozen :class:`SpeedEstimate` (running supremum of
-observed evader speeds) that each observation replaces, and the evader's
-:class:`EvaderPolicy` is frozen too: the one-shot switch latch is a local of
-the simulator's run, passed to :func:`deceptive_policy` at each control
-point.
+pursuer's knowledge is the running supremum of observed evader speeds: a
+frozen :class:`SpeedEstimate` that :func:`estimator_update` replaces, or, in
+the simulator's loop, a float under the same check and sup rule.  The
+evader's :class:`EvaderPolicy` is frozen too: the one-shot switch latch is a
+local of the simulator's run, passed to :func:`deceptive_policy` when the
+run starts and at the switch.
 
 Measurement model: the pursuer estimates the evader's speed bound as the
 largest speed observed so far (position differencing over one integrator
@@ -63,9 +64,7 @@ def _feedback_halfplane(
     geom: SolutionGeometry, x: float, y: float, axis_band: float, wall_band: float
 ):
     """(u, psi) for a query already mirrored into x >= 0."""
-    s = RelState(x, y)
-    region = geom.classify(s, axis_band=axis_band, wall_band=wall_band)
-    tag = region.tag
+    tag = geom._tag(x, y, axis_band, wall_band)
     if tag == CAPTURED:
         return 0.0, 0.0, tag
     if tag == UNIVERSAL_POSITIVE or tag == UNIVERSAL_NEGATIVE:

@@ -60,6 +60,27 @@ class TestStep:
         with pytest.raises(ValueError):
             step(RelState(0.0, 2.0), Controls(u=0.0, psi=0.0, mu_cmd=0.0), 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_rejects_non_finite_dt(self, dt):
+        # A nan or infinite step used to return RelState(nan, nan) silently.
+        with pytest.raises(ValueError, match="dt="):
+            step(RelState(1.0, 1.0), Controls(u=0.5, psi=0.1, mu_cmd=0.2), dt)
+
+    @pytest.mark.parametrize(
+        "u, psi, mu_cmd, name",
+        [
+            (math.nan, 0.0, 0.2, "turn rate"),
+            (math.inf, 0.0, 0.2, "turn rate"),
+            (0.0, math.nan, 0.2, "relative heading"),
+            (0.0, -math.inf, 0.2, "relative heading"),
+            (0.0, 0.0, math.nan, "commanded speed"),
+            (0.0, 0.0, math.inf, "commanded speed"),
+        ],
+    )
+    def test_controls_reject_non_finite_inputs(self, u, psi, mu_cmd, name):
+        with pytest.raises(ValueError, match=name):
+            Controls(u=u, psi=psi, mu_cmd=mu_cmd)
+
 
 class TestDetectEvents:
     def test_capture_interpolation_on_monotone_radius(self, geom_03):
@@ -213,6 +234,45 @@ class TestRunClosedLoop:
             assert len(set(g)) == len(g)
         # The pursuer and the evader do play different games at some points.
         assert any(len(g) == 2 for g in evaluated)
+
+    def test_every_released_observation_is_checked(
+        self, params_03, params_02, geom_03, geom_02, monkeypatch
+    ):
+        # The loop holds its estimate as a float; each observation it takes
+        # in must still pass strategy's speed check, then the sup rule.
+        checked = []
+        check = sim._check_speed
+
+        def recording_check(observed_speed):
+            checked.append(observed_speed)
+            return check(observed_speed)
+
+        monkeypatch.setattr(sim, "_check_speed", recording_check)
+        sc = Scenario(
+            params_truth=params_03,
+            params_low=params_02,
+            initial_rel=RelState(2.152, -0.214),
+            evader_policy=EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3),
+            pursuer_mode="estimating",
+            dt=sim.ESTIMATOR_LATENCY,
+            t_max=40.0,
+        )
+        tr = run_closed_loop(sc, geom_03, geom_02)
+        assert tr.capture_time is not None
+        # With dt equal to the latency, the first observation is taken at the
+        # start and each later control point releases the previous step's.
+        control_points = len(tr.t) - 1
+        assert len(checked) == control_points
+        assert checked[0] == tr.mu_cmd[0]
+        running = [max(checked[: k + 1]) for k in range(control_points)]
+        assert running == tr.mu_hat[:control_points]
+        assert tr.mu_hat[0] == 0.2 and tr.mu_hat[-1] == 0.3
+
+    def test_out_of_range_observation_is_named(self, params_03, params_02, geom_03, geom_02):
+        policy = EvaderPolicy(kind="deceptive", mu_low=-0.1, mu_high=0.3)
+        sc = Scenario(params_03, params_02, RelState(2.152, -0.214), policy, "estimating")
+        with pytest.raises(ValueError, match="observed speed"):
+            run_closed_loop(sc, geom_03, geom_02)
 
     def test_capture_location_on_circle(self, params_03, geom_03, rng):
         for _ in range(5):
