@@ -58,6 +58,8 @@ class Scenario:
             raise ValueError(f"dt={self.dt!r} must be finite and positive")
         if not 0.0 < self.t_max < math.inf:
             raise ValueError(f"t_max={self.t_max!r} must be finite and positive")
+        if not math.hypot(self.initial_rel.x, self.initial_rel.y) < math.inf:
+            raise ValueError(f"initial_rel={self.initial_rel!r} must be finite")
         if self.pursuer_mode not in ("informed", "estimating"):
             raise ValueError(f"unknown pursuer mode {self.pursuer_mode!r}")
         if self.initial_rel.captured(self.params_truth.l):

@@ -402,14 +402,16 @@ def _rk4_equivocal(p: GameParams, x: float, y: float, u: float, h: float):
     return rk4_step(f, x, y, h)
 
 
-def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
+def _brent_root(f, a: float, b: float, fa: float, fb: float, ftol: float = 0.0) -> float:
     """Root of ``f`` in the sign-changing bracket ``[a, b]`` (Brent's zeroin).
 
     ``fa`` and ``fb`` are the residuals already evaluated at the bracket
     ends.  Inverse quadratic or secant steps are taken while they stay well
     inside the bracket, bisection otherwise, so the bracket always holds a
-    sign change; the iteration stops at the floating-point resolution of the
-    root.  ``f`` returns None where the residual is undefined, which raises
+    sign change.  The iteration stops at the floating-point resolution of the
+    root, or earlier at the best point so far once its residual is at most
+    ``ftol`` in magnitude (with the default 0.0, only at an exact zero).
+    ``f`` returns None where the residual is undefined, which raises
     :class:`EqualCostBracketError` rather than returning an unconverged point.
     """
     eps = sys.float_info.epsilon
@@ -421,7 +423,7 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
             fa, fb, fc = fb, fc, fb
         tol = eps * (2.0 * abs(b) + 0.5)
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
+        if abs(m) <= tol or abs(fb) <= ftol:
             return b
         if abs(e) < tol or abs(fa) <= abs(fb):
             d = e = m
@@ -457,6 +459,11 @@ def _brent_root(f, a: float, b: float, fa: float, fb: float) -> float:
 # plus or minus max(_WARM_WIDTH |last second difference|, _WARM_FLOOR).
 _WARM_WIDTH = 4.0
 _WARM_FLOOR = 1e-9
+# A step's control is accepted once its residual is at most _STOP_ULPS
+# machine epsilons of the running cost v + h.  The departure cost rounds at
+# that level, and the residual's slope in u is only about h x (1e-3), so u
+# is resolved to about 1e-12 at best; iterating further chases noise.
+_STOP_ULPS = 4.0
 # Half-widths of the continuity ladder around the previous control.
 _LADDER = (0.1, 0.25, 0.5, 1.0)
 
@@ -470,17 +477,23 @@ def _march_equivocal(
     the stepped point equals the running cost plus the step; the evader
     control is pure pursuit of the origin.  The control root is followed by
     continuity, because a second, spurious root branch exists near the
-    barrier.  From the fourth step on, the first bracket is the linear
-    prediction ``2 u[k-1] - u[k-2]`` plus or minus ``_WARM_WIDTH`` times the
-    last second difference of the control (at least ``_WARM_FLOOR``).  When
-    that bracket holds no sign change or an undefined residual, and on the
-    first three steps, the continuity ladder takes over: brackets of
-    half-width ``_LADDER`` around the previous step's control, the first
-    with a sign change winning.  A Brent iteration on the bracket finds the
-    root.  Each residual keeps its stepped point, keyed by control, so the
-    accepted step is not integrated again; Brent may return a control other
-    than its last evaluation.  Returns (points, value, u) arrays ending at
-    the interpolated axis contact.
+    barrier.  A control is accepted once its residual is at most
+    ``_STOP_ULPS`` machine epsilons of the running cost.  From the fourth
+    step on, the quadratic prediction ``3 u[k-1] - 3 u[k-2] + u[k-3]`` is
+    tried first, then one Newton step from it, with the residual slope
+    carried over from the previous step (the secant of its last two
+    evaluations, or of its bracket ends); either is accepted only inside the
+    warm bracket, the linear prediction ``2 u[k-1] - u[k-2]`` plus or minus
+    ``_WARM_WIDTH`` times the last second difference of the control (at
+    least ``_WARM_FLOOR``).  Otherwise a Brent iteration solves the warm
+    bracket.  When that bracket holds no sign change or an undefined
+    residual, and on the first three steps, the continuity ladder takes
+    over: brackets of half-width ``_LADDER`` around the previous step's
+    control, the first with a sign change winning.  Each residual keeps its
+    stepped point, keyed by control, so the accepted step is not integrated
+    again; Brent may return a control other than its last evaluation.
+    Returns (points, value, u) arrays ending at the interpolated axis
+    contact.
     """
     x, y = start
     v = v_start
@@ -489,6 +502,8 @@ def _march_equivocal(
     vals = [v]
     ucs: list[float] = []  # ucs[0] repeats the first step's control
     stepped: dict[float, tuple[float, float]] = {}  # this step's points by control
+    stop = 0.0  # this step's residual tolerance
+    slope = 0.0  # residual slope in u, carried from the last secant
 
     def residual(u):
         xn, yn = stepped[u] = _rk4_equivocal(p, x, y, u, h)
@@ -497,19 +512,39 @@ def _march_equivocal(
             return None
         return dep - (v + h)
 
+    def predicted(lo, hi, u_p):
+        """``u_p`` or one Newton step from it, if either meets the stop
+        tolerance inside [lo, hi]; None otherwise."""
+        nonlocal slope
+        r_p = residual(u_p)
+        if r_p is None:
+            return None
+        if abs(r_p) <= stop:
+            return u_p if lo <= u_p <= hi else None
+        u_n = u_p - r_p / slope if slope else u_p
+        if u_n == u_p:  # no slope yet, or a step below u's resolution
+            return None
+        r_n = residual(u_n)
+        if r_n is None:
+            return None
+        slope = (r_n - r_p) / (u_n - u_p)
+        return u_n if abs(r_n) <= stop and lo <= u_n <= hi else None
+
     def bracketed(lo, hi):
         """Root in [lo, hi], or None without a defined sign change there."""
+        nonlocal slope
         r_lo = residual(lo)
         r_hi = residual(hi)
         if r_lo is None or r_hi is None:
             return None
-        if r_lo == 0.0:
+        if abs(r_lo) <= stop:
             return lo
-        if r_hi == 0.0:
+        if abs(r_hi) <= stop:
             return hi
         if (r_lo < 0.0) == (r_hi < 0.0):
             return None
-        return _brent_root(residual, lo, hi, r_lo, r_hi)
+        slope = (r_hi - r_lo) / (hi - lo)
+        return _brent_root(residual, lo, hi, r_lo, r_hi, stop)
 
     def solve_u():
         if len(ucs) >= 4:
@@ -517,7 +552,9 @@ def _march_equivocal(
             half = max(_WARM_WIDTH * abs(u1 - 2.0 * u2 + u3), _WARM_FLOOR)
             pred = 2.0 * u1 - u2
             lo, hi = max(-1.0, pred - half), min(1.0, pred + half)
-            u = bracketed(lo, hi) if lo <= hi else None
+            u = predicted(lo, hi, 3.0 * (u1 - u2) + u3)
+            if u is None and lo <= hi:
+                u = bracketed(lo, hi)
             if u is not None:
                 return u
         seed = ucs[-1] if ucs else 0.7
@@ -534,6 +571,7 @@ def _march_equivocal(
     guard = int(40.0 / d_tau)
     for _ in range(guard):
         stepped.clear()
+        stop = _STOP_ULPS * sys.float_info.epsilon * (v + h)
         u = solve_u()
         if not ucs:
             ucs.append(u)  # endpoint sample reuses the first interior control
@@ -1153,6 +1191,8 @@ class SolutionGeometry:
 
     def value(self, s: RelState) -> float:
         """Equilibrium time to capture from a relative state."""
+        if not math.hypot(s.x, s.y) < math.inf:
+            raise ValueError(f"no value at the non-finite state {s!r}")
         p = self.params
         region = self.classify(s)
         x, y = abs(s.x), s.y

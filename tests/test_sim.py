@@ -403,6 +403,20 @@ class TestRunClosedLoop:
                 **{key: value},
             )
 
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)]
+    )
+    def test_scenario_rejects_a_non_finite_start(self, params_03, x, y):
+        # A nan start used to run to t_max on x = nan samples tagged Tributary.
+        with pytest.raises(ValueError, match="initial_rel=.* must be finite"):
+            Scenario(
+                params_truth=params_03,
+                params_low=params_03,
+                initial_rel=RelState(x, y),
+                evader_policy=EvaderPolicy(kind="truthful"),
+                t_max=0.01,
+            )
+
     def test_trajectory_csv_layout(self, params_03, geom_03, tmp_path):
         sc = Scenario(
             params_truth=params_03,

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -470,12 +471,18 @@ class TestEquivocalCurve:
             assert abs(stay - depart) < 5e-3
 
 
+def _stop_tolerance(v, h):
+    """The march's per-step residual tolerance at running cost ``v``."""
+    return solution._STOP_ULPS * sys.float_info.epsilon * (v + h)
+
+
 def _ladder_march(p, start, v_start, d_tau):
     """The equivocal march with the continuity ladder alone, the reference
-    for the warm-started bracket: per step, brackets of half-width 0.1,
-    0.25, 0.5 and 1 around the previous control, the first with a sign
-    change solved by Brent.  The same stepper and residual as the package,
-    looked up at call time.  Returns (points, values, controls)."""
+    for the predicted control and the warm-started bracket: per step,
+    brackets of half-width 0.1, 0.25, 0.5 and 1 around the previous control,
+    the first with a sign change solved by Brent, under the package's stop
+    tolerance.  The same stepper and residual as the package, looked up at
+    call time.  Returns (points, values, controls)."""
     x, y = start
     v, h = v_start, d_tau
     pts, vals, ucs = [(x, y)], [v], []
@@ -487,18 +494,19 @@ def _ladder_march(p, start, v_start, d_tau):
         return None if dep is None else dep - (v + h)
 
     def solve_u(seed):
+        stop = _stop_tolerance(v, h)
         for half in (0.1, 0.25, 0.5, 1.0):
             lo, hi = max(-1.0, seed - half), min(1.0, seed + half)
             r_lo, r_hi = residual(lo), residual(hi)
             if r_lo is None or r_hi is None:
                 continue
-            if r_lo == 0.0:
+            if abs(r_lo) <= stop:
                 return lo
-            if r_hi == 0.0:
+            if abs(r_hi) <= stop:
                 return hi
             if (r_lo < 0.0) == (r_hi < 0.0):
                 continue
-            return solution._brent_root(residual, lo, hi, r_lo, r_hi)
+            return solution._brent_root(residual, lo, hi, r_lo, r_hi, stop)
         raise AssertionError("ladder lost the root")
 
     u = 0.7
@@ -589,10 +597,13 @@ class TestEquivocalMarch:
         assert calls[0] < 0.8 * ladder_calls
 
     def test_an_empty_warm_bracket_falls_back_to_the_ladder(self, geom_03, march_runs, monkeypatch):
-        # A zero-width warm bracket is one control, whose residual has no
-        # sign change: every step from the fourth on takes the ladder, and
-        # the march is the ladder-only one, bit for bit, at two extra
-        # residual calls per such step.
+        # A zero-width warm bracket is one control, the linear prediction,
+        # whose residual has no sign change.  Neither the quadratic
+        # prediction nor its Newton step lands on it, so every step from the
+        # fourth on takes the ladder, and the march is the ladder-only one,
+        # bit for bit.  Each such step costs two bracket-end calls and the
+        # probes: one where the quadratic prediction already meets the stop
+        # tolerance, two (it and the Newton step) otherwise.
         p = geom_03.params
         start, v0, ladder, ladder_calls = march_runs(p, geom_03.barrier)
         monkeypatch.setattr(solution, "_WARM_WIDTH", 0.0)
@@ -601,8 +612,28 @@ class TestEquivocalMarch:
             got = _march_equivocal(p, start, v0, 1e-3)
         for a, b in zip(got, ladder):
             assert np.array_equal(a, b)
-        steps = len(ladder[0]) - 1
-        assert calls[0] == ladder_calls + 2 * (steps - 3)
+        pts, vals, ucs = ladder
+        h, probes = 1e-3, 0
+        for k in range(3, len(pts) - 1):
+            u_p = 3.0 * (ucs[k] - ucs[k - 1]) + ucs[k - 2]
+            dep = _tributary_value_raw(p, *_rk4_equivocal(p, *pts[k], u_p, h))
+            probes += 1 if abs(dep - (vals[k] + h)) <= _stop_tolerance(vals[k], h) else 2
+        assert calls[0] == ladder_calls + 2 * (len(pts) - 4) + probes
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_every_accepted_step_meets_the_stop_tolerance(self, which, request, march_runs):
+        # Recomputed from the returned arrays, each step's residual is within
+        # the stop tolerance (the last, interpolated step excepted), and the
+        # predicted control or its Newton step settles nearly every step.
+        geom = request.getfixturevalue(which)
+        p, h = geom.params, 1e-3
+        start, v0, _, _ = march_runs(p, geom.barrier)
+        with _counting_residuals() as calls:
+            pts, vals, ucs = _march_equivocal(p, start, v0, h)
+        for k in range(len(pts) - 2):
+            dep = _tributary_value_raw(p, *_rk4_equivocal(p, *pts[k], ucs[k + 1], h))
+            assert abs(dep - (vals[k] + h)) <= _stop_tolerance(vals[k], h), k
+        assert calls[0] <= 2.2 * (len(pts) - 1)
 
 
 class TestClassifyAndValue:
@@ -617,6 +648,13 @@ class TestClassifyAndValue:
 
     def test_inside_capture_circle(self, geom_03):
         assert geom_03.classify(RelState(0.1, 0.1)).tag == "Captured"
+
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_value_rejects_a_non_finite_state_by_name(self, geom_03, x, y):
+        with pytest.raises(ValueError, match=r"non-finite state RelState\("):
+            geom_03.value(RelState(x, y))
 
     def test_mirror_flag(self, geom_03):
         r = geom_03.classify(RelState(-2.152, -0.214))
