@@ -76,15 +76,23 @@ class RunConfig:
         return RelState(self.x0, self.y0)
 
 
-def _getfloat(cp: configparser.ConfigParser, section: str, key: str, line_hint: str) -> float:
-    raw = cp.get(section, key)
+def _number(raw: str, name: str) -> float:
+    """The finite number ``raw``; ``name`` says where it came from."""
     try:
         value = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{line_hint}: key '{key}' in [{section}] is not a number: {raw!r}") from exc
+        raise ConfigError(f"{name} is not a number: {raw!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{line_hint}: key '{key}' in [{section}] is not finite: {raw!r}")
+        raise ConfigError(f"{name} is not finite: {raw!r}")
     return value
+
+
+def _workers(raw: str, name: str) -> int:
+    """The worker count ``raw``: an integer of at least 1."""
+    value = _number(raw, name)
+    if not (value.is_integer() and value >= 1):
+        raise ConfigError(f"{name} must be an integer of at least 1: {raw!r}")
+    return int(value)
 
 
 def parse_config(text: str, command: str, source: str = "<config>") -> RunConfig:
@@ -95,58 +103,32 @@ def parse_config(text: str, command: str, source: str = "<config>") -> RunConfig
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
+    # Every key names a RunConfig field: text, the worker count or a number.
+    values = {}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"{source}: unknown section [{section}]")
         for key in cp.options(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{source}: unknown key '{key}' in [{section}]")
-
+            raw, where = cp.get(section, key), f"{source}: key '{key}' in [{section}]"
+            if key in ("evader", "pursuer", "directory", "prefix"):
+                values[key] = raw.strip()
+            else:
+                values[key] = (_workers if key == "workers" else _number)(raw, where)
     if not cp.has_section("game"):
         raise ConfigError(f"{source}: missing [game] section")
-    for key in ("mu1", "l"):
-        if not cp.has_option("game", key):
-            raise ConfigError(f"{source}: missing key '{key}' in [game]")
-
-    cfg = RunConfig(
-        command=command,
-        mu1=_getfloat(cp, "game", "mu1", source),
-        l=_getfloat(cp, "game", "l", source),
-    )
-    if cp.has_option("game", "mu2"):
-        cfg.mu2 = _getfloat(cp, "game", "mu2", source)
-    if cp.has_option("game", "evader"):
-        cfg.evader = cp.get("game", "evader").strip()
-        if cfg.evader not in ("truthful", "deceptive"):
-            raise ConfigError(f"{source}: evader must be 'truthful' or 'deceptive', got {cfg.evader!r}")
-    if cp.has_option("game", "pursuer"):
-        cfg.pursuer = cp.get("game", "pursuer").strip()
-        if cfg.pursuer not in ("informed", "estimating"):
-            raise ConfigError(f"{source}: pursuer must be 'informed' or 'estimating', got {cfg.pursuer!r}")
+    required = [("game", "mu1"), ("game", "l")]
     if cp.has_section("initial"):
-        for key in ("x0", "y0"):
-            if not cp.has_option("initial", key):
-                raise ConfigError(f"{source}: missing key '{key}' in [initial]")
-        cfg.x0 = _getfloat(cp, "initial", "x0", source)
-        cfg.y0 = _getfloat(cp, "initial", "y0", source)
-    if cp.has_section("integrator"):
-        if cp.has_option("integrator", "dt"):
-            cfg.dt = _getfloat(cp, "integrator", "dt", source)
-        if cp.has_option("integrator", "t_max"):
-            cfg.t_max = _getfloat(cp, "integrator", "t_max", source)
-    if cp.has_section("sweep"):
-        for key in ("x_min", "x_max", "y_min", "y_max"):
-            if cp.has_option("sweep", key):
-                setattr(cfg, key, _getfloat(cp, "sweep", key, source))
-        if cp.has_option("sweep", "spacing"):
-            cfg.spacing = _getfloat(cp, "sweep", "spacing", source)
-        if cp.has_option("sweep", "workers"):
-            cfg.workers = int(_getfloat(cp, "sweep", "workers", source))
-    if cp.has_section("output"):
-        if cp.has_option("output", "directory"):
-            cfg.directory = cp.get("output", "directory").strip()
-        if cp.has_option("output", "prefix"):
-            cfg.prefix = cp.get("output", "prefix").strip()
+        required += [("initial", "x0"), ("initial", "y0")]
+    for section, key in required:
+        if not cp.has_option(section, key):
+            raise ConfigError(f"{source}: missing key '{key}' in [{section}]")
+    cfg = RunConfig(command=command, **values)
+    if cfg.evader not in ("truthful", "deceptive"):
+        raise ConfigError(f"{source}: evader must be 'truthful' or 'deceptive', got {cfg.evader!r}")
+    if cfg.pursuer not in ("informed", "estimating"):
+        raise ConfigError(f"{source}: pursuer must be 'informed' or 'estimating', got {cfg.pursuer!r}")
 
     # Cross-key invariants: every referenced parameter pair must be legal
     # before any computation starts.
@@ -238,13 +220,8 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
             return EXIT_OK
 
         if cfg.command == "sweep":
-            workers = cfg.workers
             env = os.environ.get(WORKERS_ENV)
-            if env:
-                try:
-                    workers = int(env)
-                except ValueError:
-                    print(f"ignoring non-integer {WORKERS_ENV}={env!r}", file=out)
+            workers = _workers(env, f"environment variable {WORKERS_ENV}") if env else cfg.workers
             amap = run_sweep(
                 cfg.mu1,
                 cfg.mu2,
@@ -252,7 +229,7 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
                 window=(cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max),
                 spacing=cfg.spacing,
                 dt=cfg.dt,
-                workers=max(1, workers),
+                workers=workers,
             )
             path = _out_path(cfg, "advantage_map.csv")
             amap.to_csv(path)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,13 +202,16 @@ def sweep(
     ``window`` is (x_min, x_max, y_min, y_max); the default covers the two
     games' pocket walls padded by one turn radius (the interesting
     superposition region lies there).  Lattice points inside the capture
-    circle are skipped.  Cells come back in lattice order with either
-    worker count; a pool hands its workers the two geometries once, through
-    its initializer, so no worker rebuilds them under any process start
-    method.
+    circle are skipped.  Cells come back in lattice order with any worker
+    count.  When ``min(workers, cells, os.cpu_count())`` exceeds one, a
+    process pool of that size plays the cells; it hands its workers the two
+    geometries once, through its initializer, so no worker rebuilds them
+    under any process start method.
     """
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
+    if workers < 1:
+        raise ValueError(f"workers={workers!r} must be at least 1")
     p1 = validate_params(mu1, l)
     p2 = validate_params(mu2, l)
     geom1 = get_geometry(p1)
@@ -228,11 +232,12 @@ def sweep(
         if x * x + y * y > l * l
     ]
     jobs = [(mu1, mu2, l, x, y, dt, t_max) for x, y in lattice]
-    if workers > 1:
+    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(geom1, geom2)
+            max_workers=pool_size, initializer=_init_worker, initargs=(geom1, geom2)
         ) as pool:
             results = list(pool.map(_cell_worker, jobs, chunksize=8))
     else:

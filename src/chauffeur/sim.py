@@ -153,8 +153,8 @@ def _pocket_flip(
         return None
     t0, x0, y0 = prev
     t1, x1, y1 = nxt
-    w, xw, yw = geometry.wall_crossing(x0, y0, x1, y1, in_prev)
-    return t0 + w * (t1 - t0), (xw, yw), geometry.wall_section(xw, yw)
+    w, xw, yw, section = geometry.wall_crossing(x0, y0, x1, y1, in_prev)
+    return t0 + w * (t1 - t0), (xw, yw), section
 
 
 def detect_events(
@@ -167,10 +167,10 @@ def detect_events(
     """Sign-change events between consecutive samples ``(t, x, y)``.
 
     Capture interpolates the radius crossing of ``l``; barrier crossings
-    bisect the linearly interpolated segment against the pocket membership
-    test and are reported only on the barrier section of the wall (crossing
-    the equivocal section is an ordinary region change, not a barrier
-    contact); axis crossings interpolate the zero of x.  Capture, when
+    intersect the linearly interpolated segment with the pocket wall and
+    are reported only on the barrier section of the wall (crossing the
+    equivocal section or the capture arc is an ordinary region change, not
+    a barrier contact); axis crossings interpolate the zero of x.  Capture, when
     present, sorts last.  ``in_prev``/``in_next`` let a caller reuse pocket
     membership tests it already performed.
     """

@@ -32,6 +32,10 @@ is symmetric about the y axis).  The construction, in build order:
   (``c = pi - atan(y_ES / x_ES)``) and from the negative universal line
   (``c = 0``), in the same closed form; they fill the pocket enclosed by
   barrier, equivocal curve, axis segment and capture circle.
+* pocket wall: one polygon over every barrier and equivocal sample, the
+  axis segment and the capture arc.  It answers membership, the exact
+  crossing of a segment with the wall and the section crossed (barrier,
+  equivocal or arc); the axis segment is the mirror line, never crossed.
 
 Values: tributary points, both universal lines and the dispersal line are
 closed form (turn alignment plus straight chase); pocket and petal points
@@ -678,12 +682,15 @@ class _BarrierCrossing:
         return cross.any(axis=1)
 
 
+# Secondary-fan anchors on the equivocal curve and the negative universal line.
+_N_EQUIVOCAL_ANCHORS = 160
+_N_UNIVERSAL_ANCHORS = 60
+
+
 def compute_secondary_fan_and_equivocal(
     p: GameParams,
     barrier: SampledCurve | None = None,
     d_tau: float = 1e-3,
-    n_equivocal_anchors: int = 160,
-    n_universal_anchors: int = 60,
     tau_max: float = 8.0,
 ) -> tuple[CharacteristicField, SampledCurve]:
     """Equivocal curve plus the u = -1 fan that fills the pocket behind it.
@@ -730,13 +737,13 @@ def compute_secondary_fan_and_equivocal(
     angles = np.arctan2(np.abs(e_pts[:, 1]), np.maximum(e_pts[:, 0], 0.0))
     usable = np.nonzero(angles < 1.35)[0]
     n_e = int(usable[-1]) + 1 if len(usable) else len(e_pts) - 1
-    idx = np.unique(np.linspace(0, n_e - 1, n_equivocal_anchors).round().astype(int))
+    idx = np.unique(np.linspace(0, n_e - 1, _N_EQUIVOCAL_ANCHORS).round().astype(int))
     anchors_e = e_pts[idx]
     values_e = e_val[idx]
     a_e = np.arctan(anchors_e[:, 1] / np.maximum(anchors_e[:, 0], 1e-12))
 
     # --- anchors on the negative universal line ----------------------------
-    y0s = np.linspace(y_es + 1e-6, -p.l - 1e-6, n_universal_anchors)
+    y0s = np.linspace(y_es + 1e-6, -p.l - 1e-6, _N_UNIVERSAL_ANCHORS)
     values_u = v_contact + (y0s - y_es) / (1.0 - mu)
 
     crosses_barrier = _BarrierCrossing.of(barrier.points)
@@ -934,8 +941,10 @@ class _Polygon:
     """Closed polygon indexed by horizontal slabs for exact even-odd tests.
 
     ``ys`` holds the distinct vertex y values in ascending order.  Slab k is
-    ``[ys[k], ys[k + 1])``, and ``slabs[k]`` lists ``(x1, y1, x2 - x1,
-    y2 - y1)`` for each edge with ``min(y1, y2) <= ys[k] < max(y1, y2)``.
+    ``[ys[k], ys[k + 1])``.  Edge e runs from vertex e to vertex e + 1
+    (the last one closes the polygon), and ``edges[e]`` is ``(x1, y1,
+    x2 - x1, y2 - y1, e)``.  ``slabs[k]`` lists the rows of the edges with
+    ``min(y1, y2) <= ys[k] < max(y1, y2)``, sharing one tuple per edge.
     Those are exactly the edges for which ``(y1 > y) != (y2 > y)`` holds
     anywhere in the slab, so a ray cast over one slab's edges, with the
     crossing abscissa written as the same float expression, gives the
@@ -947,7 +956,8 @@ class _Polygon:
     pts: np.ndarray
     bbox: tuple
     ys: list
-    slabs: tuple
+    edges: list
+    slabs: list
 
     @classmethod
     def of(cls, pts: np.ndarray) -> "_Polygon":
@@ -963,13 +973,13 @@ class _Polygon:
         edge = np.repeat(np.arange(len(pts)), count)
         slab = np.arange(len(edge)) + np.repeat(first - (np.cumsum(count) - count), count)
         order = np.argsort(slab, kind="stable")
-        edge = edge[order]
         bounds = np.searchsorted(slab[order], np.arange(len(ys) + 1)).tolist()
         rows = list(
-            zip(x1[edge].tolist(), y1[edge].tolist(), (x2 - x1)[edge].tolist(), (y2 - y1)[edge].tolist())
+            zip(x1.tolist(), y1.tolist(), (x2 - x1).tolist(), (y2 - y1).tolist(), range(len(pts)))
         )
-        slabs = tuple(tuple(rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-        return cls(pts, bbox, ys.tolist(), slabs)
+        listed = [rows[e] for e in edge[order].tolist()]
+        slabs = [listed[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return cls(pts, bbox, ys.tolist(), rows, slabs)
 
     def contains(self, x: float, y: float) -> bool:
         """Even-odd ray cast over the edges of the slab holding ``y``, after
@@ -982,10 +992,34 @@ class _Polygon:
         if k < 0:
             return False
         inside = False
-        for x1, y1, dx, dy in self.slabs[k]:
+        for x1, y1, dx, dy, _ in self.slabs[k]:
             if x1 + (y - y1) * dx / dy > x:
                 inside = not inside
         return inside
+
+    def crossing(self, x0: float, y0: float, x1: float, y1: float) -> tuple[float, int] | None:
+        """(w, e) of the first edge e that the segment from (x0, y0) to
+        (x1, y1) crosses, at fraction w; None if it crosses none.  Only the
+        edges of the slabs that the segment's y range spans can.  An edge is
+        crossed when the segment's ends differ in :meth:`contains`' test
+        against the edge's line and the edge's vertices lie on either side
+        of the segment's line, so a segment through a vertex crosses exactly
+        one of the vertex's two edges."""
+        ys, edges = self.ys, self.edges
+        rx, ry = x1 - x0, y1 - y0
+        best = None
+        for k in range(max(bisect_right(ys, min(y0, y1)) - 1, 0), bisect_right(ys, max(y0, y1))):
+            for ax, ay, dx, dy, e in self.slabs[k]:
+                f0 = ax + (y0 - ay) * dx / dy - x0
+                f1 = ax + (y1 - ay) * dx / dy - x1
+                bx, by = edges[(e + 1) % len(edges)][:2]
+                if (f0 > 0.0) != (f1 > 0.0) and (
+                    (rx * (ay - y0) - ry * (ax - x0) > 0.0) != (rx * (by - y0) - ry * (bx - x0) > 0.0)
+                ):
+                    w = f0 / (f0 - f1)
+                    if best is None or w < best[0]:
+                        best = (w, e)
+        return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -1061,22 +1095,29 @@ class SolutionGeometry:
 
     def wall_crossing(
         self, x0: float, y0: float, x1: float, y1: float, inside: bool
-    ) -> tuple[float, float, float]:
-        """(w, x, y): where the segment from (x0, y0) to (x1, y1) leaves the
-        pocket membership ``inside`` it starts with, at fraction ``w``.
-
-        Bisects the membership test 40 times, so ``w`` is resolved to about
-        1e-12 of the segment.
-        """
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if self.pocket_contains(x0 + mid * (x1 - x0), y0 + mid * (y1 - y0)) == inside:
-                lo = mid
-            else:
-                hi = mid
-        w = 0.5 * (lo + hi)
-        return w, x0 + w * (x1 - x0), y0 + w * (y1 - y0)
+    ) -> tuple[float, float, float, str]:
+        """(w, x, y, section) of the first pocket-wall crossing on the segment
+        from (x0, y0) to (x1, y1), which starts with pocket membership
+        ``inside``: the fraction ``w``, the point ``(x0 + w (x1 - x0), y0 +
+        w (y1 - y0))`` and the crossed edge's section, ``"barrier"``,
+        ``"equivocal"`` or ``"arc"``, exact to rounding (``_Polygon.crossing``).
+        A segment that changes the sign of x is folded at x = 0 into two
+        straight pieces; the axis segment is the mirror line, so no crossing
+        lands on it.  A segment that crosses no wall raises ValueError."""
+        cuts, ends = [0.0, 1.0], [(abs(x0), y0), (abs(x1), y1)]
+        if x0 * x1 < 0.0:
+            w0 = x0 / (x0 - x1)
+            cuts.insert(1, w0)
+            ends.insert(1, (0.0, y0 + w0 * (y1 - y0)))
+        nb, ne = len(self.barrier.points), len(self.equivocal.points)
+        for k in range(len(cuts) - 1):
+            hit = self._pocket.crossing(*ends[k], *ends[k + 1])
+            if hit is not None:
+                w = cuts[k] + hit[0] * (cuts[k + 1] - cuts[k])
+                section = "barrier" if hit[1] < nb else "equivocal" if hit[1] < nb + ne else "arc"
+                return w, x0 + w * (x1 - x0), y0 + w * (y1 - y0), section
+        where = "inside" if inside else "outside"
+        raise ValueError(f"({x0}, {y0}) -> ({x1}, {y1}) starts {where} the pocket, crosses no wall")
 
     def classify(
         self, s: RelState, axis_band: float = SIDE_DEADBAND, wall_band: float = 0.0
@@ -1130,12 +1171,8 @@ class SolutionGeometry:
         return TRIBUTARY
 
     def wall_distance(self, x: float, y: float) -> float:
-        """Distance to the pocket wall (barrier plus equivocal chain).
-
-        Uses the full-resolution wall samples, so the result is accurate to
-        the construction step (about 1e-3), not to the thinned polygon used
-        by the membership tests.
-        """
+        """Distance to the nearest barrier or equivocal vertex of the pocket
+        polygon, so accurate to the construction step (about 1e-3)."""
         if x < 0.0:
             x = -x
         d = self._wall_index.distance_within(x, y, 0.08)
@@ -1143,14 +1180,6 @@ class SolutionGeometry:
             return d
         ix = self._wall_index
         return math.sqrt(float(((ix.sx - x) ** 2 + (ix.sy - y) ** 2).min()))
-
-    def wall_section(self, x: float, y: float) -> str:
-        """Which wall section a near-wall point belongs to: barrier or equivocal."""
-        if x < 0.0:
-            x = -x
-        db2 = ((self.barrier.points[:, 0] - x) ** 2 + (self.barrier.points[:, 1] - y) ** 2).min()
-        de2 = ((self.equivocal.points[:, 0] - x) ** 2 + (self.equivocal.points[:, 1] - y) ** 2).min()
-        return "barrier" if db2 <= de2 else "equivocal"
 
     # -- characteristic queries ----------------------------------------------
 
@@ -1250,7 +1279,7 @@ class SolutionGeometry:
             xn, yn = rk4_step(frozen_rhs(-1.0, psi, mu), x, y, h)
             if not self.pocket_contains(xn, yn):
                 # Locate the wall crossing and price the tributary departure.
-                w, cx, cy = self.wall_crossing(x, y, xn, yn, True)
+                w, cx, cy, _ = self.wall_crossing(x, y, xn, yn, True)
                 dep = _tributary_value_raw(p, max(cx, 0.0), cy)
                 if dep is None:
                     return self._secondary_chain_value(x, y)
@@ -1285,7 +1314,9 @@ def _build_polygons(
     p: GameParams, phi_bar: float, barrier: SampledCurve, equivocal: SampledCurve,
     primary_fan: CharacteristicField, y_es: float, tau_focal: float,
 ) -> tuple[_Polygon, _Polygon]:
-    """(pocket, petal) membership polygons over thinned wall samples."""
+    """(pocket, petal) polygons: every barrier and equivocal sample, the axis
+    segment and the capture arc, in the order ``wall_crossing`` reads
+    sections from, and a thinned petal."""
 
     def thin(a: np.ndarray, n: int) -> np.ndarray:
         if len(a) <= n:
@@ -1293,12 +1324,10 @@ def _build_polygons(
         idx = np.unique(np.linspace(0, len(a) - 1, n).round().astype(int))
         return a[idx]
 
-    bar = thin(barrier.points, 400)
-    eq = thin(equivocal.points, 500)
     arc_angles = np.linspace(math.pi, phi_bar, 120)
     arc = np.stack([p.l * np.sin(arc_angles), p.l * np.cos(arc_angles)], axis=1)
     pocket = np.concatenate(
-        [bar, eq, np.array([[0.0, y_es], [0.0, -p.l]]), arc], axis=0
+        [barrier.points, equivocal.points, np.array([[0.0, y_es], [0.0, -p.l]]), arc], axis=0
     )
     # Petal: pre-focal barrier sub-arc, innermost fan member reversed,
     # usable-part arc.  The primary family closes onto the barrier at the
@@ -1312,24 +1341,12 @@ def _build_polygons(
     return _Polygon.of(pocket), _Polygon.of(petal)
 
 
-def solve(
-    p: GameParams,
-    n_phi: int = 200,
-    d_tau: float = 1e-3,
-    n_equivocal_anchors: int = 160,
-    n_universal_anchors: int = 60,
-) -> SolutionGeometry:
+def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeometry:
     """Construct the full solution geometry for ``p``."""
     barrier = compute_barrier(p, d_tau=d_tau)
     tau_focal = focal_time(p, barrier)
     fan = compute_primary_fan(p, n_phi=n_phi, d_tau=d_tau, tau_end=tau_focal)
-    secondary, equivocal = compute_secondary_fan_and_equivocal(
-        p,
-        barrier=barrier,
-        d_tau=d_tau,
-        n_equivocal_anchors=n_equivocal_anchors,
-        n_universal_anchors=n_universal_anchors,
-    )
+    secondary, equivocal = compute_secondary_fan_and_equivocal(p, barrier=barrier, d_tau=d_tau)
     phi_bar = bup_angle(p)
     y_es = float(equivocal.points[-1, 1])
     pocket, petal = _build_polygons(p, phi_bar, barrier, equivocal, fan, y_es, tau_focal)
@@ -1347,9 +1364,8 @@ def solve(
         _petal=petal,
         _secondary_index=_CurveIndex([ch.points for ch in secondary.trajectories]),
         _equivocal_band=_DeadBand.of(equivocal.points),
-        # Full-resolution wall index: band tests and wall distances must
-        # resolve below the simulator's step-scaled bands, which the thinned
-        # polygon points cannot.
+        # Nearest-vertex index over the pocket polygon's wall vertices, for
+        # the wall band and wall distances.
         _wall_index=_CurveIndex([barrier.points, equivocal.points]),
     )
 
@@ -1357,11 +1373,12 @@ def solve(
 _GEOMETRY_CACHE: dict[tuple, SolutionGeometry] = {}
 
 
-def get_geometry(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeometry:
-    """Memoized :func:`solve`; geometries are immutable and safe to share."""
-    key = (round(p.mu, 12), round(p.l, 12), n_phi, round(d_tau, 12))
+def get_geometry(p: GameParams) -> SolutionGeometry:
+    """Memoized :func:`solve` with its default resolution; geometries are
+    immutable and safe to share."""
+    key = (p.mu, p.l)
     geom = _GEOMETRY_CACHE.get(key)
     if geom is None:
-        geom = solve(p, n_phi=n_phi, d_tau=d_tau)
+        geom = solve(p)
         _GEOMETRY_CACHE[key] = geom
     return geom

@@ -168,6 +168,25 @@ class TestMain:
     def test_missing_file_exit(self, tmp_path):
         assert main(["classify", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("raw", ["2.7", "-5", "0", "two"])
+    def test_worker_count_must_be_a_positive_integer(self, tmp_path, capsys, raw):
+        text = REFERENCE_INI + f"\n[sweep]\nx_min = 1.4\nx_max = 2.0\ny_min = 0.8\ny_max = 1.4\nworkers = {raw}\n"
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert main(["sweep", str(cfg_path)]) == EXIT_CONFIG
+        assert "key 'workers' in [sweep]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("chauffeur_*"))
+
+    @pytest.mark.parametrize("raw", ["2.7", "-5", "0", "many", "inf"])
+    def test_workers_env_must_be_a_positive_integer(self, tmp_path, capsys, monkeypatch, raw):
+        text = REFERENCE_INI + "\n[sweep]\nx_min = 1.4\nx_max = 2.0\ny_min = 0.8\ny_max = 1.4\n"
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text + f"\n[output]\ndirectory = {tmp_path}\n")
+        monkeypatch.setenv("CHAUFFEUR_WORKERS", raw)
+        assert main(["sweep", str(cfg_path)]) == EXIT_CONFIG
+        assert "CHAUFFEUR_WORKERS" in capsys.readouterr().err
+        assert not list(tmp_path.glob("chauffeur_*"))
+
     def test_workers_env_override(self, tmp_path, monkeypatch):
         text = REFERENCE_INI + "\n[sweep]\nx_min = 1.4\nx_max = 2.0\ny_min = 0.8\ny_max = 1.4\nspacing = 0.3\nworkers = 1\n"
         text = text.replace("dt = 0.001", "dt = 0.002")

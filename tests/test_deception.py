@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import pytest
 
@@ -139,3 +141,39 @@ class TestSweep:
         rep, err = deception._cell_worker((0.3, 0.2, 0.5, 1.7, 1.1, 2e-3, 40.0))
         assert err is None
         assert rep.t_truthful is not None and rep.t_deceptive is not None
+
+    def test_workers_validated(self):
+        with pytest.raises(ValueError, match="workers"):
+            sweep(0.3, 0.2, 0.5, window=(0, 1, 0, 1), workers=0)
+
+    @pytest.mark.parametrize("cpus, expected", [(4, 3), (2, 2), (1, None)])
+    def test_pool_is_capped_by_cells_and_cpus(self, monkeypatch, cpus, expected):
+        # A recording stand-in for the pool plays the cells in this process,
+        # so no worker process is started.  A huge worker count gets as many
+        # processes as the window has cells (three) or the host has CPUs,
+        # whichever is fewer, and one process means no pool.
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                made.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(deception, "_worker_geoms", None)
+        window = (1.4, 2.0, 0.8, 0.8)
+        amap = sweep(0.3, 0.2, 0.5, window=window, spacing=0.3, dt=2e-3, workers=10**6)
+        assert made == ([] if expected is None else [expected])
+        assert len(amap.cells) == 3 and not amap.failures
+        seq = sweep(0.3, 0.2, 0.5, window=window, spacing=0.3, dt=2e-3)
+        assert [c.gain for c in amap.cells] == [c.gain for c in seq.cells]

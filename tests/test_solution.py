@@ -794,13 +794,61 @@ class TestGeometryCsv:
         float(row[2]), float(row[3]), float(row[4])
 
 
+def _wall_crossing_scan(geom, x0, y0, x1, y1):
+    """(w, section) of the segment's first crossing with the pocket wall, by
+    the textbook segment-segment intersection over every barrier, equivocal
+    and capture-arc edge, with the segment folded at x = 0 when it changes
+    the sign of x: the reference for ``wall_crossing``."""
+    nb, ne = len(geom.barrier.points), len(geom.equivocal.points)
+    pts = geom._pocket.pts
+    walls = (
+        ("barrier", geom.barrier.points),
+        ("equivocal", geom.equivocal.points),
+        ("arc", np.vstack([pts[nb + ne + 1 :], pts[:1]])),  # (0, -l) round to the BUP
+    )
+    pieces = [(0.0, 1.0, (abs(x0), y0), (abs(x1), y1))]
+    if x0 * x1 < 0.0:
+        w0 = x0 / (x0 - x1)
+        ym = y0 + w0 * (y1 - y0)
+        pieces = [(0.0, w0, (abs(x0), y0), (0.0, ym)), (w0, 1.0, (0.0, ym), (abs(x1), y1))]
+    for a, b, p, q in pieces:
+        p, r = np.array(p), np.array(q) - np.array(p)
+        best = (math.inf, None)
+        for section, chain in walls:
+            c, s = chain[:-1] - p, np.diff(chain, axis=0)
+            denom = r[0] * s[:, 1] - r[1] * s[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (c[:, 0] * s[:, 1] - c[:, 1] * s[:, 0]) / denom
+                u = (c[:, 0] * r[1] - c[:, 1] * r[0]) / denom
+            t = t[(denom != 0.0) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)]
+            if len(t) and t.min() < best[0]:
+                best = (float(t.min()), section)
+        if best[1] is not None:
+            return a + best[0] * (b - a), best[1]
+    return None
+
+
+# Segments whose ends differ in pocket membership on the (0.3, 0.5)
+# geometry: two barrier crossings, an equivocal and a capture-arc crossing,
+# a mirrored segment and two that cross x = 0, before and after the wall.
+_WALL_SEGMENTS = [
+    ((1.2, 0.3), (3.0, 2.0)),
+    ((3.0, 2.0), (1.6, -0.6)),
+    ((0.5, -1.9), (0.5, -1.0)),
+    ((0.2, -0.7), (0.2, -0.3)),
+    ((-1.2, 0.3), (-3.0, 2.0)),
+    ((-0.3, -1.0), (2.5, -1.0)),
+    ((-2.5, -1.0), (0.3, -1.0)),
+]
+
+
 class TestWallCrossing:
-    @pytest.mark.parametrize("start, end", [((1.2, 0.3), (3.0, 2.0)), ((3.0, 2.0), (1.6, -0.6))])
+    @pytest.mark.parametrize("start, end", _WALL_SEGMENTS)
     def test_brackets_a_membership_flip(self, geom_03, start, end):
         (x0, y0), (x1, y1) = start, end
         inside = geom_03.pocket_contains(x0, y0)
         assert geom_03.pocket_contains(x1, y1) != inside
-        w, xw, yw = geom_03.wall_crossing(x0, y0, x1, y1, inside)
+        w, xw, yw, section = geom_03.wall_crossing(x0, y0, x1, y1, inside)
         assert (xw, yw) == (x0 + w * (x1 - x0), y0 + w * (y1 - y0))
 
         def member(s):
@@ -808,6 +856,20 @@ class TestWallCrossing:
 
         assert member(w - 1e-9) == inside
         assert member(w + 1e-9) != inside
+        w_ref, section_ref = _wall_crossing_scan(geom_03, x0, y0, x1, y1)
+        assert abs(w - w_ref) < 1e-12
+        assert section == section_ref
+
+    def test_segments_cover_every_section_and_the_fold(self, geom_03):
+        sections = {_wall_crossing_scan(geom_03, *a, *b)[1] for a, b in _WALL_SEGMENTS}
+        assert sections == {"barrier", "equivocal", "arc"}
+        assert any(a[0] * b[0] < 0.0 for a, b in _WALL_SEGMENTS)
+
+    def test_segment_inside_the_pocket_crosses_no_wall(self, geom_03):
+        assert geom_03.pocket_contains(1.2, 0.3) and geom_03.pocket_contains(1.6, -0.6)
+        assert _wall_crossing_scan(geom_03, 1.2, 0.3, 1.6, -0.6) is None
+        with pytest.raises(ValueError, match="crosses no wall"):
+            geom_03.wall_crossing(1.2, 0.3, 1.6, -0.6, True)
 
 
 def test_geometry_is_frozen(geom_03):
@@ -1003,17 +1065,20 @@ class TestEquivocalDeadBand:
 
     @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
     def test_every_sample_is_equivocal(self, which, request):
-        # Including the samples outside the pocket polygon's box, which is
-        # drawn from the thinned wall: the lowest point and the largest x.
+        # The dead band answers before the pocket's box test: points 5e-7
+        # beyond the lowest and the largest-x samples lie outside that box
+        # and are still equivocal.
         geom = request.getfixturevalue(which)
-        bx = geom._pocket.bbox
-        outside = 0
-        for x, y in geom.equivocal.points.tolist():
+        pts = geom.equivocal.points
+        for x, y in pts.tolist():
             if x <= SIDE_DEADBAND:
                 continue
             assert geom.classify(RelState(x, y)).tag == EQUIVOCAL, (x, y)
-            outside += not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3])
-        assert outside >= 3
+        (lx, ly), (rx, ry) = pts[pts[:, 1].argmin()].tolist(), pts[pts[:, 0].argmax()].tolist()
+        bx = geom._pocket.bbox
+        for x, y in ((lx, ly - 5e-7), (rx + 5e-7, ry)):
+            assert not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]), (x, y)
+            assert geom.classify(RelState(x, y)).tag == EQUIVOCAL, (x, y)
 
     def test_band_is_open_at_exactly_its_width(self):
         # On the wall samples no query lands at exactly SIDE_DEADBAND (their
@@ -1038,6 +1103,7 @@ class _CountingScanPolygon:
 
     def __init__(self, poly):
         self.pts, self.bbox, self.calls = poly.pts, poly.bbox, 0
+        self.crossing = poly.crossing  # wall crossings are not membership tests
 
     def contains(self, x, y):
         self.calls += 1
