@@ -219,6 +219,10 @@ def run_closed_loop(
     RK4 step, event detection.  Steps containing a pocket-wall crossing are
     split at the crossing so control handoffs (and the deceptive switch)
     take effect at the event.  Deterministic for a fixed scenario.
+
+    A passed geometry must be built for its game: ``geom_truth`` for
+    ``sc.params_truth`` and ``geom_low`` for ``sc.params_low``; a mismatch
+    raises ``ValueError``.
     """
     if geom_truth is None:
         geom_truth = get_geometry(sc.params_truth)
@@ -227,6 +231,12 @@ def run_closed_loop(
             geom_truth
             if sc.params_low == sc.params_truth
             else get_geometry(sc.params_low)
+        )
+    if geom_truth.params != sc.params_truth or geom_low.params != sc.params_low:
+        raise ValueError(
+            f"geometries built for {geom_truth.params} (truth) and "
+            f"{geom_low.params} (low) do not match the scenario's "
+            f"{sc.params_truth} and {sc.params_low}"
         )
     policy = sc.evader_policy
     dt = sc.dt

@@ -30,6 +30,33 @@ class TestDeceptionGain:
         # informed baseline (the estimator converges on first observation).
         assert rep.t_truthful_estimating == rep.t_truthful
 
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_two_runs_per_comparison(self, geom_03, geom_02, monkeypatch, baseline):
+        # The estimating baseline equals the informed run, so it is reported
+        # without being played.
+        real = deception.run_closed_loop
+        runs = []
+
+        def counted(sc, *geoms):
+            runs.append((sc.evader_policy.kind, sc.pursuer_mode))
+            return real(sc, *geoms)
+
+        monkeypatch.setattr(deception, "run_closed_loop", counted)
+        rep = deception_gain(
+            0.3, 0.2, 0.5, RelState(2.152, -0.214), geom1=geom_03, geom2=geom_02,
+            with_estimating_baseline=baseline,
+        )
+        assert runs == [("truthful", "informed"), ("deceptive", "estimating")]
+        if baseline:
+            assert rep.t_truthful is not None
+            assert rep.t_truthful_estimating == rep.t_truthful
+        else:
+            assert rep.t_truthful_estimating is None
+
+    def test_swapped_geometries_are_rejected(self, geom_03, geom_02):
+        with pytest.raises(ValueError, match="do not match"):
+            deception_gain(0.3, 0.2, 0.5, RelState(2.152, -0.214), geom1=geom_02, geom2=geom_03)
+
     def test_equal_speeds_gain_exactly_zero(self, geom_03):
         rep = deception_gain(0.3, 0.3, 0.5, RelState(1.8, 1.0), geom1=geom_03, geom2=geom_03)
         assert rep.gain == 0.0

@@ -355,22 +355,56 @@ class TestRunClosedLoop:
             assert abs(phi - ch.phi) < 5e-3
             assert 0.0 <= phi <= phi_bar
 
-    def test_estimating_truthful_matches_informed(self, params_03, params_02, geom_03, geom_02):
-        # The estimator converges on its first observation, so the two
-        # baselines coincide.
+    @pytest.mark.parametrize(
+        "x0, y0, t_max",
+        [
+            (2.152, -0.214, 40.0),
+            (-2.152, -0.214, 40.0),
+            (1.0, -0.5, 40.0),
+            (-0.8, 1.5, 40.0),
+            (0.0, -0.8, 40.0),
+            (0.507, 0.219, 40.0),
+            (2.152, -0.214, 2.0),
+        ],
+    )
+    def test_estimating_truthful_matches_informed(
+        self, params_03, params_02, geom_03, geom_02, x0, y0, t_max
+    ):
+        # Against a truthful evader the estimate starts at the true bound and
+        # never falls, so it is never nearer the low bound: the estimating
+        # pursuer plays the true game at every step, and the whole run equals
+        # the informed one.  deception_gain reports this baseline unplayed.
         def run(mode):
             sc = Scenario(
                 params_truth=params_03,
                 params_low=params_02,
-                initial_rel=RelState(1.8, 1.2),
+                initial_rel=RelState(x0, y0),
                 evader_policy=EvaderPolicy(kind="truthful"),
                 pursuer_mode=mode,
                 dt=1e-3,
-                t_max=40.0,
+                t_max=t_max,
             )
-            return run_closed_loop(sc, geom_03, geom_02).capture_time
+            return run_closed_loop(sc, geom_03, geom_02)
 
-        assert run("informed") == run("estimating")
+        informed = run("informed")
+        assert (informed.capture_time is None) == (t_max == 2.0)
+        assert run("estimating") == informed
+
+    def test_geometries_for_other_games_are_rejected(
+        self, params_03, params_02, geom_03, geom_02
+    ):
+        sc = Scenario(
+            params_truth=params_03,
+            params_low=params_02,
+            initial_rel=RelState(2.152, -0.214),
+            evader_policy=EvaderPolicy(kind="truthful"),
+            t_max=1.0,
+        )
+        pairs = r"mu=0\.2, l=0\.5\) \(truth\).*mu=0\.3, l=0\.5\) \(low\)"
+        with pytest.raises(ValueError, match=pairs):
+            run_closed_loop(sc, geom_02, geom_03)
+        with pytest.raises(ValueError, match="do not match"):
+            run_closed_loop(sc, geom_03, geom_03)
 
     def test_scenario_validation(self, params_03, params_02):
         with pytest.raises(ValueError, match="capture circle"):
