@@ -98,6 +98,25 @@ def rel_rhs(x: float, y: float, u: float, psi: float, mu: float) -> tuple[float,
     return frozen_rhs(u, psi, mu)(x, y, 0.0)
 
 
+def held_step(x: float, y: float, u: float, psi: float, mu: float, dt: float):
+    """Exact flow over ``dt`` of the relative kinematics under held controls.
+
+    With ``z = x + i y`` the field is linear, ``z' = i u z + w``, so
+    ``z(dt) = z0 + dt (S + i C) f0`` with ``f0`` the field at the start,
+    ``a = u dt``, ``S = sin(a)/a`` and ``C = 2 sin^2(a/2)/a``; ``a == 0`` is
+    the straight line.
+    """
+    fx = -y * u + mu * math.sin(psi)
+    fy = x * u - 1.0 + mu * math.cos(psi)
+    a = u * dt
+    if a == 0.0:
+        return x + dt * fx, y + dt * fy
+    sh = math.sin(0.5 * a)
+    s = dt * math.sin(a) / a
+    c = dt * 2.0 * sh * sh / a
+    return x + s * fx - c * fy, y + s * fy + c * fx
+
+
 def rk4_step(f, x, y, h):
     """One classical RK4 step of ``(x, y)' = f(x, y, c)``.
 

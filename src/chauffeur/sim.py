@@ -1,14 +1,16 @@
 """Deterministic closed-loop simulation of the relative game.
 
-Fixed-step RK4 with controls held constant across each step, so control
-discontinuities (region changes, estimator jumps, the deceptive switch) land
-on sample or event boundaries: a step containing a pocket-wall crossing is
-split at the crossing.  Events are located by interpolation within the
-offending step: capture (the radius crossing ``l``), barrier contacts (the
-deceptive switch trigger), and y-axis crossings.  The loop scans a step only
-when an event can lie in it: x changes sign, the step ends on or inside the
-capture circle, or pocket membership flips.  Other steps hold no event, so
-skipping their scan changes no sample or event.
+Fixed steps with controls held constant across each step, each integrated
+exactly: under held controls the relative field is linear, so its flow has a
+closed form (``core.held_step``).  Control discontinuities (region changes,
+estimator jumps, the deceptive switch) land on sample or event boundaries:
+a step containing a pocket-wall crossing is split at the crossing.  Events
+are located by interpolation within the offending step: capture (the radius
+crossing ``l``), barrier contacts (the deceptive switch trigger), and y-axis
+crossings.  The loop scans a step only when an event can lie in it: x
+changes sign, the step ends on or inside the capture circle, or pocket
+membership flips.  Other steps hold no event, so skipping their scan changes
+no sample or event.
 
 Near the universal lines the feedback is evaluated with an axis band a few
 steps wide; inside it the line strategies (u = 0, psi = 0) hold the
@@ -23,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .core import Controls, GameParams, RelState, frozen_rhs, rk4_step
+from .core import Controls, GameParams, RelState, held_step
 from .solution import SIDE_DEADBAND, SolutionGeometry, get_geometry
 from .strategy import EvaderPolicy, _check_speed, deceptive_policy, feedback_pair
 
@@ -130,15 +132,18 @@ def _nearest_index(ts: list[float], t: float) -> int:
 
 
 def step(s: RelState, c: Controls, dt: float) -> RelState:
-    """One fixed-step RK4 update of the relative kinematics."""
+    """The exact update of the relative kinematics over ``dt`` with the
+    controls held (see ``core.held_step``)."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt={dt!r} must be finite and positive")
+    if not math.hypot(s.x, s.y) < math.inf:
+        raise ValueError(f"cannot step the non-finite state {s!r}")
     x, y = _step_raw(s.x, s.y, c.u, c.psi, c.mu_cmd, dt)
     return RelState(x, y)
 
 
-def _step_raw(x: float, y: float, u: float, psi: float, mu: float, dt: float):
-    return rk4_step(frozen_rhs(u, psi, mu), x, y, dt)
+# The closed loop's unchecked step; ``step`` is the checked public entry.
+_step_raw = held_step
 
 
 def _pocket_flip(
@@ -216,9 +221,10 @@ def run_closed_loop(
     Loop order per step: estimator update (the estimating pursuer observes
     realized evader speeds one latency interval after the fact), pursuer
     feedback on the geometry matching its current knowledge, evader policy,
-    RK4 step, event detection.  Steps containing a pocket-wall crossing are
-    split at the crossing so control handoffs (and the deceptive switch)
-    take effect at the event.  Deterministic for a fixed scenario.
+    the exact held-control step, event detection.  Steps containing a
+    pocket-wall crossing are split at the crossing so control handoffs (and
+    the deceptive switch) take effect at the event.  Deterministic for a
+    fixed scenario.
 
     A passed geometry must be built for its game: ``geom_truth`` for
     ``sc.params_truth`` and ``geom_low`` for ``sc.params_low``; a mismatch

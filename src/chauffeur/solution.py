@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, GameParams, RelState, frozen_rhs, rk4_step
+from .core import TWO_PI, GameParams, RelState, held_step, rk4_step
 
 # Region tags.
 CAPTURED = "Captured"
@@ -144,6 +144,13 @@ def turn_alignment(x: float, y: float) -> tuple[float, float] | None:
     s0 = math.sqrt(max(r2 - 1.0, 0.0))
     delta = math.atan2(y, cx)
     half = math.acos(max(-1.0, min(1.0, -1.0 / r)))
+    if s0 > 1e-6:
+        # r sin(half) = s0, so the target's along-ray coordinate is +s0 at
+        # this root and -s0 at the other: this root is the one ahead.
+        t = (-delta + half) % TWO_PI
+        # Exact alignments at t ~ 2*pi are t ~ 0 cases hit from below.
+        return (0.0 if t > TWO_PI - 1e-9 else t), s0
+    # Near the turn circle both roots are within rounding of ahead.
     best = None
     for t in ((-delta + half) % TWO_PI, (-delta - half) % TWO_PI):
         ahead = cx * math.sin(t) + y * math.cos(t)
@@ -1122,7 +1129,8 @@ class SolutionGeometry:
     def classify(
         self, s: RelState, axis_band: float = SIDE_DEADBAND, wall_band: float = 0.0
     ) -> Region:
-        """Region tag of a relative state (x < 0 queries are mirrored).
+        """Region tag of a relative state (x < 0 queries are mirrored); a
+        non-finite state raises ``ValueError``.
 
         ``axis_band`` widens the universal-line tests and ``wall_band``
         widens the pocket to include a strip just outside its wall; the
@@ -1137,6 +1145,8 @@ class SolutionGeometry:
         ``_Polygon``).  Both tests are exact: they answer as a scan over
         every sample or edge would.
         """
+        if not math.hypot(s.x, s.y) < math.inf:
+            raise ValueError(f"no region for the non-finite state {s!r}")
         return Region(self._tag(abs(s.x), s.y, axis_band, wall_band), s.x < 0.0)
 
     def _tag(self, x: float, y: float, axis_band: float, wall_band: float) -> str:
@@ -1267,6 +1277,8 @@ class SolutionGeometry:
         spreads, near the curve's descent), so the value integrates the dive
         itself: evader headings from the nearest characteristic, u = -1,
         until the trajectory leaves the pocket or merges on the rear line.
+        Each step of ``h`` holds the heading and takes the exact held-control
+        flow (``held_step``).
         """
         p = self.params
         mu = p.mu
@@ -1276,7 +1288,7 @@ class SolutionGeometry:
             if x <= 1e-9:
                 break
             psi = secondary_heading(*self.secondary_data(x, y))
-            xn, yn = rk4_step(frozen_rhs(-1.0, psi, mu), x, y, h)
+            xn, yn = held_step(x, y, -1.0, psi, mu, h)
             if not self.pocket_contains(xn, yn):
                 # Locate the wall crossing and price the tributary departure.
                 w, cx, cy, _ = self.wall_crossing(x, y, xn, yn, True)

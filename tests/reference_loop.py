@@ -40,7 +40,7 @@ def run_closed_loop_reference(
     Loop order per step: estimator update (the estimating pursuer observes
     realized evader speeds one latency interval after the fact), pursuer
     feedback on the geometry matching its current knowledge, evader policy,
-    RK4 step, event detection.  Steps containing a pocket-wall crossing are
+    held step, event detection.  Steps containing a pocket-wall crossing are
     split at the crossing so control handoffs (and the deceptive switch)
     take effect at the event.  Deterministic for a fixed scenario.
     """

@@ -27,7 +27,8 @@ class TestDeceptionGain:
         assert rep.gain == rep.t_deceptive - rep.t_truthful
         assert rep.switch_point is not None
         # The estimating-pursuer truthful baseline coincides with the
-        # informed baseline (the estimator converges on first observation).
+        # informed baseline: the estimate starts at the true bound and never
+        # falls, so the estimating pursuer plays the informed one's game.
         assert rep.t_truthful_estimating == rep.t_truthful
 
     @pytest.mark.parametrize("baseline", [True, False])

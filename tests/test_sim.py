@@ -25,23 +25,31 @@ class TestStep:
         assert s.x == 0.0
         assert abs(s.y - (2.0 - 1e-3)) < 1e-15
 
-    def test_richardson_quartic_convergence(self):
-        # Fixed controls over a 10-unit horizon: halving dt shrinks the
-        # endpoint change by roughly 2^4.
-        def endpoint(dt):
-            s = RelState(0.5, 1.5)
-            c = Controls(u=1.0, psi=1.0, mu_cmd=0.3)
-            for _ in range(int(round(10.0 / dt))):
-                s = step(s, c, dt)
-            return s
-
-        a = endpoint(4e-3)
-        b = endpoint(2e-3)
-        c = endpoint(1e-3)
-        d1 = math.hypot(a.x - b.x, a.y - b.y)
-        d2 = math.hypot(b.x - c.x, b.y - c.y)
-        assert d1 < 16.0 * d2 * 2.0
-        assert d1 > 16.0 * d2 / 4.0
+    @pytest.mark.parametrize("u", [1.0, -1.0, 0.37, 0.0])
+    def test_held_controls_follow_the_exact_flow(self, u):
+        # Under held controls the relative motion is a rotation at rate u
+        # about ((1 - mu cos psi)/u, mu sin psi / u), or a straight line at
+        # velocity (mu sin psi, mu cos psi - 1) when u = 0.  Stepping over a
+        # 10-unit horizon must stay on it to rounding.  On the line every
+        # step adds the same increment, so the half-ulp roundings of the sum
+        # can all fall one way: the budget is n of them at |z| < 8 (the
+        # stepped line ends 1.4e-12 off).
+        mu, psi, dt, n = 0.3, 1.0, 1e-3, 10000
+        c = Controls(u=u, psi=psi, mu_cmd=mu)
+        s = RelState(0.5, 1.5)
+        for _ in range(n):
+            s = step(s, c, dt)
+        t = n * dt
+        if u == 0.0:
+            ex = 0.5 + t * mu * math.sin(psi)
+            ey = 1.5 + t * (mu * math.cos(psi) - 1.0)
+        else:
+            cx, cy = (1.0 - mu * math.cos(psi)) / u, mu * math.sin(psi) / u
+            ca, sa = math.cos(u * t), math.sin(u * t)
+            ex = cx + ca * (0.5 - cx) - sa * (1.5 - cy)
+            ey = cy + sa * (0.5 - cx) + ca * (1.5 - cy)
+        tol = 1e-12 if u else n * 8.0 * 2.0**-53
+        assert math.hypot(s.x - ex, s.y - ey) <= tol
 
     def test_rotation_conserves_radius(self):
         # A resting evader under u = 1 traces a circle about (1, 0) in the
@@ -55,6 +63,14 @@ class TestStep:
             s = step(s, c, 1e-3)
             worst = max(worst, abs(math.hypot(s.x - 1.0, s.y) - r0))
         assert worst < 1e-8
+
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.5), (0.5, -math.inf)]
+    )
+    def test_rejects_non_finite_state(self, x, y):
+        # A nan or infinite state used to step to RelState(nan, nan).
+        with pytest.raises(ValueError, match=r"non-finite state RelState\("):
+            step(RelState(x, y), Controls(u=0.5, psi=0.1, mu_cmd=0.2), 1e-3)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
@@ -199,7 +215,7 @@ class TestRunClosedLoop:
     def test_one_feedback_per_game_per_control_point(
         self, params_03, params_02, geom_03, geom_02, monkeypatch
     ):
-        # Each control evaluation ends with the RK4 step it feeds; within one
+        # Each control evaluation ends with the held step it feeds; within one
         # evaluation no game's feedback may be computed twice.  Both module
         # names are recorded, so a second evaluation through the strategy
         # helpers would show too.

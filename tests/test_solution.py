@@ -411,6 +411,52 @@ class TestTributaryValue:
             ahead = (x - 1.0) * math.sin(t) + y * math.cos(t)
             assert abs(ahead - s0) < 1e-9
 
+    @staticmethod
+    def _two_root_alignment(x, y):
+        # Frozen copy of turn_alignment before its one-root shortcut: both
+        # roots are tried and the earliest one ahead wins.
+        cx = x - 1.0
+        r2 = cx * cx + y * y
+        if r2 < 1.0:
+            return None
+        r = math.sqrt(r2)
+        s0 = math.sqrt(max(r2 - 1.0, 0.0))
+        delta = math.atan2(y, cx)
+        half = math.acos(max(-1.0, min(1.0, -1.0 / r)))
+        best = None
+        for t in ((-delta + half) % (2.0 * math.pi), (-delta - half) % (2.0 * math.pi)):
+            if cx * math.sin(t) + y * math.cos(t) >= -1e-9:
+                if t > 2.0 * math.pi - 1e-9:
+                    t = 0.0
+                if best is None or t < best:
+                    best = t
+        return None if best is None else (best, s0)
+
+    def test_alignment_matches_the_two_root_search_bitwise(self, rng):
+        # The shortcut returns the root with the target at +s0 along the ray
+        # whenever s0 > 1e-6; it must agree with the two-root search bit for
+        # bit, on the turn circle's rim and at the 2*pi clamp too.
+        n = 4000
+        theta = rng.uniform(-math.pi, math.pi, n)
+        rim = 1.0 + 10.0 ** rng.uniform(-17.0, -2.0, n)
+        tiny = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17.0, -6.0, n)
+        points = (
+            list(zip(rng.uniform(-1.0, 5.0, n), rng.uniform(-4.0, 4.0, n)))
+            + list(zip(1.0 + rim * np.cos(theta), rim * np.sin(theta)))
+            # The heading ray (x = 0, y > 0) is alignment at t = 0; just left
+            # of it the root sits just below 2*pi.
+            + list(zip(tiny, rng.uniform(0.01, 5.0, n)))
+            + [(0.0, 1.0), (0.0, 3.0), (-1e-300, 2.0), (2.0, 0.0), (0.0, 0.0)]
+        )
+        shortcut = 0
+        for x, y in points:
+            x, y = float(x), float(y)
+            got, want = turn_alignment(x, y), self._two_root_alignment(x, y)
+            assert repr(got) == repr(want), (x, y)
+            shortcut += got is not None and got[1] > 1e-6
+        # Both paths ran: the shortcut and the loop near the rim.
+        assert 0 < shortcut < len(points) - 1000
+
 
 class TestEquivocalCurve:
     def test_starts_at_barrier_endpoint(self, geom_03):
@@ -655,6 +701,14 @@ class TestClassifyAndValue:
     def test_value_rejects_a_non_finite_state_by_name(self, geom_03, x, y):
         with pytest.raises(ValueError, match=r"non-finite state RelState\("):
             geom_03.value(RelState(x, y))
+
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_classify_rejects_a_non_finite_state_by_name(self, geom_03, x, y):
+        # A nan or infinite state used to be tagged Tributary.
+        with pytest.raises(ValueError, match=r"non-finite state RelState\("):
+            geom_03.classify(RelState(x, y))
 
     def test_mirror_flag(self, geom_03):
         r = geom_03.classify(RelState(-2.152, -0.214))
