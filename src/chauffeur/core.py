@@ -10,6 +10,11 @@ Conventions (used consistently across the package):
 * The relative frame puts the pursuer at the origin with the +Y axis along
   its heading.  The evader's relative position is ``(x, y)`` and its relative
   heading is ``psi = theta_E - theta_P``.
+
+The kinematics come as the field ``rel_rhs`` and as its exact flow under
+held controls, ``held_step``.  There is no generic integrator here: the one
+field without a closed form, the equivocal march's pure pursuit, writes out
+its RK4 stages in ``solution._rk4_equivocal``.
 """
 
 from __future__ import annotations
@@ -86,16 +91,9 @@ class Controls:
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
 
-def frozen_rhs(u: float, psi: float, mu: float):
-    """Relative-frame velocity field under controls held fixed, as ``f(x, y, c)``
-    for :func:`rk4_step` (``c`` is unused)."""
-    vx, vy = mu * math.sin(psi), mu * math.cos(psi)
-    return lambda x, y, _c: (-y * u + vx, x * u - 1.0 + vy)
-
-
 def rel_rhs(x: float, y: float, u: float, psi: float, mu: float) -> tuple[float, float]:
     """Relative-frame velocity (xdot, ydot)."""
-    return frozen_rhs(u, psi, mu)(x, y, 0.0)
+    return -y * u + mu * math.sin(psi), x * u - 1.0 + mu * math.cos(psi)
 
 
 def held_step(x: float, y: float, u: float, psi: float, mu: float, dt: float):
@@ -115,21 +113,3 @@ def held_step(x: float, y: float, u: float, psi: float, mu: float, dt: float):
     s = dt * math.sin(a) / a
     c = dt * 2.0 * sh * sh / a
     return x + s * fx - c * fy, y + s * fy + c * fx
-
-
-def rk4_step(f, x, y, h):
-    """One classical RK4 step of ``(x, y)' = f(x, y, c)``.
-
-    ``c`` is the stage's offset from the start of the step (0, h/2, h/2, h),
-    for fields that depend on time.  ``x`` and ``y`` may be floats or numpy
-    arrays.
-    """
-    hh = 0.5 * h
-    k1x, k1y = f(x, y, 0.0)
-    k2x, k2y = f(x + hh * k1x, y + hh * k1y, hh)
-    k3x, k3y = f(x + hh * k2x, y + hh * k2y, hh)
-    k4x, k4y = f(x + h * k3x, y + h * k3y, h)
-    return (
-        x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
-        y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y),
-    )

@@ -26,12 +26,17 @@ is symmetric about the y axis).  The construction, in build order:
   and the pursuer control solved per step so that the tributary departure
   cost grows at unit rate (the two escape options stay equal in cost).  The
   root solve starts from the control's linear prediction and falls back to
-  a continuity ladder around the previous control.  Its y-axis contact
+  a continuity ladder around the previous control.  Each residual takes one
+  RK4 step of this field, with the four stages written out, since pure
+  pursuit has no closed form under held ``u``.  Its y-axis contact
   ``(0, y_es)`` closes the pocket and bounds the negative universal line.
 * secondary fan: ``u = -1`` arcs from equivocal-curve anchors
   (``c = pi - atan(y_ES / x_ES)``) and from the negative universal line
   (``c = 0``), in the same closed form; they fill the pocket enclosed by
-  barrier, equivocal curve, axis segment and capture circle.
+  barrier, equivocal curve, axis segment and capture circle.  An arc stops
+  before it crosses the thinned barrier; a per-cell candidate table sends
+  each step segment near it to the exact intersection test against a few
+  barrier segments only.
 * pocket wall: one polygon over every barrier and equivocal sample, the
   axis segment and the capture arc.  It answers membership, the exact
   crossing of a segment with the wall and the section crossed (barrier,
@@ -55,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, GameParams, RelState, held_step, rk4_step
+from .core import TWO_PI, GameParams, RelState, held_step
 
 # Region tags.
 CAPTURED = "Captured"
@@ -228,6 +233,16 @@ def _fan_xy(x0, y0, u, c, mu, t):
     return z.real + u, z.imag
 
 
+def _check_step(d_tau: float, **spans: float | None) -> None:
+    """Reject a step ``d_tau`` outside (0, 0.01), NaN included, and a span
+    (``tau_max``, ``tau_end``) that is not finite; None is no span."""
+    if not 0.0 < d_tau < 0.01:
+        raise ValueError(f"d_tau={d_tau!r} must be finite and lie in (0, 0.01)")
+    for name, v in spans.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name}={v!r} must be finite")
+
+
 def compute_barrier(
     p: GameParams, d_tau: float = 1e-3, tau_max: float | None = None
 ) -> SampledCurve:
@@ -239,7 +254,7 @@ def compute_barrier(
     through interior x-extrema while still inside the disc; those are not
     endpoints, and the equivocal curve could not anchor there because the
     departure cost only exists outside the disc.)  ``tau_max``, when given,
-    caps the arc early.
+    caps the arc early and must be finite; ``d_tau`` must lie in (0, 0.01).
 
     The barrier is the ``phi = phi_bar`` member of the primary family, so
     its samples are the closed form :func:`_fan_xy`, evaluated
@@ -249,10 +264,7 @@ def compute_barrier(
     that ends with ``dx/dtau <= 0`` is bisected for the tangent-vertical
     time, which replaces that step's end as the last sample.
     """
-    if d_tau >= 0.01:
-        raise ValueError(f"d_tau={d_tau!r} too coarse; the barrier march requires d_tau < 0.01")
-    if d_tau <= 0.0:
-        raise ValueError("d_tau must be positive")
+    _check_step(d_tau, tau_max=tau_max)
     phi, mu = bup_angle(p), p.mu
     x0, y0 = bup_point(p)
 
@@ -368,12 +380,13 @@ def compute_primary_fan(
     All members share the focal time at which the family converges onto one
     point of the barrier.  Under ``(u, psi) = (+1, phi + tau)`` each member
     has the closed form of :func:`_integrate_fan` with phase ``c = phi``,
-    evaluated on ``n_steps + 1`` evenly spaced times up to the focal time.
+    evaluated on ``n_steps + 1`` evenly spaced times up to the focal time,
+    or up to ``tau_end`` when given (it must be finite; ``d_tau`` must lie in
+    (0, 0.01)).
     """
     if n_phi < 2:
         raise ValueError("n_phi must be at least 2")
-    if d_tau >= 0.01 or d_tau <= 0.0:
-        raise ValueError(f"d_tau={d_tau!r} outside (0, 0.01)")
+    _check_step(d_tau, tau_end=tau_end)
     phi_bar = bup_angle(p)
     if tau_end is None:
         barrier = compute_barrier(p, d_tau=d_tau)
@@ -402,15 +415,28 @@ def compute_primary_fan(
 
 
 def _rk4_equivocal(p: GameParams, x: float, y: float, u: float, h: float):
-    # The evader is in pure pursuit of the origin at every RK4 stage:
-    # (sin psi, cos psi) = -(x, y) / r in the retrograde field.
+    """One classical RK4 step of the retrograde field under held ``u`` with
+    the evader in pure pursuit of the origin at every stage,
+    ``(sin psi, cos psi) = -(x, y) / r``: the field is
+    ``(y u + mu x / r, 1 - x u + mu y / r)``.  The four stages are written
+    out; this is the march's inner loop."""
     mu = p.mu
-
-    def f(x_, y_, _c):
-        r = math.hypot(x_, y_)
-        return (y_ * u + mu * x_ / r, 1.0 - x_ * u + mu * y_ / r)
-
-    return rk4_step(f, x, y, h)
+    hh = 0.5 * h
+    r = math.hypot(x, y)
+    k1x, k1y = y * u + mu * x / r, 1.0 - x * u + mu * y / r
+    x2, y2 = x + hh * k1x, y + hh * k1y
+    r = math.hypot(x2, y2)
+    k2x, k2y = y2 * u + mu * x2 / r, 1.0 - x2 * u + mu * y2 / r
+    x3, y3 = x + hh * k2x, y + hh * k2y
+    r = math.hypot(x3, y3)
+    k3x, k3y = y3 * u + mu * x3 / r, 1.0 - x3 * u + mu * y3 / r
+    x4, y4 = x + h * k3x, y + h * k3y
+    r = math.hypot(x4, y4)
+    k4x, k4y = y4 * u + mu * x4 / r, 1.0 - x4 * u + mu * y4 / r
+    return (
+        x + h / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x),
+        y + h / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y),
+    )
 
 
 def _brent_root(f, a: float, b: float, fa: float, fb: float, ftol: float = 0.0) -> float:
@@ -603,7 +629,7 @@ def _march_equivocal(
     return np.asarray(pts), np.asarray(vals), np.asarray(ucs)
 
 
-# Cell of the occupancy grid in front of the secondary fan's barrier test.
+# Cell of the candidate table in front of the secondary fan's barrier test.
 _BARRIER_CELL = 0.01
 
 
@@ -611,20 +637,41 @@ _BARRIER_CELL = 0.01
 class _BarrierCrossing:
     """Step-segment test against the thinned barrier polyline.
 
-    An occupancy grid of ``_BARRIER_CELL`` cells marks every cell within two
-    cells of a raster of the polyline with samples at most half a cell
-    apart, so every barrier point lies within a quarter cell of a raster
-    point.  A segment
-    shorter than a cell in both coordinates that crosses the barrier
-    therefore starts in a marked cell.  Longer segments are cut into such
-    pieces.  Only segments with a piece starting in a marked cell take the
-    exact test.
+    The thinned polyline keeps every ``len(points) // 80``-th barrier sample
+    and the endpoint.  Each of its segments is rastered with samples at most
+    half a cell apart, ends included, so every point of the segment lies
+    within a quarter cell of one of its raster points.  A candidate table
+    lists, for each cell of a grid of ``_BARRIER_CELL`` cells, the segments
+    with a raster point in one of the 5 x 5 cells centred on it.
+
+    A step segment is cut into pieces shorter than a cell in both
+    coordinates, and it takes the exact intersection expression only
+    against the candidates of the cells where its pieces start.  No crossing
+    is lost: a crossing point lies within one cell, in each coordinate, of
+    the start of the piece that holds it, and within a quarter cell of a
+    raster point of the crossed segment.  The two are thus less than 1.25
+    cells apart in each coordinate, so their cell indices differ by at most
+    2, and the crossed segment is a candidate of the piece start's cell.
+    The hits are :meth:`exact`'s, bit for bit.
     """
 
     b0: np.ndarray  # (m, 2) segment starts
     b1: np.ndarray  # (m, 2) segment ends
     origin: np.ndarray  # lower-left corner of cell (0, 0)
-    marked: np.ndarray  # (nx, ny) bool
+    shape: tuple[int, int]  # cells along x and along y
+    start: np.ndarray  # (nx ny + 1,): cell i ny + j lists segs[start[c]:start[c + 1]]
+    segs: np.ndarray  # candidate segment indices, cell by cell
+    count: np.ndarray  # (nx ny,) candidates per cell
+
+    @staticmethod
+    def raster(b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raster points of the segments ``b0 -> b1``, at most half a cell
+        apart and ends included, and the index of each point's segment."""
+        n = 2 + (np.hypot(*(b1 - b0).T) / (0.5 * _BARRIER_CELL)).astype(int)
+        pts = np.concatenate(
+            [a + np.linspace(0.0, 1.0, k)[:, None] * (b - a) for a, b, k in zip(b0, b1, n)]
+        )
+        return pts, np.repeat(np.arange(len(b0)), n)
 
     @classmethod
     def of(cls, points: np.ndarray) -> "_BarrierCrossing":
@@ -632,61 +679,86 @@ class _BarrierCrossing:
         if not np.array_equal(bseg[-1], points[-1]):
             bseg = np.vstack([bseg, points[-1]])
         b0, b1 = bseg[:-1], bseg[1:]
-        cell = _BARRIER_CELL
-        raster = np.concatenate(
-            [
-                a + np.linspace(0.0, 1.0, n)[:, None] * (b - a)
-                for a, b, n in zip(
-                    b0, b1, 2 + (np.hypot(*(b1 - b0).T) / (0.5 * cell)).astype(int)
-                )
-            ]
-        )
+        cell, m = _BARRIER_CELL, len(b0)
+        raster, owner = cls.raster(b0, b1)
         origin = bseg.min(axis=0) - 3.0 * cell
-        shape = ((bseg.max(axis=0) - origin) / cell).astype(int) + 4
+        nx, ny = (((bseg.max(axis=0) - origin) / cell).astype(int) + 4).tolist()
         key = ((raster - origin) / cell).astype(int)
-        marked = np.zeros(shape, dtype=bool)
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                marked[key[:, 0] + di, key[:, 1] + dj] = True
-        return cls(b0, b1, origin, marked)
+        # (cell, segment) pairs as cell m + segment, sorted and unique.
+        pairs = np.unique(
+            np.concatenate(
+                [
+                    ((key[:, 0] + di) * ny + key[:, 1] + dj) * m + owner
+                    for di in range(-2, 3)
+                    for dj in range(-2, 3)
+                ]
+            )
+        )
+        start = np.searchsorted(pairs // m, np.arange(nx * ny + 1))
+        return cls(b0, b1, origin, (nx, ny), start, pairs % m, np.diff(start))
 
-    def _in_marked_cell(self, x, y) -> np.ndarray:
-        """Whether each point (x, y) lies in a marked cell."""
-        i = np.floor((x - self.origin[0]) / _BARRIER_CELL)
-        j = np.floor((y - self.origin[1]) / _BARRIER_CELL)
-        nx, ny = self.marked.shape
-        on_grid = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
-        out = np.zeros(x.shape, dtype=bool)
-        out[on_grid] = self.marked[i[on_grid].astype(int), j[on_grid].astype(int)]
-        return out
+    def _candidates(self, x, y, idx=None):
+        """(segment, candidate) pairs of the points ``(x, y)``: each point's
+        flat position, or ``idx`` at it, against each candidate of its cell.
+        Points off the grid have none."""
+        fi = (x - self.origin[0]) / _BARRIER_CELL
+        fj = (y - self.origin[1]) / _BARRIER_CELL
+        nx, ny = self.shape
+        # floor(f) >= 0 iff f >= 0, and floor(f) < n iff f < n.
+        on = np.flatnonzero((fi >= 0.0) & (fi < nx) & (fj >= 0.0) & (fj < ny))
+        c = fi.ravel()[on].astype(int) * ny + fj.ravel()[on].astype(int)
+        n = self.count[c]
+        full = np.flatnonzero(n)
+        on, c, n = on[full], c[full], n[full]
+        lo = self.start[c]
+        pos = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+        return np.repeat(on if idx is None else idx[on], n), self.segs[pos]
 
     def __call__(self, px, py, qx, qy) -> np.ndarray:
         """Which segments (p -> q) cross the barrier; arrays of any one shape."""
         rx, ry = qx - px, qy - py
-        pieces = 1 + (np.maximum(np.abs(rx), np.abs(ry)) / _BARRIER_CELL).astype(int)
-        near = self._in_marked_cell(px, py)
-        for k in range(1, int(pieces.max(initial=1))):
-            w = np.minimum(k / pieces, 1.0)
-            near |= self._in_marked_cell(px + w * rx, py + w * ry)
-        hit = np.zeros(px.shape, dtype=bool)
-        hit[near] = self.exact(px[near], py[near], qx[near], qy[near])
-        return hit
+        reach = np.maximum(np.abs(rx), np.abs(ry))
+        own, cand = self._candidates(px, py)
+        if reach.max(initial=0.0) >= _BARRIER_CELL:
+            # Cut long segments into pieces shorter than a cell.
+            pieces = 1 + (reach.ravel() / _BARRIER_CELL).astype(int)
+            own, cand = [own], [cand]
+            x, y, rx, ry = (v.ravel() for v in (px, py, rx, ry))
+            for k in range(1, int(pieces.max())):
+                idx = np.flatnonzero(pieces > k)
+                w = k / pieces[idx]
+                o, c = self._candidates(x[idx] + w * rx[idx], y[idx] + w * ry[idx], idx)
+                own.append(o)
+                cand.append(c)
+            own, cand = np.concatenate(own), np.concatenate(cand)
+        at = np.unravel_index(own, px.shape)
+        a, b = self.b0[cand], self.b1[cand]
+        cross = _crosses(px[at], py[at], qx[at], qy[at], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        hit = np.zeros(px.size, dtype=bool)
+        hit[own[cross]] = True
+        return hit.reshape(px.shape)
 
     def exact(self, px, py, qx, qy) -> np.ndarray:
         """Which segments (p -> q, 1-D arrays) cross any barrier segment."""
-        b0, b1 = self.b0, self.b1
-        rx = qx - px
-        ry = qy - py
-        sx = (b1[:, 0] - b0[:, 0])[None, :]
-        sy = (b1[:, 1] - b0[:, 1])[None, :]
-        dx = b0[None, :, 0] - px[:, None]
-        dy = b0[None, :, 1] - py[:, None]
-        denom = rx[:, None] * sy - ry[:, None] * sx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (dx * sy - dy * sx) / denom
-            u = (dx * ry[:, None] - dy * rx[:, None]) / denom
-        cross = (np.abs(denom) > 1e-14) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-        return cross.any(axis=1)
+        a, b = self.b0, self.b1
+        col = (v[:, None] for v in (px, py, qx, qy))
+        return _crosses(*col, a[:, 0], a[:, 1], b[:, 0], b[:, 1]).any(axis=1)
+
+
+def _crosses(px, py, qx, qy, ax, ay, bx, by) -> np.ndarray:
+    """Whether segment p -> q crosses segment a -> b, elementwise over
+    broadcast arrays."""
+    rx = qx - px
+    ry = qy - py
+    sx = bx - ax
+    sy = by - ay
+    dx = ax - px
+    dy = ay - py
+    denom = rx * sy - ry * sx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dx * sy - dy * sx) / denom
+        u = (dx * ry - dy * rx) / denom
+    return (np.abs(denom) > 1e-14) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
 
 
 # Secondary-fan anchors on the equivocal curve and the negative universal line.
@@ -715,9 +787,13 @@ def compute_secondary_fan_and_equivocal(
     evaluates their closed form at ``tau = k d_tau`` chunk by chunk.  A
     characteristic ends before its first step that leaves ``x >= 0``,
     enters the capture circle or crosses the thinned barrier; the barrier
-    test is :class:`_BarrierCrossing`, whose occupancy grid sends only step
-    segments near the barrier to the exact intersection test.
+    test is :class:`_BarrierCrossing`, whose per-cell candidate table sends
+    a step segment only to the barrier segments listed in the cells where
+    its pieces start, at most a few of about 80.  ``d_tau`` must lie in
+    (0, 0.01) and ``tau_max`` must be finite; both are checked before any
+    work.
     """
+    _check_step(d_tau, tau_max=tau_max)
     n_steps = int(round(tau_max / d_tau))
     if n_steps < 1:
         raise ValueError(f"tau_max={tau_max!r} is shorter than one step of d_tau={d_tau!r}")

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chauffeur.core import Controls, frozen_rhs, rel_rhs, rk4_step, validate_params, wrap_angle
+from chauffeur.core import Controls, rel_rhs, validate_params, wrap_angle
+from rk4_kernel import frozen_rhs, rk4_step
 
 
 class TestValidateParams:

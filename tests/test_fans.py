@@ -1,6 +1,6 @@
 """Checks of the characteristic fans against independent re-integrations,
-of RK4's convergence to the fans' closed form, of the barrier test's grid
-filter, and of the geometry CSV bytes."""
+of RK4's convergence to the fans' closed form, of the barrier test's
+candidate table, and of the geometry CSV bytes."""
 
 import csv
 import io
@@ -201,6 +201,81 @@ class TestBarrierGridFilter:
         # Any one array shape, as the fan integrator passes (steps, characteristics).
         grid = tuple(v[:12000].reshape(60, 200) for v in args)
         assert np.array_equal(test(*grid), want[:12000].reshape(60, 200))
+
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_table_lists_each_segment_around_its_raster(self, which, request):
+        geom = request.getfixturevalue(which)
+        test = _BarrierCrossing.of(geom.barrier.points)
+        bseg = _thinned_barrier(geom.barrier.points)
+        assert np.array_equal(test.b0, bseg[:-1]) and np.array_equal(test.b1, bseg[1:])
+        raster, owner = _BarrierCrossing.raster(test.b0, test.b1)
+        # The raster runs from each segment's start to its end (to
+        # rounding), on the segment, with samples at most half a cell apart.
+        for k in range(len(test.b0)):
+            pts = raster[owner == k]
+            a, b = test.b0[k], test.b1[k]
+            assert np.array_equal(pts[0], a) and np.abs(pts[-1] - b).max() < 1e-15
+            assert np.hypot(*np.diff(pts, axis=0).T).max() <= 0.5 * _BARRIER_CELL
+            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+            assert np.abs(cross).max() < 1e-15
+        nx, ny = test.shape
+        listed = {
+            (c, int(k))
+            for c in range(nx * ny)
+            for k in test.segs[test.start[c] : test.start[c + 1]]
+        }
+        assert len(listed) == len(test.segs)  # no segment twice in a cell
+        key = np.floor((raster - test.origin) / _BARRIER_CELL).astype(int)
+        for di in range(-2, 3):
+            for dj in range(-2, 3):
+                i, j = key[:, 0] + di, key[:, 1] + dj
+                assert (i >= 0).all() and (i < nx).all() and (j >= 0).all() and (j < ny).all()
+                assert all((c, k) in listed for c, k in zip((i * ny + j).tolist(), owner.tolist()))
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_same_hits_on_long_vertex_and_off_grid_segments(self, which, request, rng):
+        geom = request.getfixturevalue(which)
+        test = _BarrierCrossing.of(geom.barrier.points)
+        bseg = _thinned_barrier(geom.barrier.points)
+        n, cell = 2000, _BARRIER_CELL
+
+        def directions(lo, hi):
+            d = rng.normal(size=(n, 2))
+            return d * (rng.uniform(lo, hi, (n, 1)) * cell / np.hypot(d[:, 0], d[:, 1])[:, None])
+
+        a, b = bseg[:-1], bseg[1:]
+        k = rng.integers(0, len(a), n)
+        on = a[k] + rng.uniform(0.0, 1.0, (n, 1)) * (b[k] - a[k])
+        s = rng.uniform(0.0, 1.0, (n, 1))
+        # Through a barrier point, spanning 2 to 60 cells.
+        d = directions(2.0, 60.0)
+        groups = {"long": (on - s * d, on + (1.0 - s) * d)}
+        # Ending at, starting at or passing through a thinned-barrier vertex.
+        v = bseg[rng.integers(0, len(bseg), n)]
+        d = directions(1e-4, 3.0)
+        groups["vertex"] = (
+            np.concatenate([v - d, v, v - s * d]),
+            np.concatenate([v, v + d, v + (1.0 - s) * d]),
+        )
+        # Starting off the grid: toward a barrier point and a little past
+        # it, or wholly outside.
+        lo = test.origin
+        hi = test.origin + cell * np.array(test.shape)
+        far = rng.uniform(lo - 1.0, hi + 1.0, (4 * n, 2))
+        far = far[((far < lo) | (far >= hi)).any(axis=1)][:n]
+        to = on[: len(far)] - far
+        beyond = rng.uniform(0.0, 2.0, (len(far), 1)) * cell / np.hypot(*to.T)[:, None]
+        past = far + to * (1.0 + beyond)
+        groups["off_grid"] = (
+            np.concatenate([far, far]),
+            np.concatenate([past, far + rng.normal(scale=0.05, size=far.shape)]),
+        )
+        for name, (starts, ends) in groups.items():
+            args = (starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1])
+            want = test.exact(*args)
+            assert want.sum() > 0.2 * len(starts), name  # the set is not all misses
+            assert np.array_equal(test(*args), want), name
 
 
 class TestGeometryCsvBytes:

@@ -3,13 +3,14 @@ import csv
 import dataclasses
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from chauffeur import solution
-from chauffeur.core import RelState, rel_rhs, rk4_step, validate_params
+from chauffeur.core import RelState, rel_rhs, validate_params
 from chauffeur.sim import Scenario, run_closed_loop
 from chauffeur.solution import (
     EQUIVOCAL,
@@ -31,12 +32,14 @@ from chauffeur.solution import (
     bup_point,
     compute_barrier,
     compute_primary_fan,
+    compute_secondary_fan_and_equivocal,
     dubins_cs_turn_time,
     focal_time,
     solve,
     turn_alignment,
 )
 from chauffeur.strategy import EvaderPolicy
+from rk4_kernel import rk4_step
 
 
 class TestUsablePart:
@@ -262,6 +265,47 @@ class TestPrimaryFan:
         tr = run_closed_loop(sc, geom_03, geom_03)
         assert tr.capture_time is not None
         assert abs(tr.capture_time - tau_here) < 1e-3
+
+
+_BAD_STEPS = (math.nan, math.inf, -math.inf, 0.0, -1e-3, 0.01)
+_BAD_SPANS = (math.nan, math.inf, -math.inf)
+
+
+class TestStepArguments:
+    """The public build functions reject a bad step or span, by name and
+    value, before any closed-form sample or march step."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("built before its arguments were checked")
+
+        monkeypatch.setattr(solution, "_fan_xy", work)
+        monkeypatch.setattr(solution, "_march_equivocal", work)
+
+    @pytest.mark.parametrize("d_tau", _BAD_STEPS)
+    @pytest.mark.parametrize(
+        "build",
+        [compute_barrier, compute_primary_fan, compute_secondary_fan_and_equivocal, solve],
+        ids=lambda f: f.__name__,
+    )
+    def test_step_outside_the_open_interval(self, params_03, build, d_tau):
+        with pytest.raises(ValueError, match=re.escape(f"d_tau={d_tau!r}")):
+            build(params_03, d_tau=d_tau)
+
+    @pytest.mark.parametrize("value", _BAD_SPANS)
+    @pytest.mark.parametrize(
+        "build, span",
+        [
+            (compute_barrier, "tau_max"),
+            (compute_primary_fan, "tau_end"),
+            (compute_secondary_fan_and_equivocal, "tau_max"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_span_that_is_not_finite(self, params_03, build, span, value):
+        with pytest.raises(ValueError, match=re.escape(f"{span}={value!r} must be finite")):
+            build(params_03, **{span: value})
 
 
 def _oracle_turn_time(x, y, n=4_000_000):
@@ -624,6 +668,29 @@ class TestEquivocalMarch:
             got = _rk4_equivocal(p, x, y, u, h)
             want = rk4_step(heading_form, x, y, h)
             assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) < 1e-14
+
+    def test_written_out_step_is_the_generic_kernel_bit_for_bit(self, rng):
+        # The old closure form of the pure-pursuit field, through the
+        # generic RK4 kernel, at seeded (x, y, u): u = +-1 on half of them,
+        # and a fifth within 1e-9 to 1e-2 of the origin.
+        n = 10_000
+        x, y = rng.uniform(-3.0, 3.0, (2, n))
+        u = rng.uniform(-1.0, 1.0, n)
+        u[0::4], u[1::4] = 1.0, -1.0
+        a = rng.uniform(-math.pi, math.pi, n // 5)
+        r = 10.0 ** rng.uniform(-9.0, -2.0, n // 5)
+        x[::5], y[::5] = r * np.sin(a), r * np.cos(a)
+        mus = rng.choice([0.1, 0.2, 0.3, 0.5], n)
+        hs = rng.choice([1e-3, 5e-3, 1.5e-4], n)
+        for xi, yi, ui, mu, h in zip(x.tolist(), y.tolist(), u.tolist(), mus.tolist(), hs.tolist()):
+
+            def closure(x_, y_, _c, u=ui, mu=mu):
+                r_ = math.hypot(x_, y_)
+                return (y_ * u + mu * x_ / r_, 1.0 - x_ * u + mu * y_ / r_)
+
+            got = _rk4_equivocal(validate_params(mu, 0.5), xi, yi, ui, h)
+            want = rk4_step(closure, xi, yi, h)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (xi, yi, ui, mu, h)
 
     @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
     def test_warm_start_matches_the_ladder_only_march(self, which, request, march_runs):
