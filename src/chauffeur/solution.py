@@ -13,13 +13,13 @@ is symmetric about the y axis).  The construction, in build order:
   stops where the retrograde tangent turns back toward the capture circle
   (the local x-extremum of the arc), found by bisecting ``dx/dtau`` on the
   closed form.  Two interior times matter along the way: the arc exits the
-  unit turn disc centred at (1, 0) at tau = l/mu, which is the focal time
-  where the whole primary family converges (the primary region closes
+  unit turn disc centred at (1, 0) at exactly tau = l/mu, which is the focal
+  time where the whole primary family converges (the primary region closes
   there), and the recorded endpoint anchors the equivocal curve.
 * primary fan: the same retrograde family for ``phi`` in ``(0, phi_bar)``,
-  run to the shared focal time.  The heading turns at the pursuer's own
-  rate, ``psi = c + u tau`` with ``(c, u) = (phi, +1)``, so every sample is
-  exact: with ``z = (x - u) + i y``,
+  run to the focal time on one shared tau grid.  The heading turns at the
+  pursuer's own rate, ``psi = c + u tau`` with ``(c, u) = (phi, +1)``, so
+  every sample is exact: with ``z = (x - u) + i y``,
   ``z(tau) = exp(-i u tau) (z0 - i mu tau exp(-i c))``.
 * equivocal curve: marched retrograde from the barrier endpoint with the
   evader in pure pursuit of the origin, ``(sin psi, cos psi) = -(x, y)/r``,
@@ -43,12 +43,14 @@ is symmetric about the y axis).  The construction, in build order:
   equivocal or arc); the axis segment is the mirror line, never crossed.
 
 Values: tributary points, both universal lines and the dispersal line are
-closed form (turn alignment plus straight chase); pocket and petal points
-interpolate time-to-go along the nearest characteristic.  The tributary
+closed form (turn alignment plus straight chase).  Primary values and
+headings are exact, from the inverted closed form (:func:`primary_inverse`);
+pocket points follow the nearest secondary sample's headings.  The tributary
 formula is also the departure cost on the pocket wall, which makes the
 value continuous across the equivocal curve while it jumps across the
 barrier (the pocket is worth more to the evader than the wrapped tributary
-field just outside).
+field just outside).  The wall band and the wall distance read the wall's
+vertices sorted by x (:class:`_SortedVertices`).
 """
 
 from __future__ import annotations
@@ -149,25 +151,18 @@ def turn_alignment(x: float, y: float) -> tuple[float, float] | None:
     s0 = math.sqrt(max(r2 - 1.0, 0.0))
     delta = math.atan2(y, cx)
     half = math.acos(max(-1.0, min(1.0, -1.0 / r)))
-    if s0 > 1e-6:
-        # r sin(half) = s0, so the target's along-ray coordinate is +s0 at
-        # this root and -s0 at the other: this root is the one ahead.
-        t = (-delta + half) % TWO_PI
-        # Exact alignments at t ~ 2*pi are t ~ 0 cases hit from below.
-        return (0.0 if t > TWO_PI - 1e-9 else t), s0
-    # Near the turn circle both roots are within rounding of ahead.
-    best = None
-    for t in ((-delta + half) % TWO_PI, (-delta - half) % TWO_PI):
-        ahead = cx * math.sin(t) + y * math.cos(t)
-        if ahead >= -1e-9:
-            # Exact alignments at t ~ 2*pi are t ~ 0 cases hit from below.
-            if t > TWO_PI - 1e-9:
-                t = 0.0
-            if best is None or t < best:
-                best = t
-    if best is None:  # not reachable: one root is always ahead
-        return None
-    return best, s0
+    # r sin(half) = s0, so the target's along-ray coordinate is +s0 at this
+    # root and -s0 at the other: this root is the one ahead.
+    t = (-delta + half) % TWO_PI
+    # Exact alignments at t ~ 2*pi are t ~ 0 cases hit from below.
+    t = 0.0 if t > TWO_PI - 1e-9 else t
+    if s0 <= 1e-6:
+        # Near the turn circle the other root is within rounding of ahead
+        # too, and the earlier of the two is taken.
+        other = (-delta - half) % TWO_PI
+        if cx * math.sin(other) + y * math.cos(other) >= -1e-9:
+            t = min(t, 0.0 if other > TWO_PI - 1e-9 else other)
+    return t, s0
 
 
 def dubins_cs_turn_time(
@@ -308,22 +303,6 @@ def compute_barrier(
     return SampledCurve(kind="barrier", points=np.stack([x, y], axis=1), tau=np.array(ts))
 
 
-def focal_time(p: GameParams, barrier: SampledCurve) -> float:
-    """Time at which the barrier exits the unit turn disc centred at (1, 0).
-
-    The whole primary family converges to the barrier point at this time, so
-    it bounds the primary region; detected by scanning the sampled arc.
-    """
-    r2 = (barrier.points[:, 0] - 1.0) ** 2 + barrier.points[:, 1] ** 2 - 1.0
-    idx = np.nonzero(r2 >= 0.0)[0]
-    idx = idx[idx > 0]
-    if len(idx) == 0:
-        return float(barrier.tau[-1])
-    k = int(idx[0])
-    w = r2[k - 1] / (r2[k - 1] - r2[k])
-    return float(barrier.tau[k - 1] + w * (barrier.tau[k] - barrier.tau[k - 1]))
-
-
 def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
     """Exact retrograde flow of a whole fan of characteristics at once.
 
@@ -377,36 +356,85 @@ def compute_primary_fan(
 ) -> CharacteristicField:
     """Retrograde characteristics from usable-part angles phi in (0, phi_bar).
 
-    All members share the focal time at which the family converges onto one
-    point of the barrier.  Under ``(u, psi) = (+1, phi + tau)`` each member
-    has the closed form of :func:`_integrate_fan` with phase ``c = phi``,
-    evaluated on ``n_steps + 1`` evenly spaced times up to the focal time,
-    or up to ``tau_end`` when given (it must be finite; ``d_tau`` must lie in
-    (0, 0.01)).
+    All members share the focal time ``l/mu`` at which the family converges
+    onto one point of the barrier.  Under ``(u, psi) = (+1, phi + tau)``
+    each member has the closed form of :func:`_integrate_fan` with phase
+    ``c = phi``, evaluated on one read-only grid of ``n_steps + 1`` evenly
+    spaced times up to the focal time, or up to ``tau_end`` when given (it
+    must be finite; ``d_tau`` must lie in (0, 0.01)).
     """
     if n_phi < 2:
         raise ValueError("n_phi must be at least 2")
     _check_step(d_tau, tau_end=tau_end)
     phi_bar = bup_angle(p)
     if tau_end is None:
-        barrier = compute_barrier(p, d_tau=d_tau)
-        tau_end = focal_time(p, barrier)
+        tau_end = p.l / p.mu
     phis = np.linspace(phi_bar / n_phi, phi_bar, n_phi)
     n_steps = max(2, int(round(tau_end / d_tau)))
     taus = np.linspace(0.0, tau_end, n_steps + 1)
+    taus.flags.writeable = False
     pts, _ = _integrate_fan(p.l * np.sin(phis), p.l * np.cos(phis), 1.0, phis, p.mu, taus)
 
     chars = [
-        Characteristic(
-            points=pts[i],
-            tau=taus.copy(),
-            terminal="usable_part",
-            anchor_value=0.0,
-            phi=float(phis[i]),
-        )
-        for i in range(n_phi)
+        Characteristic(points=pts[i], tau=taus, terminal="usable_part", anchor_value=0.0, phi=phi)
+        for i, phi in enumerate(phis.tolist())
     ]
     return CharacteristicField(family="primary", terminal_label="usable part", trajectories=chars)
+
+
+class PrimaryRootError(RuntimeError):
+    """No primary characteristic passes through the state before the focal time."""
+
+
+# A state at most this far beyond the barrier gets the barrier's own
+# characteristic: the petal's barrier chords lie up to about 1e-7 outside it.
+_FOLD_GAP = 1e-5
+
+
+def primary_inverse(p: GameParams, x: float, y: float) -> tuple[float, float]:
+    """(phi, tau) of the primary characteristic through (x, y), x >= 0.
+
+    With ``w = (x - 1) + i y`` and ``q = w exp(i tau) + 1``, the member from
+    usable-part angle phi passes through (x, y) at tau iff ``q = i (l - mu
+    tau) exp(-i phi)``: tau is a root of ``f = |q|^2 - (l - mu tau)^2`` and
+    ``phi = atan2(Re q, Im q)``.  The first root on [0, l/mu] is taken: from
+    ``f(0) > 0`` each step goes to the first zero of the parabola through
+    ``f`` and ``f'`` whose curvature is the bound ``f'' >= -2 (|w| + mu^2)``,
+    so no step passes a root.  At a root ``f' = 2 (l - mu tau)(mu - cos
+    phi)``, so ``f`` turning upward first means the state lies beyond the
+    family's fold, the barrier: at most ``_FOLD_GAP`` beyond, it gets
+    ``phi_bar`` and the tau of the minimum of ``f``.  Otherwise, and with no
+    root by l/mu, :class:`PrimaryRootError` is raised.
+    """
+    l, mu, wx, wy = p.l, p.mu, x - 1.0, y
+    bound = math.hypot(wx, wy) + mu * mu
+
+    def at(t):  # q, l - mu t, f and f'
+        c, s = math.cos(t), math.sin(t)
+        qx, qy = wx * c - wy * s + 1.0, wx * s + wy * c
+        g = l - mu * t
+        return qx, qy, g, qx * qx + qy * qy - g * g, 2.0 * (mu * g - qy)
+
+    t_prev = t = 0.0
+    while t <= l / mu:
+        qx, qy, g, f, d = at(t)
+        if f <= 0.0:
+            return math.atan2(qx, qy), t
+        if d >= 0.0:
+            lo, hi = t_prev, t  # f' changes sign in between: bisect for the minimum
+            for _ in range(60):
+                t = 0.5 * (lo + hi)
+                qx, qy, g, f, d = at(t)
+                lo, hi = (t, hi) if d < 0.0 else (lo, t)
+            gap = math.hypot(qx, qy) - g
+            if gap > _FOLD_GAP:
+                raise PrimaryRootError(f"({x!r}, {y!r}) lies {gap:.3g} beyond the barrier")
+            return bup_angle(p), t
+        step = 2.0 * f / (math.sqrt(d * d + 4.0 * bound * f) - d)
+        if step <= 2e-16 * t:  # converged onto the root from below
+            return math.atan2(qx, qy), t
+        t_prev, t = t, t + step
+    raise PrimaryRootError(f"no primary characteristic reaches ({x!r}, {y!r}) by tau = l/mu")
 
 
 # ---------------------------------------------------------------------------
@@ -974,18 +1002,6 @@ class _CurveIndex:
             out.append((int(self.owner[k2]), int(self.local[k2]), math.sqrt(best2)))
         return out
 
-    def distance_within(self, x: float, y: float, radius: float) -> float | None:
-        """Distance to the nearest sample if within ~radius, else None.
-
-        Only inspects the ring-2 box (three row slices), so ``radius`` must
-        not exceed the bucket cell size.
-        """
-        parts = self._slices(x, y, 2)
-        if not parts:
-            return None
-        best = math.sqrt(min(float(self._d2(a, b, x, y).min()) for a, b in parts))
-        return best if best <= radius else None
-
 
 def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray):
     """Project (x, y) onto the polyline around sample j.
@@ -1106,26 +1122,29 @@ class _Polygon:
 
 
 @dataclass(frozen=True, eq=False)
-class _DeadBand:
-    """Samples of a curve sorted by x, for the exact test whether one lies
-    closer than ``SIDE_DEADBAND`` to a point.  ``bbox`` is the samples'
-    extent padded by ``SIDE_DEADBAND``."""
+class _SortedVertices:
+    """Vertices sorted by x, as lists for bisection and as arrays.  Every
+    vertex within ``r`` of (x, y) lies in the slice with x in ``[x - 2r,
+    x + 2r]``, so both queries answer as a scan over every vertex would, bit
+    for bit.  ``bbox`` is the vertices' extent padded by ``SIDE_DEADBAND``."""
 
     xs: list
     ys: list
     bbox: tuple
+    ax: np.ndarray
+    ay: np.ndarray
 
     @classmethod
-    def of(cls, pts: np.ndarray) -> "_DeadBand":
+    def of(cls, pts: np.ndarray) -> "_SortedVertices":
         order = np.argsort(pts[:, 0], kind="stable")
+        ax, ay = pts[order, 0], pts[order, 1]
         lo, hi = pts.min(axis=0) - SIDE_DEADBAND, pts.max(axis=0) + SIDE_DEADBAND
         bbox = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-        return cls(pts[order, 0].tolist(), pts[order, 1].tolist(), bbox)
+        return cls(ax.tolist(), ay.tolist(), bbox, ax, ay)
 
     def hit(self, x: float, y: float) -> bool:
-        """True when some sample lies closer than ``SIDE_DEADBAND``; only
-        points in ``bbox`` and samples within twice that in x can, and
-        bisection finds them."""
+        """True when some vertex lies closer than ``SIDE_DEADBAND`` (the
+        equivocal dead band); only points in ``bbox`` can have one."""
         bx = self.bbox
         if not (bx[0] <= x <= bx[1] and bx[2] <= y <= bx[3]):
             return False
@@ -1137,10 +1156,24 @@ class _DeadBand:
                 return True
         return False
 
+    def nearest_within(self, x: float, y: float, r: float) -> float | None:
+        """Distance to the nearest vertex if it is at most ``r``, else None,
+        by a scan's numpy expression over the slice."""
+        a = bisect_left(self.xs, x - 2.0 * r)
+        b = bisect_right(self.xs, x + 2.0 * r, a)
+        if a == b:
+            return None
+        d = math.sqrt(float(((self.ax[a:b] - x) ** 2 + (self.ay[a:b] - y) ** 2).min()))
+        return d if d <= r else None
+
 
 # ---------------------------------------------------------------------------
 # the assembled geometry
 # ---------------------------------------------------------------------------
+
+
+# Time step of the pocket value's dive along the secondary headings.
+_DIVE_STEP = 4e-3
 
 
 @dataclass(frozen=True)
@@ -1158,10 +1191,9 @@ class SolutionGeometry:
     tau_focal: float
     _pocket: _Polygon = field(repr=False, default=None)
     _petal: _Polygon = field(repr=False, default=None)
-    _primary_index: _CurveIndex = field(repr=False, default=None)  # see _primary_lookup
     _secondary_index: _CurveIndex = field(repr=False, default=None)
-    _equivocal_band: _DeadBand = field(repr=False, default=None)
-    _wall_index: _CurveIndex = field(repr=False, default=None)
+    _equivocal_band: _SortedVertices = field(repr=False, default=None)
+    _wall: _SortedVertices = field(repr=False, default=None)
 
     # -- region tests --------------------------------------------------------
 
@@ -1172,9 +1204,6 @@ class SolutionGeometry:
     def pocket_contains(self, x: float, y: float) -> bool:
         """True inside the pocket bounded by barrier, equivocal curve, axis and circle."""
         return self._pocket.contains(abs(x), y)
-
-    def petal_contains(self, x: float, y: float) -> bool:
-        return self._petal.contains(abs(x), y)
 
     def wall_crossing(
         self, x0: float, y0: float, x1: float, y1: float, inside: bool
@@ -1216,7 +1245,7 @@ class SolutionGeometry:
 
         A state within ``SIDE_DEADBAND`` of an equivocal sample is tagged
         equivocal; the samples are kept sorted by x, so bisection finds the
-        few that can be that close (see ``_DeadBand``).  Pocket and petal
+        few that can be that close (see ``_SortedVertices``).  Pocket and petal
         membership then look up the one slab of edges at the state's y (see
         ``_Polygon``).  Both tests are exact: they answer as a scan over
         every sample or edge would.
@@ -1239,53 +1268,27 @@ class SolutionGeometry:
             return UNIVERSAL_NEGATIVE
         if self._equivocal_band.hit(x, y):
             return EQUIVOCAL
-        bx = self._pocket.bbox
-        near_box = (
-            bx[0] - wall_band <= x <= bx[1] + wall_band
-            and bx[2] - wall_band <= y <= bx[3] + wall_band
-        )
-        if near_box:
-            if self.pocket_contains(x, y):
-                return SECONDARY
-            if wall_band > 0.0:
-                d_wall = self._wall_index.distance_within(x, y, min(wall_band, 0.06))
-                if d_wall is not None:
-                    # On-wall states belong to the pocket's closure.
-                    return SECONDARY
-        if self.petal_contains(x, y):
+        bx, wb = self._pocket.bbox, wall_band
+        if bx[0] - wb <= x <= bx[1] + wb and bx[2] - wb <= y <= bx[3] + wb and (
+            self.pocket_contains(x, y)
+            # On-wall states belong to the pocket's closure.
+            or wb > 0.0 and self._wall.nearest_within(x, y, min(wb, 0.06)) is not None
+        ):
+            return SECONDARY
+        if self._petal.contains(x, y):
             return PRIMARY
         return TRIBUTARY
 
     def wall_distance(self, x: float, y: float) -> float:
         """Distance to the nearest barrier or equivocal vertex of the pocket
         polygon, so accurate to the construction step (about 1e-3)."""
-        if x < 0.0:
-            x = -x
-        d = self._wall_index.distance_within(x, y, 0.08)
-        if d is not None:
-            return d
-        ix = self._wall_index
-        return math.sqrt(float(((ix.sx - x) ** 2 + (ix.sy - y) ** 2).min()))
+        return self._wall.nearest_within(abs(x), y, math.inf)
 
     # -- characteristic queries ----------------------------------------------
 
-    def _primary_lookup(self) -> _CurveIndex:
-        """The primary fan's sample index, built on first use: it holds more
-        samples than the other indices together, and most uses of a
-        geometry never query the primary region.  Two threads may both
-        build it; the indices are equal, so either may be kept."""
-        index = self._primary_index
-        if index is None:
-            index = _CurveIndex([ch.points for ch in self.primary_fan.trajectories])
-            object.__setattr__(self, "_primary_index", index)
-        return index
-
     def primary_data(self, x: float, y: float) -> tuple[float, float]:
-        """(phi, tau) of the primary characteristic sample nearest to (x, y)."""
-        ci, j = self._primary_lookup().nearest(x, y)
-        ch = self.primary_fan.trajectories[ci]
-        _, tau = _project(ch.points, j, x, y, ch.tau)
-        return ch.phi, tau
+        """(phi, tau) of the primary characteristic through (x, y), x >= 0."""
+        return primary_inverse(self.params, x, y)
 
     def secondary_data(self, x: float, y: float) -> tuple[Characteristic, float]:
         """(characteristic, local tau) for the nearest secondary sample."""
@@ -1309,9 +1312,8 @@ class SolutionGeometry:
         if not math.hypot(s.x, s.y) < math.inf:
             raise ValueError(f"no value at the non-finite state {s!r}")
         p = self.params
-        region = self.classify(s)
+        tag = self.classify(s).tag
         x, y = abs(s.x), s.y
-        tag = region.tag
         if tag == CAPTURED:
             return 0.0
         if tag == UNIVERSAL_POSITIVE:
@@ -1324,11 +1326,9 @@ class SolutionGeometry:
                 raise RuntimeError(f"turn alignment unexpectedly missing at ({x}, {y})")
             return v
         if tag == PRIMARY:
-            _, tau = self.primary_data(x, y)
-            return tau
+            return self.primary_data(x, y)[1]
         if tag == EQUIVOCAL:
-            v, _ = self.equivocal_data(x, y)
-            return v
+            return self.equivocal_data(x, y)[0]
         return self._secondary_value(x, y)
 
     def _secondary_chain_value(self, x: float, y: float) -> float:
@@ -1344,7 +1344,7 @@ class SolutionGeometry:
             den += w
         return num / den
 
-    def _secondary_value(self, x: float, y: float, h: float = 4e-3) -> float:
+    def _secondary_value(self, x: float, y: float) -> float:
         """Pocket value: ride the hard-left field to the wall, then price the
         departure in closed form.
 
@@ -1353,27 +1353,26 @@ class SolutionGeometry:
         spreads, near the curve's descent), so the value integrates the dive
         itself: evader headings from the nearest characteristic, u = -1,
         until the trajectory leaves the pocket or merges on the rear line.
-        Each step of ``h`` holds the heading and takes the exact held-control
-        flow (``held_step``).
+        Each step of ``_DIVE_STEP`` holds the heading and takes the exact
+        held-control flow (``held_step``).
         """
         p = self.params
         mu = p.mu
         t = 0.0
-        guard = int(10.0 / h)
-        for _ in range(guard):
+        for _ in range(int(10.0 / _DIVE_STEP)):
             if x <= 1e-9:
                 break
             psi = secondary_heading(*self.secondary_data(x, y))
-            xn, yn = held_step(x, y, -1.0, psi, mu, h)
+            xn, yn = held_step(x, y, -1.0, psi, mu, _DIVE_STEP)
             if not self.pocket_contains(xn, yn):
                 # Locate the wall crossing and price the tributary departure.
                 w, cx, cy, _ = self.wall_crossing(x, y, xn, yn, True)
                 dep = _tributary_value_raw(p, max(cx, 0.0), cy)
                 if dep is None:
                     return self._secondary_chain_value(x, y)
-                return t + w * h + dep
+                return t + w * _DIVE_STEP + dep
             x, y = xn, yn
-            t += h
+            t += _DIVE_STEP
         # Reached the rear line (or the guard): continue along the rear
         # chain; x <= 0 with y above the contact merges the negative
         # universal line, below it the mirror turn takes over.
@@ -1432,7 +1431,9 @@ def _build_polygons(
 def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeometry:
     """Construct the full solution geometry for ``p``."""
     barrier = compute_barrier(p, d_tau=d_tau)
-    tau_focal = focal_time(p, barrier)
+    # On the barrier |(x - 1) + i y|^2 - 1 = (l - mu tau)(l - mu tau - 2 sin(phi_bar)),
+    # whose other root is negative: the barrier leaves the turn disc at l/mu.
+    tau_focal = p.l / p.mu
     fan = compute_primary_fan(p, n_phi=n_phi, d_tau=d_tau, tau_end=tau_focal)
     secondary, equivocal = compute_secondary_fan_and_equivocal(p, barrier=barrier, d_tau=d_tau)
     phi_bar = bup_angle(p)
@@ -1451,10 +1452,8 @@ def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeome
         _pocket=pocket,
         _petal=petal,
         _secondary_index=_CurveIndex([ch.points for ch in secondary.trajectories]),
-        _equivocal_band=_DeadBand.of(equivocal.points),
-        # Nearest-vertex index over the pocket polygon's wall vertices, for
-        # the wall band and wall distances.
-        _wall_index=_CurveIndex([barrier.points, equivocal.points]),
+        _equivocal_band=_SortedVertices.of(equivocal.points),
+        _wall=_SortedVertices.of(np.concatenate([barrier.points, equivocal.points])),
     )
 
 

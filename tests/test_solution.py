@@ -13,20 +13,25 @@ from chauffeur import solution
 from chauffeur.core import RelState, rel_rhs, validate_params
 from chauffeur.sim import Scenario, run_closed_loop
 from chauffeur.solution import (
+    CAPTURED,
+    DISPERSAL,
     EQUIVOCAL,
     GEOMETRY_CSV_HEADER,
     PRIMARY,
     SECONDARY,
     SIDE_DEADBAND,
     TRIBUTARY,
+    UNIVERSAL_NEGATIVE,
+    UNIVERSAL_POSITIVE,
     NearestSampleError,
+    PrimaryRootError,
     _CurveIndex,
-    _DeadBand,
     _fan_xy,
     _march_equivocal,
     _Polygon,
     _project,
     _rk4_equivocal,
+    _SortedVertices,
     _tributary_value_raw,
     bup_angle,
     bup_point,
@@ -34,11 +39,11 @@ from chauffeur.solution import (
     compute_primary_fan,
     compute_secondary_fan_and_equivocal,
     dubins_cs_turn_time,
-    focal_time,
+    primary_inverse,
     solve,
     turn_alignment,
 )
-from chauffeur.strategy import EvaderPolicy
+from chauffeur.strategy import EvaderPolicy, feedback_pair
 from rk4_kernel import rk4_step
 
 
@@ -131,11 +136,21 @@ class TestBarrier:
         tm = b.tau[-10]
         assert _primary_retro(params_03, xm, ym, tm, phi)[0] > 0.0
 
-    def test_focal_time_matches_turn_disc_exit(self, params_03, geom_03):
-        # The primary family collapses onto the barrier where it leaves the
-        # unit disc centred at (1, 0); at default parameters that is l/mu.
-        tf = focal_time(params_03, geom_03.barrier)
-        assert abs(tf - params_03.l / params_03.mu) < 1e-6
+    @pytest.mark.parametrize("which", ["03", "02"])
+    def test_leaves_the_turn_disc_at_l_over_mu(self, which, request):
+        # On the barrier |(x - 1) + i y|^2 - 1 = (l - mu tau)(l - mu tau -
+        # 2 sqrt(1 - mu^2)), negative before l/mu and positive after it: the
+        # primary family collapses onto the barrier there, and solve() takes
+        # it as the focal time.  Checked on the independent RK4 oracle.
+        p = request.getfixturevalue(f"params_{which}")
+        tf = p.l / p.mu
+        assert request.getfixturevalue(f"geom_{which}").tau_focal == tf
+        root = math.sqrt(1.0 - p.mu * p.mu)
+        for tau in (0.3 * tf, tf - 1e-6, tf + 1e-6, 1.3 * tf):
+            x, y = _oracle_barrier_point(p, tau, int(round(tau / 1e-4)))
+            g = p.l - p.mu * tau
+            assert abs((x - 1.0) ** 2 + y * y - 1.0 - g * (g - 2.0 * root)) < 1e-11, tau
+            assert ((x - 1.0) ** 2 + y * y < 1.0) == (tau < tf), tau
 
     def test_tau_max_caps_the_arc(self, params_03):
         b = compute_barrier(params_03, d_tau=1e-3, tau_max=0.25)
@@ -265,6 +280,139 @@ class TestPrimaryFan:
         tr = run_closed_loop(sc, geom_03, geom_03)
         assert tr.capture_time is not None
         assert abs(tr.capture_time - tau_here) < 1e-3
+
+    def test_members_share_one_read_only_tau_grid(self, params_03):
+        fan = compute_primary_fan(params_03, n_phi=8, d_tau=4e-3)
+        tau = fan.trajectories[0].tau
+        assert all(ch.tau is tau for ch in fan.trajectories)
+        assert not tau.flags.writeable
+        assert tau[-1] == params_03.l / params_03.mu
+
+
+def _primary_gap(p, x, y, tau):
+    """|q| - (l - mu tau) with q = ((x - 1) + i y) exp(i tau) + 1, on numpy
+    arrays: zero where a primary member reaches (x, y) at tau."""
+    q = ((x - 1.0) + 1j * y) * np.exp(1j * tau) + 1.0
+    return np.abs(q) - (p.l - p.mu * tau)
+
+
+def _petal_points(geom, rng, n):
+    """Seeded Primary-tagged points: uniform over the petal's box, and as
+    many again within 1e-8 to 1e-4 of a petal edge, either side."""
+    bx, pts = geom._petal.bbox, geom._petal.pts
+    uniform, walls = [], []
+    while len(uniform) < n:
+        x, y = float(rng.uniform(bx[0], bx[1])), float(rng.uniform(bx[2], bx[3]))
+        if geom.classify(RelState(x, y)).tag == PRIMARY:
+            uniform.append((x, y))
+    while len(walls) < n:
+        e = int(rng.integers(0, len(pts)))
+        a, b = pts[e], pts[(e + 1) % len(pts)]
+        v = b - a
+        normal = np.array([-v[1], v[0]]) / np.hypot(*v)
+        off = 10.0 ** rng.uniform(-8.0, -4.0) * rng.choice([-1.0, 1.0])
+        x, y = (a + rng.uniform() * v + off * normal).tolist()
+        if geom.classify(RelState(x, y)).tag == PRIMARY:
+            walls.append((x, y))
+    return uniform, walls
+
+
+class TestPrimaryInverse:
+    @pytest.mark.parametrize("pair", [(0.3, 0.5), (0.2, 0.5), (0.4, 0.5), (0.35, 0.7)])
+    def test_round_trip_on_fan_samples(self, pair):
+        # Every 3rd member, every 7th sample and the last two before the
+        # focal one.  The phi_bar member (the barrier, where the family
+        # folds and f has a double root) and the focal sample (q = 0, phi
+        # undefined) are left out.
+        p = validate_params(*pair)
+        fan = compute_primary_fan(p)
+        worst = 0.0
+        for ch in fan.trajectories[:-1:3]:
+            n = len(ch.tau)
+            for k in [*range(0, n - 1, 7), n - 3, n - 2]:
+                x, y = ch.points[k].tolist()
+                phi, tau = primary_inverse(p, x, y)
+                worst = max(worst, abs(phi - ch.phi), abs(tau - ch.tau[k]))
+        assert worst < 1e-9
+
+    @pytest.mark.parametrize("which", ["03", "02"])
+    def test_every_seeded_primary_point_has_the_first_root(self, which, request, rng):
+        # A dense scan over [0, tau) finds no earlier member through the
+        # point; at tau one passes within 1e-12, or within 1e-6 at the fold
+        # for points just outside the barrier's arc (the petal's chords);
+        # phi lies in [0, phi_bar] and value() is tau.
+        geom = request.getfixturevalue(f"geom_{which}")
+        p = geom.params
+        uniform, walls = _petal_points(geom, rng, 1000)
+        grid = np.linspace(0.0, p.l / p.mu, 4001)
+        folds = 0
+        for x, y in uniform + walls:
+            phi, tau = primary_inverse(p, x, y)
+            assert 0.0 <= phi <= geom.phi_bar and 0.0 <= tau <= p.l / p.mu, (x, y)
+            gap = abs(_primary_gap(p, x, y, np.array([tau]))[0])
+            assert gap < (1e-6 if phi == geom.phi_bar else 1e-12), (x, y)
+            folds += phi == geom.phi_bar
+            assert (_primary_gap(p, x, y, grid[grid < tau - 1e-4]) > 0.0).all(), (x, y)
+            assert geom.value(RelState(x, y)) == tau
+            assert geom.value(RelState(-x, y)) == tau
+        assert 0 < folds < 50
+
+    @pytest.mark.parametrize("which", ["03", "02"])
+    def test_fold_and_no_root(self, which, request):
+        # Barrier samples pushed 1e-3 off the barrier along its normal: on
+        # the petal side the first root is a member with phi < phi_bar, on
+        # the far side there is none and the named error is raised.  At
+        # 1e-7 (the petal polygon's chords lie that close to the arc) the
+        # far side gets the barrier's own (phi_bar, tau).
+        geom = request.getfixturevalue(f"geom_{which}")
+        p, b = geom.params, geom.barrier
+        for k in range(100, int(np.searchsorted(b.tau, geom.tau_focal)) - 100, 97):
+            (x0, y0), (x1, y1) = b.points[k - 1], b.points[k + 1]
+            n = np.array([y1 - y0, x0 - x1]) / math.hypot(x1 - x0, y1 - y0)
+            sides = [b.points[k] + s * 1e-3 * n for s in (1.0, -1.0)]
+            found = []
+            for x, y in sides:
+                try:
+                    found.append(primary_inverse(p, float(x), float(y)))
+                except PrimaryRootError as err:
+                    assert "beyond the barrier" in str(err)
+                    found.append(None)
+            assert found.count(None) == 1, k
+            far = found.index(None)
+            assert found[1 - far][0] < geom.phi_bar
+            x, y = (b.points[k] + (1.0 - 2.0 * far) * 1e-7 * n).tolist()
+            phi, tau = primary_inverse(p, x, y)
+            assert phi == geom.phi_bar and abs(tau - b.tau[k]) < 1e-4, k
+
+    @pytest.mark.parametrize("which", ["03", "02"])
+    def test_value_is_the_closed_loop_capture_time(self, which, request, rng):
+        # Independent of the inverse: equilibrium play from seeded Primary
+        # points at dt = 1e-3 is captured at value() to within 1e-5 (a
+        # nearest-sample lookup is off by up to about 1e-2 here).
+        geom = request.getfixturevalue(f"geom_{which}")
+        p = geom.params
+        for x, y in _petal_points(geom, rng, 20)[0]:
+            v = geom.value(RelState(x, y))
+            sc = Scenario(p, p, RelState(x, y), EvaderPolicy(kind="truthful"), dt=1e-3, t_max=v + 1.0)
+            assert abs(run_closed_loop(sc, geom, geom).capture_time - v) < 1e-5, (x, y)
+
+    def test_states_off_the_family_raise_by_name(self, params_03):
+        # Tributary and pocket states: no primary member passes through them.
+        assert issubclass(PrimaryRootError, RuntimeError)
+        for x, y in ((3.0, 2.0), (1.0, -2.5), (0.5, -0.3), (1.6, -0.6)):
+            with pytest.raises(PrimaryRootError):
+                primary_inverse(params_03, x, y)
+
+    def test_value_and_feedback_follow_the_member(self, geom_03):
+        # On a member the value is its tau and the heading phi + tau.
+        ch = geom_03.primary_fan.trajectories[60]
+        for k in (200, 900, 1500):
+            x, y = ch.points[k].tolist()
+            assert geom_03.classify(RelState(x, y)).tag == PRIMARY
+            assert abs(geom_03.value(RelState(x, y)) - ch.tau[k]) < 1e-12
+            u, psi, _ = feedback_pair(geom_03, RelState(x, y))
+            heading = math.remainder(ch.phi + ch.tau[k] - psi, 2.0 * math.pi)
+            assert u == 1.0 and abs(heading) < 1e-12
 
 
 _BAD_STEPS = (math.nan, math.inf, -math.inf, 0.0, -1e-3, 0.01)
@@ -500,6 +648,28 @@ class TestTributaryValue:
             shortcut += got is not None and got[1] > 1e-6
         # Both paths ran: the shortcut and the loop near the rim.
         assert 0 < shortcut < len(points) - 1000
+
+    def test_turn_aims_the_ray_through_targets_just_outside_the_turn_circle(self, rng):
+        # At r in (1, 1 + 1e-6] both roots are within rounding of ahead.  An
+        # alignment always comes back, and after turning for t at u = +1
+        # from (0, 0) heading +y the pursuer, at (1 - cos t, sin t) heading
+        # (sin t, cos t), has the target on its heading ray: across-ray
+        # offset zero, along-ray coordinate s0 >= 0.
+        n = 4000
+        theta = rng.uniform(-math.pi, math.pi, n)
+        r = 1.0 + 10.0 ** rng.uniform(-15.5, -6.0, n)
+        checked = 0
+        for x, y in zip((1.0 + r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist()):
+            if not 1.0 < (x - 1.0) ** 2 + y * y <= (1.0 + 1e-6) ** 2:
+                continue  # rounded onto or inside the circle
+            t, s0 = turn_alignment(x, y)
+            assert 0.0 <= t < 2.0 * math.pi
+            across = (x - 1.0) * math.cos(t) - y * math.sin(t) + 1.0
+            along = (x - 1.0) * math.sin(t) + y * math.cos(t)
+            assert abs(across) < 1e-12, (x, y)
+            assert along > -1e-9 and abs(along - s0) < 1e-7, (x, y)
+            checked += 1
+        assert checked > 3000
 
 
 class TestEquivocalCurve:
@@ -1081,6 +1251,59 @@ def test_wall_distance_is_the_nearest_wall_sample(geom_03, geom_02, rng):
         assert n_near > 50 and n_far > 50
 
 
+def test_wall_band_is_a_wall_vertex_within_the_band(geom_03, geom_02, rng):
+    # A state outside the pocket, the dead band and the axis band is tagged
+    # Secondary under a wall band iff some barrier or equivocal vertex lies
+    # within min(band, 0.06) of it, by a brute-force minimum over every
+    # vertex; at 0.06 and beyond the band is capped.
+    for geom in (geom_03, geom_02):
+        wall = np.concatenate([geom.barrier.points, geom.equivocal.points])
+        for band in (2e-3, 0.03, 0.06, 0.1):
+            hits = misses = 0
+            cap = min(band, 0.06)
+            queries = wall[rng.integers(0, len(wall), 300)] + rng.normal(0.0, cap, (300, 2))
+            for x, y in queries.tolist():
+                if geom.classify(RelState(x, y)).tag not in (PRIMARY, TRIBUTARY) or x <= band:
+                    continue
+                brute = math.sqrt(float(((wall[:, 0] - x) ** 2 + (wall[:, 1] - y) ** 2).min()))
+                tag = geom.classify(RelState(x, y), axis_band=band, wall_band=band).tag
+                assert (tag == SECONDARY) == (brute <= cap), (band, x, y)
+                hits += brute <= cap
+                misses += brute > cap
+            assert hits > 20 and misses > 20, band
+
+
+def _one_state_per_tag(geom):
+    """A state in x >= 0 for each region tag of ``geom``."""
+    l, y_es = geom.params.l, geom.y_es
+    ch = geom.primary_fan.trajectories[len(geom.primary_fan.trajectories) // 2]
+    eq = geom.equivocal.points[len(geom.equivocal.points) // 2]
+    return {
+        CAPTURED: (0.1, 0.1),
+        PRIMARY: tuple(ch.points[len(ch.tau) // 3].tolist()),
+        TRIBUTARY: (3.0, 2.0),
+        SECONDARY: (1.6, -0.6),
+        UNIVERSAL_POSITIVE: (0.0, 2.0),
+        UNIVERSAL_NEGATIVE: (0.0, 0.5 * (y_es - l)),
+        EQUIVOCAL: tuple(eq.tolist()),
+        DISPERSAL: (0.0, y_es - 1.0),
+    }
+
+
+def test_queries_leave_the_geometry_pickle_unchanged(params_03):
+    # A geometry handed to a sweep worker is the same bytes whatever was
+    # asked of it before: no query builds or caches anything on it.
+    geom = solve(params_03, n_phi=40, d_tau=4e-3)
+    before = pickle.dumps(geom)
+    for tag, (x, y) in _one_state_per_tag(geom).items():
+        for s in (RelState(x, y), RelState(-x, y)):
+            assert geom.classify(s).tag == tag
+            geom.value(s)
+            for band in (0.0, 0.05):
+                feedback_pair(geom, s, axis_band=max(band, SIDE_DEADBAND), wall_band=band)
+    assert pickle.dumps(geom) == before
+
+
 def _even_odd_scan(pts: np.ndarray, bbox: tuple, x: float, y: float) -> bool:
     """Pocket/petal membership as a numpy scan over every edge: the
     reference the slab index must reproduce bit for bit."""
@@ -1205,7 +1428,7 @@ class TestEquivocalDeadBand:
         # On the wall samples no query lands at exactly SIDE_DEADBAND (their
         # ulp is far coarser than its last bit); near the origin one does.
         pts = np.array([[0.0, 0.0], [3e-6, 0.0], [0.0, 5e-6], [0.0, -5e-6], [-2e-6, 1e-6]])
-        band = _DeadBand.of(pts)
+        band = _SortedVertices.of(pts)
         assert band.xs == sorted(pts[:, 0].tolist())
         for x, y, expected in [
             (SIDE_DEADBAND, 0.0, False),
@@ -1321,13 +1544,6 @@ class _RingRuleScan:
             out.append((int(self.owner[k2]), int(self.local[k2]), math.sqrt(d2[k2])))
         return out
 
-    def distance_within(self, x, y, radius):
-        box, d2 = self._ring(x, y, 2)
-        if not box.any():
-            return None
-        d = math.sqrt(float(d2.min()))
-        return d if d <= radius else None
-
 
 def _index_queries(idx, rng, n):
     """Seeded points in the samples' padded box, points near samples,
@@ -1343,60 +1559,19 @@ def _index_queries(idx, rng, n):
     return out
 
 
-def _geometry_indices(geom):
-    return {
-        "_primary_index": [ch.points for ch in geom.primary_fan.trajectories],
-        "_secondary_index": [ch.points for ch in geom.secondary_fan.trajectories],
-        "_wall_index": [geom.barrier.points, geom.equivocal.points],
-    }
-
-
 class TestCurveIndex:
     @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
     def test_matches_the_ring_rule_over_all_samples(self, which, request, rng):
         geom = request.getfixturevalue(which)
-        for name, curves in _geometry_indices(geom).items():
-            if name == "_primary_index":
-                idx = geom._primary_lookup()  # built on first use
-            else:
-                idx = getattr(geom, name)
-            ref = _RingRuleScan(curves)
-            hits = 0
-            for x, y in _index_queries(idx, rng, 50):
-                assert idx.nearest(x, y) == ref.nearest(x, y), (name, x, y)
-                assert repr(idx.nearest_two(x, y)) == repr(ref.nearest_two(x, y)), (name, x, y)
-                got = idx.distance_within(x, y, 0.08)
-                assert repr(got) == repr(ref.distance_within(x, y, 0.08)), (name, x, y)
-                hits += got is not None
-            assert hits > 100, name
-
-    def test_primary_index_is_built_on_first_use(self, rng):
-        geom = solve(validate_params(0.3, 0.5), n_phi=40, d_tau=4e-3)
-        assert geom._primary_index is None
-        cold = pickle.loads(pickle.dumps(geom))
-        fan = np.concatenate([ch.points for ch in geom.primary_fan.trajectories])
-        queries = [
-            (float(x), float(y))
-            for x, y in fan[rng.integers(0, len(fan), 60)] + rng.normal(0.0, 0.01, (60, 2))
-        ]
-        before = [geom.primary_data(x, y) for x, y in queries]
-        assert isinstance(geom._primary_index, _CurveIndex)
-        warm = pickle.loads(pickle.dumps(geom))
-        assert cold._primary_index is None and isinstance(warm._primary_index, _CurveIndex)
-        for g in (geom, cold, warm):
-            assert repr([g.primary_data(x, y) for x, y in queries]) == repr(before)
-        assert isinstance(cold._primary_index, _CurveIndex)
-        ref = _RingRuleScan([ch.points for ch in geom.primary_fan.trajectories])
-        assert [geom._primary_index.nearest(x, y) for x, y in queries] == [
-            ref.nearest(x, y) for x, y in queries
-        ]
-        tagged = [RelState(x, y) for x, y in queries if geom.classify(RelState(x, y)).tag == PRIMARY]
-        assert len(tagged) > 10
-        assert [repr(cold.value(s)) for s in tagged] == [repr(warm.value(s)) for s in tagged]
+        idx = geom._secondary_index
+        ref = _RingRuleScan([ch.points for ch in geom.secondary_fan.trajectories])
+        for x, y in _index_queries(idx, rng, 50):
+            assert idx.nearest(x, y) == ref.nearest(x, y), (x, y)
+            assert repr(idx.nearest_two(x, y)) == repr(ref.nearest_two(x, y)), (x, y)
 
     def test_stores_every_sample_once_in_bucket_order(self, geom_03):
         idx = geom_03._secondary_index
-        ref = _RingRuleScan(_geometry_indices(geom_03)["_secondary_index"])
+        ref = _RingRuleScan([ch.points for ch in geom_03.secondary_fan.trajectories])
         assert np.array_equal(idx.sx, ref.sx) and np.array_equal(idx.sy, ref.sy)
         assert np.array_equal(idx.owner, ref.owner) and np.array_equal(idx.local, ref.local)
         assert len(idx.keys) == len(set(idx.keys)) and idx.starts[-1] == len(idx.sx)
@@ -1408,7 +1583,6 @@ class TestCurveIndex:
         idx, ref = _CurveIndex(curves, cell=1.0), _RingRuleScan(curves, cell=1.0)
         assert idx.nearest(0.5, 0.5) == ref.nearest(0.5, 0.5) == (3, 0)
         assert idx.nearest_two(0.5, 0.5) == ref.nearest_two(0.5, 0.5) == [(3, 0, 1.25), (2, 0, 1.25)]
-        assert idx.distance_within(0.5, 0.5, 1.25) == 1.25
 
     def test_ring_cap_raises_a_named_error(self):
         # One short curve: a query 4.1 away along the diagonal has it in
@@ -1422,7 +1596,6 @@ class TestCurveIndex:
                     lookup(x, y)
         assert issubclass(NearestSampleError, RuntimeError)
         assert idx.nearest(3.0, 0.0) == (0, 1)
-        assert idx.distance_within(2.9, 2.9, 0.08) is None
 
 
 def _project_numpy(points, j, x, y, *series):
@@ -1478,14 +1651,32 @@ def test_project_matches_the_numpy_scalar_version(geom_03, geom_02, rng):
     assert clamped > 100 and interior > 1000
 
 
+class _ScanWall:
+    """Stand-in for the sorted wall vertices that scans every one."""
+
+    def __init__(self, geom):
+        self.pts, self.calls = np.concatenate([geom.barrier.points, geom.equivocal.points]), 0
+
+    def nearest_within(self, x, y, r):
+        self.calls += 1
+        d = math.sqrt(float(((self.pts[:, 0] - x) ** 2 + (self.pts[:, 1] - y) ** 2).min()))
+        return d if d <= r else None
+
+    def distance(self, x, y):
+        return self.nearest_within(x, y, math.inf)
+
+
 def test_values_and_reference_games_are_bitwise_equal_under_the_ring_rule_scan(
     params_03, params_02, geom_03, geom_02, rng
 ):
     # The same pocket values and reference runs, once on the slice index
-    # and once with every index replaced by the brute-force ring rule.
+    # and the sorted wall vertices, and once with the index replaced by the
+    # brute-force ring rule and the wall by a scan over every vertex.
     def scanned(geom):
         return dataclasses.replace(
-            geom, **{name: _RingRuleScan(curves) for name, curves in _geometry_indices(geom).items()}
+            geom,
+            _secondary_index=_RingRuleScan([ch.points for ch in geom.secondary_fan.trajectories]),
+            _wall=_ScanWall(geom),
         )
 
     scan_03, scan_02 = scanned(geom_03), scanned(geom_02)
@@ -1510,4 +1701,4 @@ def test_values_and_reference_games_are_bitwise_equal_under_the_ring_rule_scan(
         assert SECONDARY in fast.region
         for f in dataclasses.fields(fast):
             assert repr(getattr(fast, f.name)) == repr(getattr(slow, f.name)), f.name
-    assert scan_03._secondary_index.calls > 1000
+    assert scan_03._secondary_index.calls > 1000 and scan_03._wall.calls > 5
