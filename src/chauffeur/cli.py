@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .core import GameParams, RelState, validate_params
 from .deception import sweep as run_sweep
 from .sim import Scenario, run_closed_loop
-from .solution import EqualCostBracketError, get_geometry
+from .solution import EqualCostBracketError, NearestSampleError, PrimaryRootError, get_geometry
 from .strategy import EvaderPolicy
 
 EXIT_OK = 0
@@ -251,7 +251,7 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EqualCostBracketError as exc:
+    except (EqualCostBracketError, PrimaryRootError, NearestSampleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -694,12 +694,17 @@ class _BarrierCrossing:
     @staticmethod
     def raster(b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raster points of the segments ``b0 -> b1``, at most half a cell
-        apart and ends included, and the index of each point's segment."""
-        n = 2 + (np.hypot(*(b1 - b0).T) / (0.5 * _BARRIER_CELL)).astype(int)
-        pts = np.concatenate(
-            [a + np.linspace(0.0, 1.0, k)[:, None] * (b - a) for a, b, k in zip(b0, b1, n)]
-        )
-        return pts, np.repeat(np.arange(len(b0)), n)
+        apart and ends included, and the index of each point's segment.
+        Segment s gets ``n = 2 + floor(|b1 - b0| / (cell / 2))`` points at
+        the fractions ``np.linspace(0, 1, n)`` computes, ``i * (1 / (n -
+        1))`` with the last one exactly 1, all segments in one pass."""
+        d = b1 - b0
+        n = 2 + (np.hypot(*d.T) / (0.5 * _BARRIER_CELL)).astype(int)
+        owner = np.repeat(np.arange(len(b0)), n)
+        end = np.cumsum(n)
+        w = (np.arange(n.sum()) - np.repeat(end - n, n)) * (1.0 / (n - 1))[owner]
+        w[end - 1] = 1.0
+        return b0[owner] + w[:, None] * d[owner], owner
 
     @classmethod
     def of(cls, points: np.ndarray) -> "_BarrierCrossing":
@@ -817,9 +822,10 @@ def compute_secondary_fan_and_equivocal(
     enters the capture circle or crosses the thinned barrier; the barrier
     test is :class:`_BarrierCrossing`, whose per-cell candidate table sends
     a step segment only to the barrier segments listed in the cells where
-    its pieces start, at most a few of about 80.  ``d_tau`` must lie in
-    (0, 0.01) and ``tau_max`` must be finite; both are checked before any
-    work.
+    its pieces start, at most a few of about 80.  Each characteristic's
+    ``tau`` is a read-only view of the one grid ``k d_tau``, as in the
+    primary fan.  ``d_tau`` must lie in (0, 0.01) and ``tau_max`` must be
+    finite; both are checked before any work.
     """
     _check_step(d_tau, tau_max=tau_max)
     n_steps = int(round(tau_max / d_tau))
@@ -867,6 +873,7 @@ def compute_secondary_fan_and_equivocal(
         return (qx < 0.0) | (qx * qx + qy * qy < l2) | crosses_barrier(px, py, qx, qy)
 
     taus = np.arange(n_steps + 1) * d_tau
+    taus.flags.writeable = False
 
     def integrate_family(x0, y0, c, values, anchors, terminal):
         cube, ends = _integrate_fan(x0, y0, -1.0, c, mu, taus, stop)
@@ -874,7 +881,7 @@ def compute_secondary_fan_and_equivocal(
             chars.append(
                 Characteristic(
                     points=cube[i, :end],
-                    tau=taus[:end].copy(),
+                    tau=taus[:end],
                     terminal=terminal,
                     anchor_value=float(values[i]),
                     anchor=(float(anchors[i][0]), float(anchors[i][1])),
@@ -927,6 +934,10 @@ class _CurveIndex:
     end, so one row's buckets with columns ``j0..j1`` are one contiguous
     slice.  The ring-r box around a bucket is ``2r - 1`` row slices, and
     scanning them in row order visits its samples in sorted order.
+
+    :meth:`_scan` is the one search path: one loop over a ring's row
+    slices, one numpy distance pass per slice, and every scalar it keeps
+    read out as a Python float or int with ``.item()``.
     """
 
     def __init__(self, curves: list[np.ndarray], cell: float = 0.08):
@@ -947,59 +958,60 @@ class _CurveIndex:
         self.keys = sk[first].tolist()
         self.starts = first.tolist() + [len(sk)]
 
-    def _slices(self, x: float, y: float, ring: int) -> list[tuple[int, int]]:
-        """Non-empty (start, stop) row slices of the ring box around (x, y)."""
-        ci = math.floor(x / self.cell)
-        cj = math.floor(y / self.cell)
-        j0 = max(cj - ring + 1 - self.j_lo, 0)
-        j1 = min(cj + ring - 1 - self.j_lo, self.span - 1)
-        keys, starts, out = self.keys, self.starts, []
-        for i in range(ci - ring + 1, ci + ring):
-            lo = bisect_left(keys, i * self.span + j0)
-            hi = bisect_right(keys, i * self.span + j1, lo)
-            if lo < hi:
-                out.append((starts[lo], starts[hi]))
-        return out
-
-    def _d2(self, a: int, b: int, x: float, y: float) -> np.ndarray:
-        return (self.sx[a:b] - x) ** 2 + (self.sy[a:b] - y) ** 2
-
     def _scan(self, x: float, y: float) -> tuple[list, int, float]:
-        """([(start, squared distances)] per slice, sorted position, squared
-        distance) of the first minimum in the first accepted ring."""
+        """([(start, squared distances)] per non-empty row slice, sorted
+        position, squared distance) of the first minimum in the first
+        accepted ring.  Slices are taken in row order and a later slice
+        wins only with a strictly smaller distance, so the first minimum is
+        the one a single argmin over the ring's samples would give."""
+        cell, span, keys, starts, sx, sy = (
+            self.cell, self.span, self.keys, self.starts, self.sx, self.sy
+        )
+        ci = math.floor(x / cell)
+        cj = math.floor(y / cell) - self.j_lo
         for ring in range(1, 40):
-            parts = [(a, self._d2(a, b, x, y)) for a, b in self._slices(x, y, ring)]
-            k, best = -1, math.inf
-            for a, d2 in parts:
-                m = int(d2.argmin())
-                if d2[m] < best:
-                    k, best = a + m, float(d2[m])
+            j0 = max(cj - ring + 1, 0)
+            j1 = min(cj + ring - 1, span - 1)
+            parts, k, best = [], -1, math.inf
+            for row in range((ci - ring + 1) * span, (ci + ring) * span, span):
+                lo = bisect_left(keys, row + j0)
+                hi = bisect_right(keys, row + j1, lo)
+                if lo < hi:
+                    a, b = starts[lo], starts[hi]
+                    d2 = (sx[a:b] - x) ** 2 + (sy[a:b] - y) ** 2
+                    m = int(d2.argmin())
+                    d = d2.item(m)
+                    if d < best:
+                        k, best = a + m, d
+                    parts.append((a, d2))
             # A sample one ring farther out can still be closer; accept
             # once the ring radius exceeds the best distance found.  An
             # unscanned sample can lie within (ring - 1) * cell, so this is
             # not exact (test_nearest_sample_is_the_nearest).
-            if k >= 0 and math.sqrt(best) <= (ring - 0.5) * self.cell:
+            if k >= 0 and math.sqrt(best) <= (ring - 0.5) * cell:
                 return parts, k, best
         raise NearestSampleError(f"no sample within the ring-39 box of ({x}, {y})")
 
     def nearest(self, x: float, y: float) -> tuple[int, int]:
         """(curve id, local sample id) of the nearest stored sample."""
         _, k, _ = self._scan(x, y)
-        return int(self.owner[k]), int(self.local[k])
+        return self.owner.item(k), self.local.item(k)
 
     def nearest_two(self, x: float, y: float) -> list[tuple[int, int, float]]:
         """Up to two (curve id, sample id, distance) entries from distinct curves."""
         parts, k, best = self._scan(x, y)
-        own = self.owner[k]
-        out = [(int(own), int(self.local[k]), math.sqrt(best))]
+        owner, local = self.owner, self.local
+        own = owner.item(k)
+        out = [(own, local.item(k), math.sqrt(best))]
         k2, best2 = -1, math.inf
         for a, d2 in parts:
-            d2 = np.where(self.owner[a : a + len(d2)] != own, d2, np.inf)
+            d2 = np.where(owner[a : a + len(d2)] != own, d2, np.inf)
             m = int(d2.argmin())
-            if d2[m] < best2:
-                k2, best2 = a + m, float(d2[m])
+            d = d2.item(m)
+            if d < best2:
+                k2, best2 = a + m, d
         if k2 >= 0:
-            out.append((int(self.owner[k2]), int(self.local[k2]), math.sqrt(best2)))
+            out.append((owner.item(k2), local.item(k2), math.sqrt(best2)))
         return out
 
 
@@ -1008,7 +1020,9 @@ def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray
 
     Returns the distance to the foot followed by each of ``series`` (one
     value per sample) interpolated at the foot.  The window of up to three
-    samples is read once as Python floats.
+    samples is read once as Python floats, and each series is read only at
+    the two samples that bound the foot's segment (at sample j when the
+    foot is j itself), with ``.item()``.
     """
     x, y = float(x), float(y)
     lo = max(j - 1, 0)
@@ -1027,12 +1041,15 @@ def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray
         d2 = (px + t * vx - x) ** 2 + (py + t * vy - y) ** 2
         if d2 < best_d2:
             best_d2 = d2
-            best = (a, t)
-    vals = [s[lo : j + 2].tolist() for s in series]
+            best = (lo + a, t)
     if best is None:
-        return (math.sqrt(best_d2), *(v[j - lo] for v in vals))
+        return (math.sqrt(best_d2), *[s.item(j) for s in series])
     a, t = best
-    return (math.sqrt(best_d2), *(v[a] + t * (v[a + 1] - v[a]) for v in vals))
+    out = [math.sqrt(best_d2)]
+    for s in series:
+        v = s.item(a)
+        out.append(v + t * (s.item(a + 1) - v))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ import pytest
 from chauffeur.cli import (
     EXIT_CONFIG,
     EXIT_NO_CAPTURE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     RunConfig,
@@ -13,6 +14,7 @@ from chauffeur.cli import (
     main,
     parse_config,
 )
+from chauffeur.solution import EqualCostBracketError, NearestSampleError, PrimaryRootError
 
 REFERENCE_INI = """
 [game]
@@ -113,6 +115,18 @@ class TestExecute:
             rows = fh.read().strip().split("\n")
         assert len(rows) == 10  # header + 9 cells
         assert "cells=9" in out.getvalue()
+
+    @pytest.mark.parametrize("error", [EqualCostBracketError, PrimaryRootError, NearestSampleError])
+    def test_named_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        def fail(sc):
+            raise error("no root at (1.0, -0.5)")
+
+        monkeypatch.setattr("chauffeur.cli.run_closed_loop", fail)
+        cfg = parse_config(REFERENCE_INI, "simulate")
+        cfg.directory = str(tmp_path)
+        assert execute(cfg, out=io.StringIO()) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: no root at (1.0, -0.5)\n"
+        assert not list(tmp_path.glob("chauffeur_*"))
 
     def test_float_format_nine_significant_digits(self, tmp_path):
         cfg = parse_config(REFERENCE_INI, "simulate")

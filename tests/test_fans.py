@@ -1,10 +1,14 @@
 """Checks of the characteristic fans against independent re-integrations,
 of RK4's convergence to the fans' closed form, of the barrier test's
-candidate table, and of the geometry CSV bytes."""
+candidate table, of the secondary fan's tau grid, and of the geometry CSV
+bytes."""
 
 import csv
+import dataclasses
 import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,31 @@ class TestBarrierGridFilter:
         grid = tuple(v[:12000].reshape(60, 200) for v in args)
         assert np.array_equal(test(*grid), want[:12000].reshape(60, 200))
 
+    @staticmethod
+    def _linspace_raster(b0, b1):
+        """The raster built one ``np.linspace`` per segment."""
+        n = 2 + (np.hypot(*(b1 - b0).T) / (0.5 * _BARRIER_CELL)).astype(int)
+        pts = np.concatenate(
+            [a + np.linspace(0.0, 1.0, k)[:, None] * (b - a) for a, b, k in zip(b0, b1, n)]
+        )
+        return pts, np.repeat(np.arange(len(b0)), n)
+
+    def test_raster_matches_per_segment_linspace(self, geom_03, geom_02):
+        bsegs = [_thinned_barrier(g.barrier.points) for g in (geom_03, geom_02)]
+        # Zero-length, exactly half-cell, just-under-a-cell and long
+        # segments, reversed ones and a single point repeated.
+        bsegs.append(
+            np.array(
+                [[0.0, 0.0], [0.0, 0.0], [0.005, 0.0], [0.005, 0.00999], [-0.3, 0.2],
+                 [-0.3, 0.2], [-0.3, 0.2], [1.7, -0.45], [0.0, 0.0]]
+            )
+        )
+        for bseg in bsegs:
+            b0, b1 = bseg[:-1], bseg[1:]
+            pts, owner = _BarrierCrossing.raster(b0, b1)
+            want_pts, want_owner = self._linspace_raster(b0, b1)
+            assert np.array_equal(owner, want_owner)
+            assert pts.tobytes() == want_pts.tobytes()
 
     @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
     def test_table_lists_each_segment_around_its_raster(self, which, request):
@@ -276,6 +305,36 @@ class TestBarrierGridFilter:
             want = test.exact(*args)
             assert want.sum() > 0.2 * len(starts), name  # the set is not all misses
             assert np.array_equal(test(*args), want), name
+
+
+def _geometry_digest():
+    """The benchmark's sha256 over every array and scalar of a geometry."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import geometry_digest
+    finally:
+        sys.path.pop(0)
+    return geometry_digest
+
+
+def test_secondary_members_share_one_read_only_tau_grid(geom_03, geom_02):
+    for geom in (geom_03, geom_02):
+        chars = geom.secondary_fan.trajectories
+        grid = chars[0].tau.base
+        assert grid is not None and not grid.flags.writeable
+        longest = max(len(ch.tau) for ch in chars)
+        for ch in chars:
+            assert ch.tau.base is grid and not ch.tau.flags.writeable
+            assert np.shares_memory(ch.tau, grid) and ch.tau[0] == 0.0
+        # The same bytes as one copied prefix of k * d_tau per member.
+        grid_bits = np.arange(longest) * 1e-3
+        assert grid[:longest].tobytes() == grid_bits.tobytes()
+        copied = dataclasses.replace(
+            geom.secondary_fan,
+            trajectories=[dataclasses.replace(ch, tau=grid_bits[: len(ch.tau)].copy()) for ch in chars],
+        )
+        digest = _geometry_digest()
+        assert digest(geom) == digest(dataclasses.replace(geom, secondary_fan=copied))
 
 
 class TestGeometryCsvBytes:
