@@ -216,10 +216,17 @@ def sweep(
     count.  When ``min(workers, cells, os.cpu_count())`` exceeds one, a
     process pool of that size plays the cells; it hands its workers the two
     geometries once, through its initializer, so no worker rebuilds them
-    under any process start method.
+    under any process start method.  Every argument is checked before
+    either geometry is built.
     """
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing={spacing!r} must be finite and positive")
+    if window is not None and not all(map(math.isfinite, window)):
+        raise ValueError(f"window={window!r} must be finite")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt={dt!r} must be finite and positive")
+    if t_max is not None and not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max={t_max!r} must be finite and positive")
     if workers < 1:
         raise ValueError(f"workers={workers!r} must be at least 1")
     p1 = validate_params(mu1, l)

@@ -34,9 +34,9 @@ is symmetric about the y axis).  The construction, in build order:
   (``c = pi - atan(y_ES / x_ES)``) and from the negative universal line
   (``c = 0``), in the same closed form; they fill the pocket enclosed by
   barrier, equivocal curve, axis segment and capture circle.  An arc stops
-  before it crosses the thinned barrier; a per-cell candidate table sends
-  each step segment near it to the exact intersection test against a few
-  barrier segments only.
+  before it crosses the thinned barrier; each chunk of an arc takes the
+  exact intersection test only against the barrier segments whose padded
+  bounding box overlaps the chunk's own.
 * pocket wall: one polygon over every barrier and equivocal sample, the
   axis segment and the capture arc.  It answers membership, the exact
   crossing of a segment with the wall and the section crossed (barrier,
@@ -230,12 +230,13 @@ def _fan_xy(x0, y0, u, c, mu, t):
 
 def _check_step(d_tau: float, **spans: float | None) -> None:
     """Reject a step ``d_tau`` outside (0, 0.01), NaN included, and a span
-    (``tau_max``, ``tau_end``) that is not finite; None is no span."""
+    (``tau_max``, ``tau_end``) that is not finite and positive; None is no
+    span."""
     if not 0.0 < d_tau < 0.01:
         raise ValueError(f"d_tau={d_tau!r} must be finite and lie in (0, 0.01)")
     for name, v in spans.items():
-        if v is not None and not math.isfinite(v):
-            raise ValueError(f"{name}={v!r} must be finite")
+        if v is not None and not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name}={v!r} must be finite and positive")
 
 
 def compute_barrier(
@@ -249,7 +250,8 @@ def compute_barrier(
     through interior x-extrema while still inside the disc; those are not
     endpoints, and the equivocal curve could not anchor there because the
     departure cost only exists outside the disc.)  ``tau_max``, when given,
-    caps the arc early and must be finite; ``d_tau`` must lie in (0, 0.01).
+    caps the arc early and must be finite and positive; ``d_tau`` must lie
+    in (0, 0.01).
 
     The barrier is the ``phi = phi_bar`` member of the primary family, so
     its samples are the closed form :func:`_fan_xy`, evaluated
@@ -317,7 +319,9 @@ def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
     Samples are evaluated at ``taus`` (``taus[0] = 0`` gives ``(x0, y0)``)
     in chunks of ``_FAN_CHUNK`` steps.  ``stop(px, py, qx, qy)`` flags step
     segments that must not be taken; it runs once per chunk on that block
-    of segments.  A characteristic keeps its samples up to its first
+    of segments, four ``(rows, steps)`` views (not contiguous) with one row
+    per live characteristic and its steps in order, and returns a bool
+    array of that shape.  A characteristic keeps its samples up to its first
     flagged step, and one stopped at its first step keeps a frozen second
     sample.  Returns ``(cube, ends)``: the samples of characteristic ``i``
     are ``cube[i, :ends[i]]``.
@@ -361,7 +365,7 @@ def compute_primary_fan(
     each member has the closed form of :func:`_integrate_fan` with phase
     ``c = phi``, evaluated on one read-only grid of ``n_steps + 1`` evenly
     spaced times up to the focal time, or up to ``tau_end`` when given (it
-    must be finite; ``d_tau`` must lie in (0, 0.01)).
+    must be finite and positive; ``d_tau`` must lie in (0, 0.01)).
     """
     if n_phi < 2:
         raise ValueError("n_phi must be at least 2")
@@ -657,125 +661,34 @@ def _march_equivocal(
     return np.asarray(pts), np.asarray(vals), np.asarray(ucs)
 
 
-# Cell of the candidate table in front of the secondary fan's barrier test.
-_BARRIER_CELL = 0.01
+def _barrier_stop(points: np.ndarray):
+    """Step-segment test against the thinned barrier polyline (every
+    ``len(points) // 80``-th sample and the endpoint), for
+    :func:`_integrate_fan`'s ``stop``: ``(rows, steps)`` arrays, one row per
+    characteristic.  A row takes :func:`_crosses` over all its steps only
+    against the segments whose padded box overlaps the box of the row."""
+    bseg = points[:: max(1, len(points) // 80)]
+    if not np.array_equal(bseg[-1], points[-1]):
+        bseg = np.vstack([bseg, points[-1]])
+    a, b = bseg[:-1], bseg[1:]
+    # A hit has computed t and u in [0, 1]: the crossing point lies in both
+    # segments' boxes up to the rounding of t and u times the segment
+    # lengths, far below this pad, so no pair with a hit is skipped.
+    lo, hi = np.minimum(a, b) - 1e-6, np.maximum(a, b) + 1e-6
 
-
-@dataclass(frozen=True, eq=False)
-class _BarrierCrossing:
-    """Step-segment test against the thinned barrier polyline.
-
-    The thinned polyline keeps every ``len(points) // 80``-th barrier sample
-    and the endpoint.  Each of its segments is rastered with samples at most
-    half a cell apart, ends included, so every point of the segment lies
-    within a quarter cell of one of its raster points.  A candidate table
-    lists, for each cell of a grid of ``_BARRIER_CELL`` cells, the segments
-    with a raster point in one of the 5 x 5 cells centred on it.
-
-    A step segment is cut into pieces shorter than a cell in both
-    coordinates, and it takes the exact intersection expression only
-    against the candidates of the cells where its pieces start.  No crossing
-    is lost: a crossing point lies within one cell, in each coordinate, of
-    the start of the piece that holds it, and within a quarter cell of a
-    raster point of the crossed segment.  The two are thus less than 1.25
-    cells apart in each coordinate, so their cell indices differ by at most
-    2, and the crossed segment is a candidate of the piece start's cell.
-    The hits are :meth:`exact`'s, bit for bit.
-    """
-
-    b0: np.ndarray  # (m, 2) segment starts
-    b1: np.ndarray  # (m, 2) segment ends
-    origin: np.ndarray  # lower-left corner of cell (0, 0)
-    shape: tuple[int, int]  # cells along x and along y
-    start: np.ndarray  # (nx ny + 1,): cell i ny + j lists segs[start[c]:start[c + 1]]
-    segs: np.ndarray  # candidate segment indices, cell by cell
-    count: np.ndarray  # (nx ny,) candidates per cell
-
-    @staticmethod
-    def raster(b0: np.ndarray, b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raster points of the segments ``b0 -> b1``, at most half a cell
-        apart and ends included, and the index of each point's segment.
-        Segment s gets ``n = 2 + floor(|b1 - b0| / (cell / 2))`` points at
-        the fractions ``np.linspace(0, 1, n)`` computes, ``i * (1 / (n -
-        1))`` with the last one exactly 1, all segments in one pass."""
-        d = b1 - b0
-        n = 2 + (np.hypot(*d.T) / (0.5 * _BARRIER_CELL)).astype(int)
-        owner = np.repeat(np.arange(len(b0)), n)
-        end = np.cumsum(n)
-        w = (np.arange(n.sum()) - np.repeat(end - n, n)) * (1.0 / (n - 1))[owner]
-        w[end - 1] = 1.0
-        return b0[owner] + w[:, None] * d[owner], owner
-
-    @classmethod
-    def of(cls, points: np.ndarray) -> "_BarrierCrossing":
-        bseg = points[:: max(1, len(points) // 80)]
-        if not np.array_equal(bseg[-1], points[-1]):
-            bseg = np.vstack([bseg, points[-1]])
-        b0, b1 = bseg[:-1], bseg[1:]
-        cell, m = _BARRIER_CELL, len(b0)
-        raster, owner = cls.raster(b0, b1)
-        origin = bseg.min(axis=0) - 3.0 * cell
-        nx, ny = (((bseg.max(axis=0) - origin) / cell).astype(int) + 4).tolist()
-        key = ((raster - origin) / cell).astype(int)
-        # (cell, segment) pairs as cell m + segment, sorted and unique.
-        pairs = np.unique(
-            np.concatenate(
-                [
-                    ((key[:, 0] + di) * ny + key[:, 1] + dj) * m + owner
-                    for di in range(-2, 3)
-                    for dj in range(-2, 3)
-                ]
-            )
+    def crosses(px, py, qx, qy) -> np.ndarray:
+        x, y = np.stack([px, qx]), np.stack([py, qy])
+        x0, x1 = x.min(axis=(0, 2))[:, None], x.max(axis=(0, 2))[:, None]
+        y0, y1 = y.min(axis=(0, 2))[:, None], y.max(axis=(0, 2))[:, None]
+        rows, seg = np.nonzero(
+            (x0 <= hi[:, 0]) & (x1 >= lo[:, 0]) & (y0 <= hi[:, 1]) & (y1 >= lo[:, 1])
         )
-        start = np.searchsorted(pairs // m, np.arange(nx * ny + 1))
-        return cls(b0, b1, origin, (nx, ny), start, pairs % m, np.diff(start))
+        ends = (a[seg, 0, None], a[seg, 1, None], b[seg, 0, None], b[seg, 1, None])
+        hit = np.zeros(px.shape, dtype=bool)
+        np.logical_or.at(hit, rows, _crosses(px[rows], py[rows], qx[rows], qy[rows], *ends))
+        return hit
 
-    def _candidates(self, x, y, idx=None):
-        """(segment, candidate) pairs of the points ``(x, y)``: each point's
-        flat position, or ``idx`` at it, against each candidate of its cell.
-        Points off the grid have none."""
-        fi = (x - self.origin[0]) / _BARRIER_CELL
-        fj = (y - self.origin[1]) / _BARRIER_CELL
-        nx, ny = self.shape
-        # floor(f) >= 0 iff f >= 0, and floor(f) < n iff f < n.
-        on = np.flatnonzero((fi >= 0.0) & (fi < nx) & (fj >= 0.0) & (fj < ny))
-        c = fi.ravel()[on].astype(int) * ny + fj.ravel()[on].astype(int)
-        n = self.count[c]
-        full = np.flatnonzero(n)
-        on, c, n = on[full], c[full], n[full]
-        lo = self.start[c]
-        pos = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
-        return np.repeat(on if idx is None else idx[on], n), self.segs[pos]
-
-    def __call__(self, px, py, qx, qy) -> np.ndarray:
-        """Which segments (p -> q) cross the barrier; arrays of any one shape."""
-        rx, ry = qx - px, qy - py
-        reach = np.maximum(np.abs(rx), np.abs(ry))
-        own, cand = self._candidates(px, py)
-        if reach.max(initial=0.0) >= _BARRIER_CELL:
-            # Cut long segments into pieces shorter than a cell.
-            pieces = 1 + (reach.ravel() / _BARRIER_CELL).astype(int)
-            own, cand = [own], [cand]
-            x, y, rx, ry = (v.ravel() for v in (px, py, rx, ry))
-            for k in range(1, int(pieces.max())):
-                idx = np.flatnonzero(pieces > k)
-                w = k / pieces[idx]
-                o, c = self._candidates(x[idx] + w * rx[idx], y[idx] + w * ry[idx], idx)
-                own.append(o)
-                cand.append(c)
-            own, cand = np.concatenate(own), np.concatenate(cand)
-        at = np.unravel_index(own, px.shape)
-        a, b = self.b0[cand], self.b1[cand]
-        cross = _crosses(px[at], py[at], qx[at], qy[at], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
-        hit = np.zeros(px.size, dtype=bool)
-        hit[own[cross]] = True
-        return hit.reshape(px.shape)
-
-    def exact(self, px, py, qx, qy) -> np.ndarray:
-        """Which segments (p -> q, 1-D arrays) cross any barrier segment."""
-        a, b = self.b0, self.b1
-        col = (v[:, None] for v in (px, py, qx, qy))
-        return _crosses(*col, a[:, 0], a[:, 1], b[:, 0], b[:, 1]).any(axis=1)
+    return crosses
 
 
 def _crosses(px, py, qx, qy, ax, ay, bx, by) -> np.ndarray:
@@ -820,12 +733,12 @@ def compute_secondary_fan_and_equivocal(
     evaluates their closed form at ``tau = k d_tau`` chunk by chunk.  A
     characteristic ends before its first step that leaves ``x >= 0``,
     enters the capture circle or crosses the thinned barrier; the barrier
-    test is :class:`_BarrierCrossing`, whose per-cell candidate table sends
-    a step segment only to the barrier segments listed in the cells where
-    its pieces start, at most a few of about 80.  Each characteristic's
+    test is :func:`_barrier_stop`, which runs a characteristic's chunk of
+    steps only against the barrier segments whose padded bounding box
+    overlaps the chunk's, a few of about 80.  Each characteristic's
     ``tau`` is a read-only view of the one grid ``k d_tau``, as in the
     primary fan.  ``d_tau`` must lie in (0, 0.01) and ``tau_max`` must be
-    finite; both are checked before any work.
+    finite and positive; both are checked before any work.
     """
     _check_step(d_tau, tau_max=tau_max)
     n_steps = int(round(tau_max / d_tau))
@@ -863,7 +776,7 @@ def compute_secondary_fan_and_equivocal(
     y0s = np.linspace(y_es + 1e-6, -p.l - 1e-6, _N_UNIVERSAL_ANCHORS)
     values_u = v_contact + (y0s - y_es) / (1.0 - mu)
 
-    crosses_barrier = _BarrierCrossing.of(barrier.points)
+    crosses_barrier = _barrier_stop(barrier.points)
     l2 = p.l * p.l
     chars: list[Characteristic] = []
 

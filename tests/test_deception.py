@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import re
 
 import pytest
 
@@ -134,9 +135,29 @@ class TestSweep:
         assert [c.gain for c in a.cells] == [c.gain for c in b.cells]
         assert [c.t_truthful for c in a.cells] == [c.t_truthful for c in b.cells]
 
-    def test_spacing_validated(self):
-        with pytest.raises(ValueError, match="spacing"):
-            sweep(0.3, 0.2, 0.5, window=(0, 1, 0, 1), spacing=0.0)
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            *(({"spacing": v}, "spacing") for v in (math.nan, math.inf, -math.inf, 0.0, -0.3)),
+            *(
+                ({"window": w}, "window")
+                for w in (
+                    (math.nan, 1, 0, 1), (0, math.inf, 0, 1), (0, 1, -math.inf, 1), (0, 1, 0, math.nan)
+                )
+            ),
+            *(({"dt": v}, "dt") for v in (math.nan, math.inf, -math.inf, 0.0, -1e-3)),
+            *(({"t_max": v}, "t_max") for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)),
+        ],
+    )
+    def test_bad_argument_rejected_before_any_build(self, monkeypatch, kwargs, name):
+        def build(*args, **kw):
+            raise AssertionError("a geometry was built before the arguments were checked")
+
+        monkeypatch.setattr(deception, "get_geometry", build)
+        args = {"window": (0, 1, 0, 1), "spacing": 0.5, **kwargs}
+        value = kwargs[name]
+        with pytest.raises(ValueError, match=re.escape(f"{name}={value!r} must be finite")):
+            sweep(0.3, 0.2, 0.5, **args)
 
     def test_advantageous_cell_near_reference_point(self, geom_03, geom_02):
         # A window containing the representative start has at least one

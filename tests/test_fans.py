@@ -1,6 +1,7 @@
 """Checks of the characteristic fans against independent re-integrations,
-of RK4's convergence to the fans' closed form, of the barrier test's
-candidate table, of the secondary fan's tau grid, and of the geometry CSV
+of RK4's convergence to the fans' closed form, of the barrier stop filter
+(its bounding-box pairs against the all-segments test, on built fans and on
+degenerate steps), of the secondary fan's tau grid, and of the geometry CSV
 bytes."""
 
 import csv
@@ -13,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chauffeur.core import RelState
+import chauffeur.solution as solution
+from chauffeur.core import RelState, validate_params
 from chauffeur.solution import (
-    _BARRIER_CELL,
     GEOMETRY_CSV_HEADER,
-    _BarrierCrossing,
+    _barrier_stop,
+    _crosses,
     compute_secondary_fan_and_equivocal,
     solve,
 )
@@ -169,11 +171,26 @@ class TestRk4ConvergesToTheClosedForm:
         assert 12.0 <= ratio <= 20.0, ratio
 
 
-class TestBarrierGridFilter:
+def _all_segments(bseg, px, py, qx, qy):
+    """Reference barrier test: :func:`_crosses` of every step segment
+    (p -> q, arrays of any one shape) against every thinned segment."""
+    a, b = bseg[:-1], bseg[1:]
+    col = (np.asarray(v)[..., None] for v in (px, py, qx, qy))
+    return _crosses(*col, a[:, 0], a[:, 1], b[:, 0], b[:, 1]).any(axis=-1)
+
+
+def _fan_views(starts, ends, n_steps):
+    """Consecutive (start, end) pairs as ``(rows, n_steps)`` blocks, passed
+    as the non-contiguous views :func:`_integrate_fan` hands its stop rule."""
+    seg = np.stack([starts, ends], axis=1).reshape(-1, n_steps, 2, 2)
+    return seg[:, :, 0, 0], seg[:, :, 0, 1], seg[:, :, 1, 0], seg[:, :, 1, 1]
+
+
+class TestBarrierBoxFilter:
     def _segments(self, bseg, rng):
         """Short segments around the thinned barrier: random ones near it,
-        ones through its vertices, ones ending on it (some just short of a
-        grid cell), plus some longer than a cell."""
+        ones through its vertices, ones ending on it (some about 0.01
+        long), plus some longer ones."""
         a, b = bseg[:-1], bseg[1:]
         k = rng.integers(0, len(a), 3000)
         on = a[k] + rng.uniform(0.0, 1.0, (3000, 1)) * (b[k] - a[k])
@@ -183,10 +200,8 @@ class TestBarrierGridFilter:
         s = rng.uniform(0.0, 1.0, (3000, 1))
         vtx = bseg[rng.integers(0, len(bseg), 3000)]
         long_d = d * rng.uniform(2.0, 12.0, (3000, 1))
-        # Just short of a cell in the larger coordinate: the farthest start
-        # the grid must still send to the exact test.
         cell_d = d / np.abs(d).max(axis=1, keepdims=True) * rng.uniform(0.9, 1.0, (3000, 1))
-        cell_d *= _BARRIER_CELL * (1.0 - 1e-9)
+        cell_d *= 0.01 * (1.0 - 1e-9)
         starts = np.concatenate([near_p, vtx - s * d, on - d, on + d, on - long_d, on - cell_d])
         ends = np.concatenate(
             [near_p + d, vtx + (1.0 - s) * d, on, on, on + 0.3 * long_d, on]
@@ -196,88 +211,36 @@ class TestBarrierGridFilter:
     @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
     def test_same_hits_as_the_unfiltered_test(self, which, request, rng):
         geom = request.getfixturevalue(which)
-        test = _BarrierCrossing.of(geom.barrier.points)
-        starts, ends = self._segments(_thinned_barrier(geom.barrier.points), rng)
+        test = _barrier_stop(geom.barrier.points)
+        bseg = _thinned_barrier(geom.barrier.points)
+        starts, ends = self._segments(bseg, rng)
         args = (starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1])
-        want = test.exact(*args)
+        want = _all_segments(bseg, *args)
         assert want.sum() > 3000  # the set is not all misses
-        assert np.array_equal(test(*args), want)
-        # Any one array shape, as the fan integrator passes (steps, characteristics).
+        # One step per row, then 60 rows of 200 steps.
+        assert np.array_equal(test(*(v[:, None] for v in args)), want[:, None])
         grid = tuple(v[:12000].reshape(60, 200) for v in args)
         assert np.array_equal(test(*grid), want[:12000].reshape(60, 200))
-
-    @staticmethod
-    def _linspace_raster(b0, b1):
-        """The raster built one ``np.linspace`` per segment."""
-        n = 2 + (np.hypot(*(b1 - b0).T) / (0.5 * _BARRIER_CELL)).astype(int)
-        pts = np.concatenate(
-            [a + np.linspace(0.0, 1.0, k)[:, None] * (b - a) for a, b, k in zip(b0, b1, n)]
-        )
-        return pts, np.repeat(np.arange(len(b0)), n)
-
-    def test_raster_matches_per_segment_linspace(self, geom_03, geom_02):
-        bsegs = [_thinned_barrier(g.barrier.points) for g in (geom_03, geom_02)]
-        # Zero-length, exactly half-cell, just-under-a-cell and long
-        # segments, reversed ones and a single point repeated.
-        bsegs.append(
-            np.array(
-                [[0.0, 0.0], [0.0, 0.0], [0.005, 0.0], [0.005, 0.00999], [-0.3, 0.2],
-                 [-0.3, 0.2], [-0.3, 0.2], [1.7, -0.45], [0.0, 0.0]]
-            )
-        )
-        for bseg in bsegs:
-            b0, b1 = bseg[:-1], bseg[1:]
-            pts, owner = _BarrierCrossing.raster(b0, b1)
-            want_pts, want_owner = self._linspace_raster(b0, b1)
-            assert np.array_equal(owner, want_owner)
-            assert pts.tobytes() == want_pts.tobytes()
+        views = _fan_views(starts[:12000], ends[:12000], 120)
+        assert not views[0].flags.c_contiguous
+        assert np.array_equal(test(*views), want[:12000].reshape(100, 120))
 
     @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
-    def test_table_lists_each_segment_around_its_raster(self, which, request):
+    def test_same_hits_on_long_and_vertex_segments(self, which, request, rng):
         geom = request.getfixturevalue(which)
-        test = _BarrierCrossing.of(geom.barrier.points)
+        test = _barrier_stop(geom.barrier.points)
         bseg = _thinned_barrier(geom.barrier.points)
-        assert np.array_equal(test.b0, bseg[:-1]) and np.array_equal(test.b1, bseg[1:])
-        raster, owner = _BarrierCrossing.raster(test.b0, test.b1)
-        # The raster runs from each segment's start to its end (to
-        # rounding), on the segment, with samples at most half a cell apart.
-        for k in range(len(test.b0)):
-            pts = raster[owner == k]
-            a, b = test.b0[k], test.b1[k]
-            assert np.array_equal(pts[0], a) and np.abs(pts[-1] - b).max() < 1e-15
-            assert np.hypot(*np.diff(pts, axis=0).T).max() <= 0.5 * _BARRIER_CELL
-            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-            assert np.abs(cross).max() < 1e-15
-        nx, ny = test.shape
-        listed = {
-            (c, int(k))
-            for c in range(nx * ny)
-            for k in test.segs[test.start[c] : test.start[c + 1]]
-        }
-        assert len(listed) == len(test.segs)  # no segment twice in a cell
-        key = np.floor((raster - test.origin) / _BARRIER_CELL).astype(int)
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                i, j = key[:, 0] + di, key[:, 1] + dj
-                assert (i >= 0).all() and (i < nx).all() and (j >= 0).all() and (j < ny).all()
-                assert all((c, k) in listed for c, k in zip((i * ny + j).tolist(), owner.tolist()))
-
-    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
-    def test_same_hits_on_long_vertex_and_off_grid_segments(self, which, request, rng):
-        geom = request.getfixturevalue(which)
-        test = _BarrierCrossing.of(geom.barrier.points)
-        bseg = _thinned_barrier(geom.barrier.points)
-        n, cell = 2000, _BARRIER_CELL
+        n = 2000
 
         def directions(lo, hi):
             d = rng.normal(size=(n, 2))
-            return d * (rng.uniform(lo, hi, (n, 1)) * cell / np.hypot(d[:, 0], d[:, 1])[:, None])
+            return d * (rng.uniform(lo, hi, (n, 1)) * 0.01 / np.hypot(d[:, 0], d[:, 1])[:, None])
 
         a, b = bseg[:-1], bseg[1:]
         k = rng.integers(0, len(a), n)
         on = a[k] + rng.uniform(0.0, 1.0, (n, 1)) * (b[k] - a[k])
         s = rng.uniform(0.0, 1.0, (n, 1))
-        # Through a barrier point, spanning 2 to 60 cells.
+        # Through a barrier point, 0.02 to 0.6 long.
         d = directions(2.0, 60.0)
         groups = {"long": (on - s * d, on + (1.0 - s) * d)}
         # Ending at, starting at or passing through a thinned-barrier vertex.
@@ -287,24 +250,98 @@ class TestBarrierGridFilter:
             np.concatenate([v - d, v, v - s * d]),
             np.concatenate([v, v + d, v + (1.0 - s) * d]),
         )
-        # Starting off the grid: toward a barrier point and a little past
-        # it, or wholly outside.
-        lo = test.origin
-        hi = test.origin + cell * np.array(test.shape)
-        far = rng.uniform(lo - 1.0, hi + 1.0, (4 * n, 2))
-        far = far[((far < lo) | (far >= hi)).any(axis=1)][:n]
-        to = on[: len(far)] - far
-        beyond = rng.uniform(0.0, 2.0, (len(far), 1)) * cell / np.hypot(*to.T)[:, None]
-        past = far + to * (1.0 + beyond)
-        groups["off_grid"] = (
-            np.concatenate([far, far]),
-            np.concatenate([past, far + rng.normal(scale=0.05, size=far.shape)]),
-        )
         for name, (starts, ends) in groups.items():
             args = (starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1])
-            want = test.exact(*args)
+            want = _all_segments(bseg, *args)
             assert want.sum() > 0.2 * len(starts), name  # the set is not all misses
-            assert np.array_equal(test(*args), want), name
+            assert np.array_equal(test(*(v[:, None] for v in args)), want[:, None]), name
+            views = _fan_views(starts, ends, 40)
+            assert np.array_equal(test(*views), want.reshape(-1, 40)), name
+
+    def test_same_hits_on_degenerate_and_near_parallel_steps(self, rng):
+        # A barrier with a vertical, a horizontal and a zero-length segment:
+        # their boxes have no width or no height before padding.
+        bseg = np.array(
+            [[0.6, 0.2], [0.6, 0.5], [0.9, 0.5], [0.9, 0.5], [1.3, 0.8], [1.2, 1.1], [1.5, 1.4]]
+        )
+        test = _barrier_stop(bseg)
+        n = 400
+        a, b = bseg[:-1], bseg[1:]
+        k = rng.integers(0, len(a), n)
+        w = rng.uniform(0.0, 1.0, (n, 1))
+        on = a[k] + w * (b[k] - a[k])
+        h = rng.uniform(-2e-3, 2e-3, (n, 1))
+        vtx = bseg[rng.integers(0, len(bseg), n)]
+        d = rng.normal(size=(n, 2))
+        d *= 1e-3 / np.hypot(d[:, 0], d[:, 1])[:, None]
+        s, r = b[k] - a[k], rng.uniform(0.0, 1.0, (n, 1))
+        # Near-parallel: a step 1e-3 long, turned off its segment's direction
+        # by an angle that puts |r x s| just above _crosses' 1e-14 cut.
+        length = np.maximum(np.hypot(s[:, 0], s[:, 1]), 1e-300)[:, None]
+        theta = rng.uniform(1.0, 3.0, (n, 1)) * 1e-14 / (1e-3 * length)
+        c, si = np.cos(theta), np.sin(theta)
+        u = s / length
+        r_dir = np.hstack([c * u[:, :1] - si * u[:, 1:], si * u[:, :1] + c * u[:, 1:]]) * 1e-3
+        step = np.full_like(h, 1e-3)
+        groups = {
+            "zero_length": (on, on.copy()),
+            "vertical": (on + np.hstack([h, -step]), on + np.hstack([h, step])),
+            "horizontal": (on + np.hstack([-step, h]), on + np.hstack([step, h])),
+            "ends_on_vertex": (vtx - d, vtx.copy()),
+            "starts_on_vertex": (vtx.copy(), vtx + d),
+            "collinear": (a[k] + 0.25 * s, a[k] + 0.75 * s),
+            "near_parallel": (on - r * r_dir, on + (1.0 - r) * r_dir),
+        }
+        # Steps 10 long that stop one ulp short of the vertical and the
+        # horizontal segment: the rounded t is exactly 1, a hit, though the
+        # step's box does not reach the segment's unpadded one.
+        half = rng.uniform(0.0, 1.0, n // 2)
+        short = np.concatenate(
+            [
+                np.stack([np.full(n // 2, np.nextafter(0.6, 0.0)), 0.2 + 0.3 * half], axis=1),
+                np.stack([0.6 + 0.3 * half, np.full(n // 2, np.nextafter(0.5, 0.0))], axis=1),
+            ]
+        )
+        back = np.repeat([[10.0, 0.0], [0.0, 10.0]], n // 2, axis=0)
+        groups["one_ulp_short"] = (short - back, short)
+        for name, (starts, ends) in groups.items():
+            args = (starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1])
+            want = _all_segments(bseg, *args)
+            if name == "one_ulp_short":
+                assert want.all()
+            if name in ("vertical", "horizontal", "ends_on_vertex", "near_parallel"):
+                assert want.any(), name  # the set is not all misses
+            # One-step rows of vertical or horizontal steps have a box of
+            # zero width or height.
+            assert np.array_equal(test(*(v[:, None] for v in args)), want[:, None]), name
+            views = _fan_views(starts, ends, 20)
+            assert np.array_equal(test(*views), want.reshape(-1, 20)), name
+        denom = r_dir[:, 0] * s[:, 1] - r_dir[:, 1] * s[:, 0]
+        assert ((np.abs(denom) > 1e-14) & (np.abs(denom) < 1e-13)).sum() > n // 4
+
+    @pytest.mark.parametrize("mu, l", [(0.3, 0.5), (0.2, 0.5), (0.4, 0.5), (0.35, 0.7)])
+    def test_same_hits_on_every_stop_call_of_a_build(self, monkeypatch, mu, l):
+        real, calls = solution._barrier_stop, []
+
+        def recording(points):
+            test, bseg = real(points), _thinned_barrier(points)
+
+            def stop(px, py, qx, qy):
+                hit = test(px, py, qx, qy)
+                want = _all_segments(bseg, px, py, qx, qy)
+                calls.append((px.flags.c_contiguous, px.shape, int(want.sum())))
+                assert np.array_equal(hit, want)
+                return hit
+
+            return stop
+
+        monkeypatch.setattr(solution, "_barrier_stop", recording)
+        compute_secondary_fan_and_equivocal(validate_params(mu, l))
+        # Real blocks: many characteristics by one chunk of steps, as views.
+        rows, steps = calls[0][1]
+        assert len(calls) > 10 and rows > 100 and steps == solution._FAN_CHUNK
+        assert not any(contiguous for contiguous, _, _ in calls)
+        assert sum(hits for _, _, hits in calls) > 0
 
 
 def _geometry_digest():

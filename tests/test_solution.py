@@ -416,7 +416,7 @@ class TestPrimaryInverse:
 
 
 _BAD_STEPS = (math.nan, math.inf, -math.inf, 0.0, -1e-3, 0.01)
-_BAD_SPANS = (math.nan, math.inf, -math.inf)
+_BAD_SPANS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 
 
 class TestStepArguments:
