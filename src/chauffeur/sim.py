@@ -256,7 +256,8 @@ def run_closed_loop(
     # no-op and must not perturb the trajectory.
     deceptive = policy.kind == "deceptive" and policy.mu_low != policy.mu_high
 
-    x, y = sc.initial_rel.x, sc.initial_rel.y
+    # Python floats: numpy scalars would carry through every step and sample.
+    x, y = float(sc.initial_rel.x), float(sc.initial_rel.y)
     t = 0.0
     traj = Trajectory(t=[], x=[], y=[], u=[], psi=[], mu_cmd=[], mu_hat=[], region=[])
 

@@ -563,9 +563,15 @@ def _march_equivocal(
     again; Brent may return a control other than its last evaluation.
     Returns (points, value, u) arrays ending at the interpolated axis
     contact.
+
+    The march runs on Python floats: ``start`` and ``v_start`` are converted
+    on entry.  A numpy scalar start (a row of the barrier's array) would
+    otherwise carry through every RK4 stage, stepped point and departure
+    cost, and numpy scalar arithmetic costs several times float arithmetic;
+    the results are the same bit for bit, since both round alike.
     """
-    x, y = start
-    v = v_start
+    x, y = float(start[0]), float(start[1])
+    v = float(v_start)
     h = d_tau
     pts = [(x, y)]
     vals = [v]
@@ -677,15 +683,21 @@ def _barrier_stop(points: np.ndarray):
     lo, hi = np.minimum(a, b) - 1e-6, np.maximum(a, b) + 1e-6
 
     def crosses(px, py, qx, qy) -> np.ndarray:
+        # The fan passes strided views; reducing the stacked copies is
+        # faster than reducing each view along its rows.
         x, y = np.stack([px, qx]), np.stack([py, qy])
         x0, x1 = x.min(axis=(0, 2))[:, None], x.max(axis=(0, 2))[:, None]
         y0, y1 = y.min(axis=(0, 2))[:, None], y.max(axis=(0, 2))[:, None]
         rows, seg = np.nonzero(
             (x0 <= hi[:, 0]) & (x1 >= lo[:, 0]) & (y0 <= hi[:, 1]) & (y1 >= lo[:, 1])
         )
-        ends = (a[seg, 0, None], a[seg, 1, None], b[seg, 0, None], b[seg, 1, None])
         hit = np.zeros(px.shape, dtype=bool)
-        np.logical_or.at(hit, rows, _crosses(px[rows], py[rows], qx[rows], qy[rows], *ends))
+        if len(rows):
+            ends = (a[seg, 0, None], a[seg, 1, None], b[seg, 0, None], b[seg, 1, None])
+            pairs = _crosses(px[rows], py[rows], qx[rows], qy[rows], *ends)
+            # np.nonzero lists the pairs row by row: OR each row's run.
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            hit[rows[first]] = np.logical_or.reduceat(pairs, first)
         return hit
 
     return crosses
@@ -746,7 +758,7 @@ def compute_secondary_fan_and_equivocal(
         raise ValueError(f"tau_max={tau_max!r} is shorter than one step of d_tau={d_tau!r}")
     if barrier is None:
         barrier = compute_barrier(p, d_tau=d_tau)
-    jx, jy = barrier.points[-1]
+    jx, jy = barrier.points[-1].tolist()
     v_j = _tributary_value_raw(p, jx, jy)
     if v_j is None:
         raise EqualCostBracketError(
@@ -1243,7 +1255,8 @@ class SolutionGeometry:
             raise ValueError(f"no value at the non-finite state {s!r}")
         p = self.params
         tag = self.classify(s).tag
-        x, y = abs(s.x), s.y
+        # Python floats: numpy scalars would carry through every step below.
+        x, y = abs(float(s.x)), float(s.y)
         if tag == CAPTURED:
             return 0.0
         if tag == UNIVERSAL_POSITIVE:

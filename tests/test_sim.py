@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import chauffeur.sim as sim
@@ -192,6 +193,33 @@ class TestRunClosedLoop:
         b = run()
         assert a.capture_time == b.capture_time
         assert a.x == b.x and a.y == b.y and a.psi == b.psi and a.u == b.u
+
+    def test_numpy_scalar_start_runs_on_python_floats(self, params_03, params_02, geom_03, geom_02):
+        # A start of numpy scalars plays the same game bit for bit as one of
+        # floats, and every number the trajectory records is a Python float.
+        def run(x, y):
+            sc = Scenario(
+                params_truth=params_03,
+                params_low=params_02,
+                initial_rel=RelState(x, y),
+                evader_policy=EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3),
+                pursuer_mode="estimating",
+                dt=1e-3,
+                t_max=40.0,
+            )
+            return run_closed_loop(sc, geom_03, geom_02)
+
+        def numbers(tr):
+            seqs = [tr.t, tr.x, tr.y, tr.u, tr.psi, tr.mu_cmd, tr.mu_hat]
+            seqs += [(e.t, *e.location) for e in tr.events]
+            return [v for seq in seqs for v in seq] + [tr.capture_time, *tr.capture_point]
+
+        a = run(2.152, -0.214)
+        b = run(np.float64(2.152), np.float64(-0.214))
+        assert a.capture_time is not None
+        assert [float.hex(v) for v in numbers(b)] == [float.hex(v) for v in numbers(a)]
+        assert b.region == a.region and [e.kind for e in b.events] == [e.kind for e in a.events]
+        assert {type(v) for v in numbers(b)} == {float}
 
     def test_reused_scenario_reruns_bitwise(self, params_03, params_02, geom_03, geom_02):
         # The switch latch must not carry over from one run to the next.

@@ -918,6 +918,50 @@ class TestEquivocalMarch:
             assert abs(dep - (vals[k] + h)) <= _stop_tolerance(vals[k], h), k
         assert calls[0] <= 2.2 * (len(pts) - 1)
 
+    def test_march_residuals_get_python_floats(self, params_03, params_02, monkeypatch):
+        # Inside the march of a solve(), every RK4 step and departure cost
+        # is called with Python floats: a numpy scalar start would carry
+        # numpy scalar arithmetic through the whole march.
+        march = solution._march_equivocal
+        inside = [False]
+        seen = set()
+
+        def marching(*args):
+            inside[0] = True
+            try:
+                return march(*args)
+            finally:
+                inside[0] = False
+
+        def typed(fn):
+            def wrapper(p, *args):
+                if inside[0]:
+                    seen.add((fn.__name__, tuple(type(a) for a in args)))
+                return fn(p, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(solution, "_march_equivocal", marching)
+        for name in ("_rk4_equivocal", "_tributary_value_raw"):
+            monkeypatch.setattr(solution, name, typed(getattr(solution, name)))
+        for p in (params_03, params_02):
+            solve(p)
+        assert seen == {
+            ("_rk4_equivocal", (float,) * 4),
+            ("_tributary_value_raw", (float,) * 2),
+        }
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_numpy_scalar_start_marches_bit_for_bit(self, which, request):
+        geom = request.getfixturevalue(which)
+        p, end = geom.params, geom.barrier.points[-1]
+        v0 = _tributary_value_raw(p, *end.tolist())
+        want = _march_equivocal(p, tuple(end.tolist()), v0, 1e-3)
+        got = _march_equivocal(p, (end[0], end[1]), np.float64(v0), 1e-3)
+        assert isinstance(end[0], np.float64)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
 
 class TestClassifyAndValue:
     def test_positive_universal(self, params_03, geom_03):
@@ -964,6 +1008,13 @@ class TestClassifyAndValue:
             a = geom_03.value(RelState(x, y))
             b = geom_03.value(RelState(-x, y))
             assert abs(a - b) < 1e-9
+
+    def test_value_of_numpy_scalars_is_the_python_float(self, geom_03):
+        states = [*_one_state_per_tag(geom_03).values(), (1.2, 0.3), (-1.6, -0.6)]
+        for x, y in states:
+            want = geom_03.value(RelState(x, y))
+            got = geom_03.value(RelState(np.float64(x), np.float64(y)))
+            assert type(got) is float and got.hex() == want.hex(), (x, y)
 
     def test_value_along_secondary_characteristic(self, geom_03):
         # Characteristic/value consistency: stored local tau plus the anchor
