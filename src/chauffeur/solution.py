@@ -44,13 +44,17 @@ is symmetric about the y axis).  The construction, in build order:
 
 Values: tributary points, both universal lines and the dispersal line are
 closed form (turn alignment plus straight chase).  Primary values and
-headings are exact, from the inverted closed form (:func:`primary_inverse`);
-pocket points follow the nearest secondary sample's headings.  The tributary
-formula is also the departure cost on the pocket wall, which makes the
-value continuous across the equivocal curve while it jumps across the
-barrier (the pocket is worth more to the evader than the wrapped tributary
-field just outside).  The wall band and the wall distance read the wall's
-vertices sorted by x (:class:`_SortedVertices`).
+headings are exact, from the inverted closed form (:func:`primary_inverse`).
+A pocket point's value is its secondary characteristic's anchor value plus
+tau, from the same closed form read backwards (:class:`_SecondaryFamilies`:
+the rear family in closed form, the junction family by a Newton solve); a
+point with no admissible preimage, and the pocket feedback, follow the
+nearest secondary sample's headings.  The tributary formula is also the
+departure cost on the pocket wall, which makes the value continuous across
+the equivocal curve while it jumps across the barrier (the pocket is worth
+more to the evader than the wrapped tributary field just outside).  The
+wall band and the wall distance read the wall's vertices sorted by x
+(:class:`_SortedVertices`).
 """
 
 from __future__ import annotations
@@ -198,12 +202,19 @@ def _tributary_value_raw(p: GameParams, x: float, y: float) -> float | None:
     return t + (s0 + p.mu * t - p.l) / (1.0 - p.mu)
 
 
+def _junction_tilt(ax: float, ay: float) -> float:
+    """Tilt ``a`` of the junction family's anchor (ax, ay), ax > 0: the
+    family's phase is ``c = pi - a``.  :func:`secondary_heading` and the
+    pocket's inverse (:meth:`_SecondaryFamilies.junction`, which also
+    differentiates it) read it here."""
+    return math.atan(ay / ax)
+
+
 def secondary_heading(ch: Characteristic, tau: float) -> float:
     """Evader heading, unwrapped, at local time ``tau`` on a secondary
     characteristic: the ``u = -1`` family ``psi = c - tau``."""
     if ch.terminal == "equivocal":
-        ax, ay = ch.anchor
-        return math.pi - tau - math.atan(ay / ax)
+        return math.pi - tau - _junction_tilt(*ch.anchor)
     return -tau
 
 
@@ -724,6 +735,21 @@ _N_EQUIVOCAL_ANCHORS = 160
 _N_UNIVERSAL_ANCHORS = 60
 
 
+def _junction_anchors(e_pts: np.ndarray) -> np.ndarray:
+    """Indices of the junction family's anchors among the equivocal curve's
+    samples, ascending.
+
+    The junction heading pi - tau - atan(y_ES/x_ES) degenerates as the
+    junction direction turns axis-parallel, so the corner of the curve near
+    its axis contact anchors nothing; the negative-universal family owns
+    that territory (its merge-then-slide chain is the consistent play).
+    """
+    angles = np.arctan2(np.abs(e_pts[:, 1]), np.maximum(e_pts[:, 0], 0.0))
+    usable = np.nonzero(angles < 1.35)[0]
+    n_e = int(usable[-1]) + 1 if len(usable) else len(e_pts) - 1
+    return np.unique(np.linspace(0, n_e - 1, _N_EQUIVOCAL_ANCHORS).round().astype(int))
+
+
 def compute_secondary_fan_and_equivocal(
     p: GameParams,
     barrier: SampledCurve | None = None,
@@ -772,14 +798,7 @@ def compute_secondary_fan_and_equivocal(
     mu = p.mu
 
     # --- anchors on the equivocal curve ------------------------------------
-    # The junction heading pi - tau - atan(y_ES/x_ES) degenerates as the
-    # junction direction turns axis-parallel, so the corner of the curve near
-    # its axis contact anchors nothing; the negative-universal family owns
-    # that territory (its merge-then-slide chain is the consistent play).
-    angles = np.arctan2(np.abs(e_pts[:, 1]), np.maximum(e_pts[:, 0], 0.0))
-    usable = np.nonzero(angles < 1.35)[0]
-    n_e = int(usable[-1]) + 1 if len(usable) else len(e_pts) - 1
-    idx = np.unique(np.linspace(0, n_e - 1, _N_EQUIVOCAL_ANCHORS).round().astype(int))
+    idx = _junction_anchors(e_pts)
     anchors_e = e_pts[idx]
     values_e = e_val[idx]
     a_e = np.arctan(anchors_e[:, 1] / np.maximum(anchors_e[:, 0], 1e-12))
@@ -1109,6 +1128,141 @@ class _SortedVertices:
         return d if d <= r else None
 
 
+# Iteration cap and residual tolerance of the junction family's inverse.
+_NEWTON_CAP = 8
+_NEWTON_TOL = 1e-12
+# A rear preimage's y0 may round this far past the edge members' anchors.
+_ANCHOR_SLACK = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class _SecondaryFamilies:
+    """The pocket's two characteristic families, stored per anchor, for
+    reading a state's characteristic backwards: Isaacs' method of
+    characteristics inverted.  Both are the ``u = -1`` closed form of
+    :func:`_integrate_fan`; with ``Z = (x + 1) + i y`` a member from anchor
+    ``z0 = (x_a + 1) + i y_a`` with phase ``c`` passes through (x, y) at
+    ``tau`` iff ``exp(-i tau) Z = z0 - i mu tau exp(-i c)``.
+
+    * Rear family, anchors ``(0, y0)`` in ``y0`` (ascending) and ``c = 0``:
+      ``exp(-i tau) Z = 1 + i (y0 - mu tau)``, so ``(x + 1) cos tau + y sin
+      tau = 1`` and ``y0 = y cos tau - (x + 1) sin tau + mu tau``.  Since
+      ``y0 - mu tau`` is negative, it is ``-sqrt(|Z|^2 - 1)``, which leaves
+      ``tau = arg Z + atan(sqrt(|Z|^2 - 1))`` modulo 2 pi: closed form.
+    * Junction family, anchored at the equivocal samples ``s`` (ascending
+      indices into ``e_pts``): the anchor and its value ``e_val`` are
+      interpolated linearly at a continuous index s, with ``c(s) = pi -
+      _junction_tilt(anchor)``; (s, tau) is a 2-D Newton solve.
+
+    ``*_end`` holds each member's last stored tau.  A preimage is
+    admissible when its anchor lies within the stored anchors and ``0 <=
+    tau <=`` the smaller end tau of the two stored members around it.
+    ``seed`` maps a junction member's anchor to its index in ``e_pts``.
+    """
+
+    mu: float
+    y_es: float
+    value_at_contact: float
+    y0: list
+    y0_end: list
+    e_pts: np.ndarray
+    e_val: np.ndarray
+    s: list
+    s_end: list
+    seed: dict
+
+    @classmethod
+    def of(
+        cls, p: GameParams, fan: CharacteristicField, equivocal: SampledCurve,
+        y_es: float, value_at_contact: float,
+    ) -> "_SecondaryFamilies":
+        junction = [ch for ch in fan.trajectories if ch.terminal == "equivocal"]
+        rear = [ch for ch in fan.trajectories if ch.terminal == "negative_universal"]
+        s = _junction_anchors(equivocal.points).tolist()
+        return cls(
+            p.mu, y_es, value_at_contact,
+            [ch.anchor[1] for ch in rear], [ch.tau.item(-1) for ch in rear],
+            equivocal.points, equivocal.tau,
+            s, [ch.tau.item(-1) for ch in junction],
+            {ch.anchor: k for ch, k in zip(junction, s, strict=True)},
+        )
+
+    @staticmethod
+    def _within(anchors: list, ends: list, a: float, tau: float) -> bool:
+        """Whether tau lies in [0, the smaller end tau of the two stored
+        members around anchor a], for a within the ascending anchors."""
+        k = min(max(bisect_right(anchors, a), 1), len(anchors) - 1)
+        return 0.0 <= tau <= min(ends[k - 1], ends[k])
+
+    def rear(self, x: float, y: float) -> tuple[float, float] | None:
+        """(y0, tau) of the admissible rear member through (x, y) with the
+        smallest tau, or None."""
+        y0s, mu = self.y0, self.mu
+        X = x + 1.0
+        r = math.sqrt(X * X + y * y - 1.0)
+        t = math.atan2(y, X) + math.atan(r)
+        if t < 0.0:  # the anchor itself can round to just below 0
+            t = 0.0 if t > -1e-12 else t + TWO_PI
+        # y0 = mu tau - r grows by 2 pi mu per turn: past the top anchor, stop.
+        while (y0 := mu * t - r) <= y0s[-1] + _ANCHOR_SLACK:
+            if y0 >= y0s[0] - _ANCHOR_SLACK and self._within(y0s, self.y0_end, y0, t):
+                return y0, t
+            t += TWO_PI
+        return None
+
+    def junction(self, x: float, y: float, s: float, t: float) -> tuple[float, float, bool]:
+        """Newton solve for the junction member's (s, tau) through (x, y)
+        from the seed (s, t), with the analytic Jacobian: ``(s, tau,
+        converged)``.  s is held within the anchors; an iterate stepping
+        out twice in a row past the same end means the member lies beyond
+        them, and the solve ends unconverged, as it does at a singular
+        Jacobian and after ``_NEWTON_CAP`` steps."""
+        pts, mu = self.e_pts, self.mu
+        lo, hi, last = self.s[0], self.s[-1], len(pts) - 2
+        X = x + 1.0
+        out = False
+        for _ in range(_NEWTON_CAP):
+            k = min(int(s), last)
+            f = s - k
+            x0, y0 = pts.item(k, 0), pts.item(k, 1)
+            dx, dy = pts.item(k + 1, 0) - x0, pts.item(k + 1, 1) - y0
+            ax, ay = x0 + f * dx, y0 + f * dy
+            a = _junction_tilt(ax, ay)
+            ca, sa = math.cos(a), math.sin(a)
+            ct, st = math.cos(t), math.sin(t)
+            ex, ey = X * ct + y * st, y * ct - X * st  # exp(-i tau) Z
+            # G = z0 - i mu tau exp(-i c) - exp(-i tau) Z, exp(-i c) = -exp(i a)
+            gx = ax + 1.0 - mu * t * sa - ex
+            gy = ay + mu * t * ca - ey
+            if abs(gx) + abs(gy) <= _NEWTON_TOL:
+                return s, t, True
+            # dG/dtau = i mu exp(i a) + i exp(-i tau) Z; dG/ds = z0' - mu tau
+            # a' exp(i a), a' the derivative of _junction_tilt along the segment.
+            tx, ty = -mu * sa - ey, mu * ca + ex
+            da = (ax * dy - ay * dx) / (ax * ax + ay * ay)
+            sx, sy = dx - mu * t * da * ca, dy - mu * t * da * sa
+            det = sx * ty - sy * tx
+            if det == 0.0:
+                break
+            s_new = s - (gx * ty - gy * tx) / det
+            t -= (sx * gy - sy * gx) / det
+            if lo <= s_new <= hi:
+                s, out = s_new, False
+            elif out:
+                break
+            else:
+                s, out = (lo if s_new < lo else hi), True
+        return s, t, False
+
+    def value(self, family: str, a: float, tau: float) -> float:
+        """Anchor value plus tau of a preimage ``(family, anchor, tau)``."""
+        if family == "rear":
+            return self.value_at_contact + (a - self.y_es) / (1.0 - self.mu) + tau
+        k = min(int(a), len(self.e_pts) - 2)
+        v = self.e_val.item(k)
+        return v + (a - k) * (self.e_val.item(k + 1) - v) + tau
+
+
 # ---------------------------------------------------------------------------
 # the assembled geometry
 # ---------------------------------------------------------------------------
@@ -1134,6 +1288,7 @@ class SolutionGeometry:
     _pocket: _Polygon = field(repr=False, default=None)
     _petal: _Polygon = field(repr=False, default=None)
     _secondary_index: _CurveIndex = field(repr=False, default=None)
+    _families: _SecondaryFamilies = field(repr=False, default=None)
     _equivocal_band: _SortedVertices = field(repr=False, default=None)
     _wall: _SortedVertices = field(repr=False, default=None)
 
@@ -1250,7 +1405,9 @@ class SolutionGeometry:
     # -- value ----------------------------------------------------------------
 
     def value(self, s: RelState) -> float:
-        """Equilibrium time to capture from a relative state."""
+        """Equilibrium time to capture from a relative state.  Pocket
+        states take :meth:`_secondary_value`: the closed-form preimage of
+        their characteristic, or the dive where none is admissible."""
         if not math.hypot(s.x, s.y) < math.inf:
             raise ValueError(f"no value at the non-finite state {s!r}")
         p = self.params
@@ -1287,9 +1444,45 @@ class SolutionGeometry:
             den += w
         return num / den
 
+    def _junction_solve(self, x: float, y: float) -> tuple[float, float, bool]:
+        """:meth:`_SecondaryFamilies.junction` at (x, y), x >= 0, seeded
+        with the nearest secondary sample's anchor and projected tau
+        (:meth:`secondary_data`); a rear member seeds it at the last
+        junction anchor, the one next to the rear family."""
+        ch, tau = self.secondary_data(x, y)
+        fam = self._families
+        return fam.junction(x, y, fam.seed.get(ch.anchor, fam.s[-1]), tau)
+
+    def _preimages(self, x: float, y: float) -> list[tuple[str, float, float]]:
+        """Admissible ``(family, anchor, tau)`` of the secondary
+        characteristics through the pocket state (x, y), x >= 0, by
+        ascending tau: ``("rear", y0, tau)`` and ``("junction", s, tau)``
+        (see :class:`_SecondaryFamilies`)."""
+        fam = self._families
+        out = []
+        rear = fam.rear(x, y)
+        if rear is not None:
+            out.append(("rear", *rear))
+        s, tau, converged = self._junction_solve(x, y)
+        if converged and fam._within(fam.s, fam.s_end, s, tau):
+            out.append(("junction", s, tau))
+        out.sort(key=lambda e: e[2])
+        return out
+
     def _secondary_value(self, x: float, y: float) -> float:
-        """Pocket value: ride the hard-left field to the wall, then price the
-        departure in closed form.
+        """Pocket value from the state's characteristic in closed form:
+        anchor value plus tau of the admissible preimage with the smallest
+        tau (:meth:`_preimages`).  A state without one (past the junction
+        anchors' cutoff, in the strip by the capture arc, or where the
+        junction solve does not converge) takes :meth:`_secondary_dive`."""
+        pre = self._preimages(x, y)
+        if pre:
+            return self._families.value(*pre[0])
+        return self._secondary_dive(x, y)
+
+    def _secondary_dive(self, x: float, y: float) -> float:
+        """Pocket value by the dive: ride the hard-left field to the wall,
+        then price the departure in closed form.
 
         Between sampled characteristics the chain interpolation carries a
         first-order cross-characteristic gap (worst where the dive field
@@ -1382,6 +1575,7 @@ def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeome
     phi_bar = bup_angle(p)
     y_es = float(equivocal.points[-1, 1])
     pocket, petal = _build_polygons(p, phi_bar, barrier, equivocal, fan, y_es, tau_focal)
+    value_at_contact = float(equivocal.tau[-1])
     return SolutionGeometry(
         params=p,
         phi_bar=phi_bar,
@@ -1390,11 +1584,12 @@ def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeome
         primary_fan=fan,
         secondary_fan=secondary,
         y_es=y_es,
-        value_at_contact=float(equivocal.tau[-1]),
+        value_at_contact=value_at_contact,
         tau_focal=tau_focal,
         _pocket=pocket,
         _petal=petal,
         _secondary_index=_CurveIndex([ch.points for ch in secondary.trajectories]),
+        _families=_SecondaryFamilies.of(p, secondary, equivocal, y_es, value_at_contact),
         _equivocal_band=_SortedVertices.of(equivocal.points),
         _wall=_SortedVertices.of(np.concatenate([barrier.points, equivocal.points])),
     )

@@ -393,9 +393,11 @@ class TestGeometryCsvBytes:
 
 @pytest.mark.xfail(
     strict=True,
-    reason="value() prices a pocket point next to the capture arc by its dive "
-    "to the pocket wall, but truthful closed-loop play from there captures "
-    "almost at once through the arc",
+    reason="no admissible rear characteristic reaches the strip between the "
+    "capture arc and the innermost rear member (the exact rear inverse puts "
+    "these points on members that pass inside the capture disc), so value() "
+    "falls to its dive, while truthful play follows the grazing "
+    "characteristic and is captured almost at once (ROADMAP item 4)",
 )
 @pytest.mark.parametrize("x, y", [(0.507, 0.219), (0.477, 0.278)])
 def test_value_next_to_the_capture_arc(params_03, geom_03, x, y):
