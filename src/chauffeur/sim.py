@@ -15,7 +15,12 @@ no sample or event.
 Near the universal lines the feedback is evaluated with an axis band a few
 steps wide; inside it the line strategies (u = 0, psi = 0) hold the
 cross-track coordinate exactly, which suppresses feedback chatter without
-touching the geometric classifier.
+touching the geometric classifier.  On the positive universal line the loop
+asks for feedback once, on entry, and then holds those constant controls:
+each later step re-checks only the true game's tag with that step's band.
+Every game shares ``l`` and so tags the line alike, and a line step leaves x
+and the mirror side as they are, so the held controls are the feedback bit
+for bit.  A split step ends the hold.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import Controls, GameParams, RelState, held_step
-from .solution import SIDE_DEADBAND, SolutionGeometry, get_geometry
+from .solution import SIDE_DEADBAND, UNIVERSAL_POSITIVE, SolutionGeometry, get_geometry
 from .strategy import EvaderPolicy, _check_speed, deceptive_policy, feedback_pair
 
 TRAJECTORY_CSV_HEADER = "t,x,y,u,psi,mu_cmd,mu_hat,region,event"
@@ -68,6 +73,11 @@ class Scenario:
             raise ValueError("initial point lies inside the capture circle")
         if self.params_truth.l != self.params_low.l:
             raise ValueError("both parameter sets must share the capture radius")
+        if self.params_low.mu > self.params_truth.mu:
+            raise ValueError(
+                f"the low game's speed {self.params_low.mu} exceeds the true speed "
+                f"{self.params_truth.mu}"
+            )
         pol = self.evader_policy
         if pol.kind == "deceptive" and pol.mu_high > self.params_truth.mu + 1e-12:
             raise ValueError(
@@ -270,6 +280,7 @@ def run_closed_loop(
         return geom_truth, mu_truth
 
     geom_e, mu_e = evader_game()
+    geom_p = geom_truth
     # The pursuer's estimate is a float under strategy's check and sup rule
     # (see ``SpeedEstimate``).  First observation: the speed the evader is
     # about to command.  Later observations queue until one latency interval
@@ -280,17 +291,25 @@ def run_closed_loop(
     released = 0
     wall_hold = False
     last_barrier_t = -math.inf
+    # The last control point was tagged UniversalPositive: its (u, psi) hold
+    # while the true game's tag stays the same.
+    on_line = False
 
     n_max = int(math.ceil(t_max / dt))
     in_pocket = geom_truth.pocket_contains(x, y)
+    band_step = 3.0 * dt
+
+    def axis_band(y_):
+        """Width of the feedback band about the universal lines at height y_."""
+        band = band_step * (y_ if y_ > 1.0 else -y_ if y_ < -1.0 else 1.0)
+        return band if band >= SIDE_DEADBAND else SIDE_DEADBAND
 
     def hold_band(x_, y_):
         """Width of the wall-hold strip after a deceptive switch."""
         return max(2.0 * dt * (1.0 + math.hypot(x_, y_)), 3e-3)
 
-    def controls_at(x_, y_, geom_p):
+    def controls_at(x_, y_, band, geom_p):
         """(u, psi, mu_cmd, region tag) under the current knowledge state."""
-        band = max(SIDE_DEADBAND, 3.0 * dt * max(1.0, abs(y_)))
         # Between a deceptive switch on the pocket wall and the dive settling
         # inside, hold the trajectory on the pocket side across the feedback
         # and estimator lags.  The floor keeps the strip above the wall
@@ -321,29 +340,42 @@ def run_closed_loop(
             (t0, x0, y0), (t1, x1, y1), geom_truth, in_prev=False, in_next=False
         )
 
+    add_t, add_x, add_y = traj.t.append, traj.x.append, traj.y.append
+    add_u, add_psi, add_mu_cmd = traj.u.append, traj.psi.append, traj.mu_cmd.append
+    add_mu_hat, add_region = traj.mu_hat.append, traj.region.append
+
     for _ in range(n_max + 1):
         while released < len(pending) and pending[released][0] + ESTIMATOR_LATENCY <= t + 1e-12:
             observed = pending[released][1]
             _check_speed(observed)
-            mu_hat = max(mu_hat, observed)
+            if observed > mu_hat:
+                mu_hat = observed
             released += 1
-        # Two-speed world: the estimate only ever equals one of the two
-        # candidate bounds, so two cached geometries suffice.
-        geom_p = (
-            geom_low
-            if estimating and not abs(mu_hat - mu_truth) <= abs(mu_hat - mu_low)
-            else geom_truth
-        )
-        u, psi, mu_cmd, tag = controls_at(x, y, geom_p)
+        if estimating:
+            # Two-speed world: the estimate only ever equals one of the two
+            # candidate bounds, so two cached geometries suffice.
+            geom_p = (
+                geom_low if not abs(mu_hat - mu_truth) <= abs(mu_hat - mu_low) else geom_truth
+            )
+        band = axis_band(y)
+        if on_line and geom_truth._tag(abs(x), y, band, 0.0) == UNIVERSAL_POSITIVE:
+            # Every game shares l, so every game tags the state alike, and
+            # the line law is constant: the held (u, psi) are this point's
+            # feedback.  A line step leaves the value of x, and so the mirror
+            # side, as it is.
+            mu_cmd = mu_e
+        else:
+            u, psi, mu_cmd, tag = controls_at(x, y, band, geom_p)
+            on_line = tag == UNIVERSAL_POSITIVE
 
-        traj.t.append(t)
-        traj.x.append(x)
-        traj.y.append(y)
-        traj.u.append(u)
-        traj.psi.append(psi)
-        traj.mu_cmd.append(mu_cmd)
-        traj.mu_hat.append(mu_hat)
-        traj.region.append(tag)
+        add_t(t)
+        add_x(x)
+        add_y(y)
+        add_u(u)
+        add_psi(psi)
+        add_mu_cmd(mu_cmd)
+        add_mu_hat(mu_hat)
+        add_region(tag)
 
         if t >= t_max:
             break
@@ -375,7 +407,8 @@ def run_closed_loop(
                     geom_e, mu_e = evader_game()
                     evs.append(Event(tw, SWITCH, loc))
                     wall_hold = True
-            u2, psi2, mu_cmd2, _ = controls_at(xm, ym, geom_p)
+            u2, psi2, mu_cmd2, _ = controls_at(xm, ym, axis_band(ym), geom_p)
+            on_line = False
             xn, yn = _step_raw(xm, ym, u2, psi2, mu_cmd2, (1.0 - w) * dt)
             observed_speed = w * mu_cmd + (1.0 - w) * mu_cmd2
             in_next = geom_truth.pocket_contains(xn, yn)
@@ -390,14 +423,14 @@ def run_closed_loop(
                 traj.events.append(e)
                 traj.capture_time = e.t
                 traj.capture_point = e.location
-                traj.t.append(e.t)
-                traj.x.append(e.location[0])
-                traj.y.append(e.location[1])
-                traj.u.append(u)
-                traj.psi.append(psi)
-                traj.mu_cmd.append(mu_cmd)
-                traj.mu_hat.append(mu_hat)
-                traj.region.append("Captured")
+                add_t(e.t)
+                add_x(e.location[0])
+                add_y(e.location[1])
+                add_u(u)
+                add_psi(psi)
+                add_mu_cmd(mu_cmd)
+                add_mu_hat(mu_hat)
+                add_region("Captured")
                 captured = True
                 break
             traj.events.append(e)

@@ -279,6 +279,26 @@ class TestRunClosedLoop:
         # The pursuer and the evader do play different games at some points.
         assert any(len(g) == 2 for g in evaluated)
 
+    def test_line_feedback_once_per_line_entry(
+        self, params_03, params_02, geom_03, geom_02, monkeypatch
+    ):
+        # On the positive universal line the controls are the constant line
+        # law, so the loop asks for them when it enters the line and holds
+        # them while the tag stays.
+        calls = []
+        feedback_pair = sim.feedback_pair
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return feedback_pair(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "feedback_pair", counting)
+        sc = Scenario(params_03, params_02, RelState(0.0, 4.5), EvaderPolicy(kind="truthful"))
+        tr = run_closed_loop(sc, geom_03, geom_02)
+        assert set(tr.region[:-1]) == {"UniversalPositive"}
+        assert len(tr.t) > 5000
+        assert 1 <= len(calls) <= 2
+
     def test_every_released_observation_is_checked(
         self, params_03, params_02, geom_03, geom_02, monkeypatch
     ):
@@ -465,6 +485,17 @@ class TestRunClosedLoop:
                 initial_rel=RelState(2.0, 0.0),
                 evader_policy=EvaderPolicy(kind="truthful"),
                 dt=0.0,
+            )
+
+    def test_scenario_rejects_a_low_game_faster_than_the_true_one(self, params_03, params_02):
+        # The low game must be the slow one: an evader playing the 0.3 game
+        # against a 0.2 truth used to run to capture.
+        with pytest.raises(ValueError, match=r"low game's speed 0\.3 exceeds the true speed 0\.2"):
+            Scenario(
+                params_truth=params_02,
+                params_low=params_03,
+                initial_rel=RelState(2.152, -0.214),
+                evader_policy=EvaderPolicy(kind="deceptive", mu_low=0.1, mu_high=0.2),
             )
 
     @pytest.mark.parametrize(
