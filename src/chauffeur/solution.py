@@ -32,15 +32,20 @@ is symmetric about the y axis).  The construction, in build order:
   ``(0, y_es)`` closes the pocket and bounds the negative universal line.
 * secondary fan: ``u = -1`` arcs from equivocal-curve anchors
   (``c = pi - atan(y_ES / x_ES)``) and from the negative universal line
-  (``c = 0``), in the same closed form; they fill the pocket enclosed by
-  barrier, equivocal curve, axis segment and capture circle.  An arc stops
-  before it crosses the thinned barrier; each chunk of an arc takes the
-  exact intersection test only against the barrier segments whose padded
-  bounding box overlaps the chunk's own.
+  (``c = 0``), in the same closed form, sampled up to local time
+  ``_SECONDARY_TAU_MAX``; they fill the pocket enclosed by barrier,
+  equivocal curve, axis segment and capture circle.  An arc stops before it
+  crosses the thinned barrier; each chunk of an arc takes the exact
+  intersection test only against the barrier segments whose padded bounding
+  box overlaps the chunk's own.
 * pocket wall: one polygon over every barrier and equivocal sample, the
   axis segment and the capture arc.  It answers membership, the exact
   crossing of a segment with the wall and the section crossed (barrier,
   equivocal or arc); the axis segment is the mirror line, never crossed.
+
+Each stage's extent is fixed by the construction (barrier endpoint, focal
+time, ``_SECONDARY_TAU_MAX``), so the build functions take only the
+resolution: the step ``d_tau`` and the primary fan's member count ``n_phi``.
 
 Values: tributary points, both universal lines and the dispersal line are
 closed form (turn alignment plus straight chase).  Primary values and
@@ -98,7 +103,6 @@ class Region:
 class SampledCurve:
     """Polyline with a time-to-go value per sample."""
 
-    kind: str  # "barrier" | "equivocal"
     points: np.ndarray  # (n, 2)
     tau: np.ndarray  # (n,)
     u: np.ndarray | None = None  # pursuer control along an equivocal curve
@@ -118,8 +122,7 @@ class Characteristic:
 
 @dataclass(frozen=True)
 class CharacteristicField:
-    family: str  # "primary" | "tributary" | "secondary"
-    terminal_label: str
+    family: str  # "primary" | "secondary"
     trajectories: list[Characteristic]
 
 
@@ -239,20 +242,13 @@ def _fan_xy(x0, y0, u, c, mu, t):
     return z.real + u, z.imag
 
 
-def _check_step(d_tau: float, **spans: float | None) -> None:
-    """Reject a step ``d_tau`` outside (0, 0.01), NaN included, and a span
-    (``tau_max``, ``tau_end``) that is not finite and positive; None is no
-    span."""
+def _check_step(d_tau: float) -> None:
+    """Reject a step ``d_tau`` outside (0, 0.01), NaN included."""
     if not 0.0 < d_tau < 0.01:
         raise ValueError(f"d_tau={d_tau!r} must be finite and lie in (0, 0.01)")
-    for name, v in spans.items():
-        if v is not None and not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"{name}={v!r} must be finite and positive")
 
 
-def compute_barrier(
-    p: GameParams, d_tau: float = 1e-3, tau_max: float | None = None
-) -> SampledCurve:
+def compute_barrier(p: GameParams, d_tau: float = 1e-3) -> SampledCurve:
     """Retrograde barrier from the BUP to its endpoint.
 
     The endpoint is where the retrograde tangent turns back toward the
@@ -260,19 +256,18 @@ def compute_barrier(
     the unit turn disc centred at (1, 0).  (For small mu the arc wiggles
     through interior x-extrema while still inside the disc; those are not
     endpoints, and the equivocal curve could not anchor there because the
-    departure cost only exists outside the disc.)  ``tau_max``, when given,
-    caps the arc early and must be finite and positive; ``d_tau`` must lie
-    in (0, 0.01).
+    departure cost only exists outside the disc.)  ``d_tau`` must lie in
+    (0, 0.01).
 
     The barrier is the ``phi = phi_bar`` member of the primary family, so
     its samples are the closed form :func:`_fan_xy`, evaluated
-    ``_FAN_CHUNK`` steps at a time on the accumulated grid ``tau += d_tau``
-    (the last step shortened to ``tau_max``).  A step arms the endpoint test
-    once it ends outside the disc with ``dx/dtau > 0``; the first later step
-    that ends with ``dx/dtau <= 0`` is bisected for the tangent-vertical
-    time, which replaces that step's end as the last sample.
+    ``_FAN_CHUNK`` steps at a time on the accumulated grid ``tau += d_tau``.
+    A step arms the endpoint test once it ends outside the disc with
+    ``dx/dtau > 0``; the first later step that ends with ``dx/dtau <= 0`` is
+    bisected for the tangent-vertical time, which replaces that step's end
+    as the last sample.
     """
-    _check_step(d_tau, tau_max=tau_max)
+    _check_step(d_tau)
     phi, mu = bup_angle(p), p.mu
     x0, y0 = bup_point(p)
 
@@ -282,11 +277,10 @@ def compute_barrier(
         return x, y, y - mu * np.sin(phi + t)
 
     ts, tau, armed = [0.0], 0.0, False
-    cap = tau_max if tau_max is not None else math.inf
-    while tau < cap:
+    while True:
         t = []
-        while len(t) < _FAN_CHUNK and tau < cap:
-            tau += min(d_tau, cap - tau)
+        for _ in range(_FAN_CHUNK):
+            tau += d_tau
             t.append(tau)
         x, y, dx = at(np.array(t))
         # The endpoint test applies from the step after the arming one.
@@ -302,7 +296,7 @@ def compute_barrier(
         ts += t[:end]
         if end < len(t):
             # Bisect the tangent-vertical time inside the step after ts[-1].
-            lo, hi = 0.0, min(d_tau, cap - ts[-1])
+            lo, hi = 0.0, d_tau
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 if at(ts[-1] + mid)[2] <= 0.0:
@@ -313,7 +307,7 @@ def compute_barrier(
             break
     x, y, _ = at(np.array(ts))
     x[0], y[0] = x0, y0
-    return SampledCurve(kind="barrier", points=np.stack([x, y], axis=1), tau=np.array(ts))
+    return SampledCurve(points=np.stack([x, y], axis=1), tau=np.array(ts))
 
 
 def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
@@ -364,10 +358,7 @@ def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
 
 
 def compute_primary_fan(
-    p: GameParams,
-    n_phi: int = 200,
-    d_tau: float = 1e-3,
-    tau_end: float | None = None,
+    p: GameParams, n_phi: int = 200, d_tau: float = 1e-3
 ) -> CharacteristicField:
     """Retrograde characteristics from usable-part angles phi in (0, phi_bar).
 
@@ -375,15 +366,13 @@ def compute_primary_fan(
     onto one point of the barrier.  Under ``(u, psi) = (+1, phi + tau)``
     each member has the closed form of :func:`_integrate_fan` with phase
     ``c = phi``, evaluated on one read-only grid of ``n_steps + 1`` evenly
-    spaced times up to the focal time, or up to ``tau_end`` when given (it
-    must be finite and positive; ``d_tau`` must lie in (0, 0.01)).
+    spaced times up to the focal time (``d_tau`` must lie in (0, 0.01)).
     """
     if n_phi < 2:
         raise ValueError("n_phi must be at least 2")
-    _check_step(d_tau, tau_end=tau_end)
+    _check_step(d_tau)
     phi_bar = bup_angle(p)
-    if tau_end is None:
-        tau_end = p.l / p.mu
+    tau_end = p.l / p.mu
     phis = np.linspace(phi_bar / n_phi, phi_bar, n_phi)
     n_steps = max(2, int(round(tau_end / d_tau)))
     taus = np.linspace(0.0, tau_end, n_steps + 1)
@@ -394,7 +383,7 @@ def compute_primary_fan(
         Characteristic(points=pts[i], tau=taus, terminal="usable_part", anchor_value=0.0, phi=phi)
         for i, phi in enumerate(phis.tolist())
     ]
-    return CharacteristicField(family="primary", terminal_label="usable part", trajectories=chars)
+    return CharacteristicField(family="primary", trajectories=chars)
 
 
 class PrimaryRootError(RuntimeError):
@@ -730,9 +719,11 @@ def _crosses(px, py, qx, qy, ax, ay, bx, by) -> np.ndarray:
     return (np.abs(denom) > 1e-14) & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
 
 
-# Secondary-fan anchors on the equivocal curve and the negative universal line.
+# Secondary-fan anchors on the equivocal curve and the negative universal line,
+# and the local time up to which the fan's characteristics are sampled.
 _N_EQUIVOCAL_ANCHORS = 160
 _N_UNIVERSAL_ANCHORS = 60
+_SECONDARY_TAU_MAX = 8.0
 
 
 def _junction_anchors(e_pts: np.ndarray) -> np.ndarray:
@@ -751,10 +742,7 @@ def _junction_anchors(e_pts: np.ndarray) -> np.ndarray:
 
 
 def compute_secondary_fan_and_equivocal(
-    p: GameParams,
-    barrier: SampledCurve | None = None,
-    d_tau: float = 1e-3,
-    tau_max: float = 8.0,
+    p: GameParams, barrier: SampledCurve, d_tau: float = 1e-3
 ) -> tuple[CharacteristicField, SampledCurve]:
     """Equivocal curve plus the u = -1 fan that fills the pocket behind it.
 
@@ -766,24 +754,21 @@ def compute_secondary_fan_and_equivocal(
     jump is what the slow-then-fast evader exploits.
 
     Both families steer ``psi = c - tau`` under ``u = -1``: the junction
-    family with ``c = pi - atan(y_ES / x_ES)``, the rear-line family with
-    ``c = 0``.  Each family is one :func:`_integrate_fan` call, which
-    evaluates their closed form at ``tau = k d_tau`` chunk by chunk.  A
+    family with ``c = pi - atan(y_ES / x_ES)`` (:func:`_junction_tilt`),
+    the rear-line family with ``c = 0``.  Each family is one
+    :func:`_integrate_fan` call, which evaluates their closed form at ``tau
+    = k d_tau`` up to ``_SECONDARY_TAU_MAX``, chunk by chunk.  A
     characteristic ends before its first step that leaves ``x >= 0``,
     enters the capture circle or crosses the thinned barrier; the barrier
     test is :func:`_barrier_stop`, which runs a characteristic's chunk of
     steps only against the barrier segments whose padded bounding box
     overlaps the chunk's, a few of about 80.  Each characteristic's
     ``tau`` is a read-only view of the one grid ``k d_tau``, as in the
-    primary fan.  ``d_tau`` must lie in (0, 0.01) and ``tau_max`` must be
-    finite and positive; both are checked before any work.
+    primary fan.  ``d_tau`` must lie in (0, 0.01), which is checked before
+    any work.
     """
-    _check_step(d_tau, tau_max=tau_max)
-    n_steps = int(round(tau_max / d_tau))
-    if n_steps < 1:
-        raise ValueError(f"tau_max={tau_max!r} is shorter than one step of d_tau={d_tau!r}")
-    if barrier is None:
-        barrier = compute_barrier(p, d_tau=d_tau)
+    _check_step(d_tau)
+    n_steps = int(round(_SECONDARY_TAU_MAX / d_tau))
     jx, jy = barrier.points[-1].tolist()
     v_j = _tributary_value_raw(p, jx, jy)
     if v_j is None:
@@ -792,7 +777,7 @@ def compute_secondary_fan_and_equivocal(
             "cost; cannot anchor the equivocal curve"
         )
     e_pts, e_val, e_u = _march_equivocal(p, (jx, jy), v_j, d_tau)
-    equivocal = SampledCurve(kind="equivocal", points=e_pts, tau=e_val, u=e_u)
+    equivocal = SampledCurve(points=e_pts, tau=e_val, u=e_u)
     y_es = float(e_pts[-1, 1])
     v_contact = float(e_val[-1])
     mu = p.mu
@@ -801,7 +786,9 @@ def compute_secondary_fan_and_equivocal(
     idx = _junction_anchors(e_pts)
     anchors_e = e_pts[idx]
     values_e = e_val[idx]
-    a_e = np.arctan(anchors_e[:, 1] / np.maximum(anchors_e[:, 0], 1e-12))
+    # The phases c = pi - a, with a from the helper that the heading and
+    # the pocket's inverse read, so that all three agree bit for bit.
+    c_e = np.array([math.pi - _junction_tilt(ax, ay) for ax, ay in anchors_e.tolist()])
 
     # --- anchors on the negative universal line ----------------------------
     y0s = np.linspace(y_es + 1e-6, -p.l - 1e-6, _N_UNIVERSAL_ANCHORS)
@@ -836,7 +823,7 @@ def compute_secondary_fan_and_equivocal(
     integrate_family(
         anchors_e[:, 0].astype(float),
         anchors_e[:, 1].astype(float),
-        math.pi - a_e,
+        c_e,
         values_e,
         anchors_e,
         "equivocal",
@@ -851,12 +838,7 @@ def compute_secondary_fan_and_equivocal(
         np.stack([zeros, y0s], axis=1),
         "negative_universal",
     )
-    fan = CharacteristicField(
-        family="secondary",
-        terminal_label="equivocal curve / negative universal line",
-        trajectories=chars,
-    )
-    return fan, equivocal
+    return CharacteristicField(family="secondary", trajectories=chars), equivocal
 
 
 # ---------------------------------------------------------------------------
@@ -1511,11 +1493,11 @@ class SolutionGeometry:
             t += _DIVE_STEP
         # Reached the rear line (or the guard): continue along the rear
         # chain; x <= 0 with y above the contact merges the negative
-        # universal line, below it the mirror turn takes over.
+        # universal line, below it the mirror turn takes over.  (0, y) lies
+        # outside the unit turn disc, so the turn always exists.
         if y > self.y_es:
             return t + self.value_at_contact + (y - self.y_es) / (1.0 - mu)
-        dep = _tributary_value_raw(p, 0.0, y)
-        return t + dep if dep is not None else self._secondary_chain_value(x, y)
+        return t + _tributary_value_raw(p, 0.0, y)
 
     # -- export ----------------------------------------------------------------
 
@@ -1570,7 +1552,7 @@ def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeome
     # On the barrier |(x - 1) + i y|^2 - 1 = (l - mu tau)(l - mu tau - 2 sin(phi_bar)),
     # whose other root is negative: the barrier leaves the turn disc at l/mu.
     tau_focal = p.l / p.mu
-    fan = compute_primary_fan(p, n_phi=n_phi, d_tau=d_tau, tau_end=tau_focal)
+    fan = compute_primary_fan(p, n_phi=n_phi, d_tau=d_tau)
     secondary, equivocal = compute_secondary_fan_and_equivocal(p, barrier=barrier, d_tau=d_tau)
     phi_bar = bup_angle(p)
     y_es = float(equivocal.points[-1, 1])

@@ -20,7 +20,9 @@ from chauffeur.solution import (
     GEOMETRY_CSV_HEADER,
     _barrier_stop,
     _crosses,
+    compute_barrier,
     compute_secondary_fan_and_equivocal,
+    secondary_heading,
     solve,
 )
 
@@ -113,11 +115,27 @@ class TestFansAgainstScalarOracle:
         else:
             assert not stops[:-1].any() and stops[-1]
 
-    def test_secondary_needs_one_step(self, params_03, geom_03):
-        with pytest.raises(ValueError, match="tau_max"):
-            compute_secondary_fan_and_equivocal(
-                params_03, barrier=geom_03.barrier, tau_max=4e-4
-            )
+    def test_junction_phase_is_the_heading_at_the_anchor(self, monkeypatch):
+        # Each junction member's phase c, as the fan integrates it, is the
+        # heading secondary_heading gives at tau = 0, bit for bit.  (0.25,
+        # 0.5) has an anchor where a vectorised arctan rounds c one ulp
+        # apart.  Phases, not samples, are compared: a member re-evaluated
+        # alone can differ from its stored samples in the last bit at a
+        # chunk's first sample.
+        p = validate_params(0.25, 0.5)
+        barrier = compute_barrier(p)
+        real, phases = solution._integrate_fan, []
+
+        def recording(x0, y0, u, c, mu, taus, stop=None):
+            phases.append(c)
+            return real(x0, y0, u, c, mu, taus, stop)
+
+        monkeypatch.setattr(solution, "_integrate_fan", recording)
+        fan, _ = compute_secondary_fan_and_equivocal(p, barrier)
+        junction = [ch for ch in fan.trajectories if ch.terminal == "equivocal"]
+        assert len(phases) == 2 and len(phases[0]) == len(junction) > 100
+        got = [float.hex(c) for c in phases[0].tolist()]
+        assert got == [float.hex(secondary_heading(ch, 0.0)) for ch in junction]
 
 
 class TestRk4ConvergesToTheClosedForm:
@@ -335,8 +353,10 @@ class TestBarrierBoxFilter:
 
             return stop
 
+        p = validate_params(mu, l)
+        barrier = compute_barrier(p)
         monkeypatch.setattr(solution, "_barrier_stop", recording)
-        compute_secondary_fan_and_equivocal(validate_params(mu, l))
+        compute_secondary_fan_and_equivocal(p, barrier)
         # Real blocks: many characteristics by one chunk of steps, as views.
         rows, steps = calls[0][1]
         assert len(calls) > 10 and rows > 100 and steps == solution._FAN_CHUNK
