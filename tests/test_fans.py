@@ -115,14 +115,18 @@ class TestFansAgainstScalarOracle:
         else:
             assert not stops[:-1].any() and stops[-1]
 
-    def test_junction_phase_is_the_heading_at_the_anchor(self, monkeypatch):
+    # The first four pairs each have one anchor where a vectorised arctan
+    # rounds c one ulp apart from _junction_tilt; the reference pairs have
+    # none.
+    @pytest.mark.parametrize(
+        "mu, l", [(0.25, 0.5), (0.1, 0.6), (0.2, 0.3), (0.5, 0.4), (0.3, 0.5), (0.2, 0.5)]
+    )
+    def test_junction_phase_is_the_heading_at_the_anchor(self, monkeypatch, mu, l):
         # Each junction member's phase c, as the fan integrates it, is the
-        # heading secondary_heading gives at tau = 0, bit for bit.  (0.25,
-        # 0.5) has an anchor where a vectorised arctan rounds c one ulp
-        # apart.  Phases, not samples, are compared: a member re-evaluated
-        # alone can differ from its stored samples in the last bit at a
-        # chunk's first sample.
-        p = validate_params(0.25, 0.5)
+        # heading secondary_heading gives at tau = 0, bit for bit.  Phases,
+        # not samples, are compared: a member re-evaluated alone can differ
+        # from its stored samples in the last bit at a chunk's first sample.
+        p = validate_params(mu, l)
         barrier = compute_barrier(p)
         real, phases = solution._integrate_fan, []
 
@@ -372,6 +376,15 @@ def _geometry_digest():
     finally:
         sys.path.pop(0)
     return geometry_digest
+
+
+@pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+def test_secondary_members_end_on_a_wall_before_the_span(which, request):
+    # _SECONDARY_TAU_MAX only bounds the grid: every member is cut by its
+    # stop rule first, so the span shapes no characteristic.
+    chars = request.getfixturevalue(which).secondary_fan.trajectories
+    n_grid = int(round(solution._SECONDARY_TAU_MAX / 1e-3)) + 1
+    assert max(len(ch.tau) for ch in chars) < n_grid // 2
 
 
 def test_secondary_members_share_one_read_only_tau_grid(geom_03, geom_02):

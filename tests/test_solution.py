@@ -163,11 +163,13 @@ class TestBarrier:
             ox, oy = _oracle_barrier_point(p, tau, int(round(tau / 1e-4)))
             assert math.hypot(b.points[k, 0] - ox, b.points[k, 1] - oy) < 1e-10, (k, tau)
 
-    def test_tau_grid_is_the_accumulated_step_grid(self, params_03):
-        b = compute_barrier(params_03, d_tau=1e-3)
+    @pytest.mark.parametrize("d_tau", [1e-3, 4e-3, 9e-3])
+    @pytest.mark.parametrize("which", ["params_03", "params_02"])
+    def test_tau_grid_is_the_accumulated_step_grid(self, which, d_tau, request):
+        b = compute_barrier(request.getfixturevalue(which), d_tau=d_tau)
         grid = [0.0]
         while len(grid) < len(b.tau):
-            grid.append(grid[-1] + 1e-3)
+            grid.append(grid[-1] + d_tau)
         # The endpoint lies inside the last step of the grid.
         assert np.array_equal(b.tau[:-1], grid[:-1])
         assert grid[-2] < b.tau[-1] <= grid[-1]
@@ -278,6 +280,20 @@ class TestPrimaryFan:
         assert all(ch.tau is tau for ch in fan.trajectories)
         assert not tau.flags.writeable
         assert tau[-1] == params_03.l / params_03.mu
+
+
+    @pytest.mark.parametrize("pair", [(0.3, 0.5), (0.2, 0.5), (0.4, 0.5), (0.35, 0.7)])
+    def test_members_end_at_the_focal_point(self, pair):
+        # At tau = l/mu the capture gap l - mu tau closes, so q = w exp(i
+        # tau) + 1 = 0 for every phi: the whole family meets at (1 - cos
+        # tau, sin tau), where its span ends.
+        p = validate_params(*pair)
+        tf = p.l / p.mu
+        fan = compute_primary_fan(p, n_phi=16, d_tau=5e-3)
+        focal = np.array([1.0 - math.cos(tf), math.sin(tf)])
+        for ch in fan.trajectories:
+            assert ch.tau[-1] == tf
+            assert np.abs(ch.points[-1] - focal).max() < 1e-12, ch.phi
 
 
 def _primary_gap(p, x, y, tau):
@@ -648,6 +664,19 @@ class TestTributaryValue:
             assert along > -1e-9 and abs(along - s0) < 1e-7, (x, y)
             checked += 1
         assert checked > 3000
+
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_rear_line_below_the_contact_has_a_departure_cost(self, which, request):
+        # The pocket dive prices a rear-line exit below y_ES by the turn
+        # alone: (0 - 1)^2 + y^2 >= 1, so the alignment always exists there.
+        # The pair closes at most at 1 + mu, which bounds the cost below.
+        geom = request.getfixturevalue(which)
+        p = geom.params
+        for y in np.linspace(-p.l - 3.0, geom.y_es, 200).tolist():
+            v = _tributary_value_raw(p, 0.0, y)
+            assert v is not None and math.isfinite(v), y
+            assert v >= (-y - p.l) / (1.0 + p.mu), y
 
 
 class TestEquivocalCurve:
