@@ -52,7 +52,7 @@ class RunConfig:
     x0: float | None = None
     y0: float | None = None
     dt: float = 1e-3
-    t_max: float = 60.0
+    t_max: float | None = None
     x_min: float | None = None
     x_max: float | None = None
     y_min: float | None = None
@@ -141,7 +141,7 @@ def parse_config(text: str, command: str, source: str = "<config>") -> RunConfig
             )
     if cfg.dt <= 0 or cfg.dt >= 0.01:
         raise ConfigError(f"{source}: dt={cfg.dt} outside (0, 0.01)")
-    if cfg.t_max <= 0:
+    if cfg.t_max is not None and cfg.t_max <= 0:
         raise ConfigError(f"{source}: t_max={cfg.t_max} must be positive")
 
     if command in ("classify", "simulate"):
@@ -204,7 +204,8 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
                 evader_policy=policy,
                 pursuer_mode=cfg.pursuer,
                 dt=cfg.dt,
-                t_max=cfg.t_max,
+                # Unset, the horizon is Scenario's default.
+                **({} if cfg.t_max is None else {"t_max": cfg.t_max}),
             )
             traj = run_closed_loop(sc)
             path = _out_path(cfg, "trajectory.csv")
@@ -214,7 +215,7 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
                 kinds[e.kind] = kinds.get(e.kind, 0) + 1
             ev = " ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
             if traj.capture_time is None:
-                print(f"no capture within t_max={cfg.t_max:.9g} ({ev}) wrote {path}", file=out)
+                print(f"no capture within t_max={sc.t_max:.9g} ({ev}) wrote {path}", file=out)
                 return EXIT_NO_CAPTURE
             print(f"capture_time={traj.capture_time:.9g} {ev} wrote {path}", file=out)
             return EXIT_OK
@@ -229,6 +230,7 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
                 window=(cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max),
                 spacing=cfg.spacing,
                 dt=cfg.dt,
+                t_max=cfg.t_max,
                 workers=workers,
             )
             path = _out_path(cfg, "advantage_map.csv")

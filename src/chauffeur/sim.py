@@ -168,7 +168,7 @@ def _pocket_flip(
         return None
     t0, x0, y0 = prev
     t1, x1, y1 = nxt
-    w, xw, yw, section = geometry.wall_crossing(x0, y0, x1, y1, in_prev)
+    w, xw, yw, section = geometry.wall_crossing(x0, y0, x1, y1)
     return t0 + w * (t1 - t0), (xw, yw), section
 
 

@@ -58,8 +58,10 @@ nearest secondary sample's headings.  The tributary formula is also the
 departure cost on the pocket wall, which makes the value continuous across
 the equivocal curve while it jumps across the barrier (the pocket is worth
 more to the evader than the wrapped tributary field just outside).  The
-wall band and the wall distance read the wall's vertices sorted by x
-(:class:`_SortedVertices`).
+equivocal dead band reads the curve's samples sorted by x
+(:class:`_SortedVertices`); the wall band and the wall distance scan the
+pocket polygon's barrier and equivocal vertices, which only the simulator's
+wall hold after a deceptive switch asks for.
 """
 
 from __future__ import annotations
@@ -806,7 +808,7 @@ def compute_secondary_fan_and_equivocal(
     taus = np.arange(n_steps + 1) * d_tau
     taus.flags.writeable = False
 
-    def integrate_family(x0, y0, c, values, anchors, terminal):
+    def integrate_family(x0, y0, c, values, terminal):
         cube, ends = _integrate_fan(x0, y0, -1.0, c, mu, taus, stop)
         for i, end in enumerate(ends.tolist()):
             chars.append(
@@ -815,29 +817,17 @@ def compute_secondary_fan_and_equivocal(
                     tau=taus[:end],
                     terminal=terminal,
                     anchor_value=float(values[i]),
-                    anchor=(float(anchors[i][0]), float(anchors[i][1])),
+                    anchor=(float(x0[i]), float(y0[i])),
                 )
             )
 
     # Junction-strategy family: psi = pi - tau - atan(y_ES / x_ES).
     integrate_family(
-        anchors_e[:, 0].astype(float),
-        anchors_e[:, 1].astype(float),
-        c_e,
-        values_e,
-        anchors_e,
-        "equivocal",
+        anchors_e[:, 0].astype(float), anchors_e[:, 1].astype(float), c_e, values_e, "equivocal"
     )
     # Rear-line family: psi = -tau from (0, y0).
     zeros = np.zeros_like(y0s)
-    integrate_family(
-        zeros,
-        y0s.astype(float),
-        zeros,
-        values_u,
-        np.stack([zeros, y0s], axis=1),
-        "negative_universal",
-    )
+    integrate_family(zeros, y0s.astype(float), zeros, values_u, "negative_universal")
     return CharacteristicField(family="secondary", trajectories=chars), equivocal
 
 
@@ -1066,24 +1056,22 @@ class _Polygon:
 
 @dataclass(frozen=True, eq=False)
 class _SortedVertices:
-    """Vertices sorted by x, as lists for bisection and as arrays.  Every
-    vertex within ``r`` of (x, y) lies in the slice with x in ``[x - 2r,
-    x + 2r]``, so both queries answer as a scan over every vertex would, bit
-    for bit.  ``bbox`` is the vertices' extent padded by ``SIDE_DEADBAND``."""
+    """Vertices sorted by x, as lists for bisection.  Every vertex within
+    ``SIDE_DEADBAND`` of (x, y) lies in the slice with x in ``[x - 2
+    SIDE_DEADBAND, x + 2 SIDE_DEADBAND]``, so :meth:`hit` answers as a scan
+    over every vertex would.  ``bbox`` is the vertices' extent padded by
+    ``SIDE_DEADBAND``."""
 
     xs: list
     ys: list
     bbox: tuple
-    ax: np.ndarray
-    ay: np.ndarray
 
     @classmethod
     def of(cls, pts: np.ndarray) -> "_SortedVertices":
         order = np.argsort(pts[:, 0], kind="stable")
-        ax, ay = pts[order, 0], pts[order, 1]
         lo, hi = pts.min(axis=0) - SIDE_DEADBAND, pts.max(axis=0) + SIDE_DEADBAND
         bbox = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-        return cls(ax.tolist(), ay.tolist(), bbox, ax, ay)
+        return cls(pts[order, 0].tolist(), pts[order, 1].tolist(), bbox)
 
     def hit(self, x: float, y: float) -> bool:
         """True when some vertex lies closer than ``SIDE_DEADBAND`` (the
@@ -1098,16 +1086,6 @@ class _SortedVertices:
             if math.sqrt(dx * dx + dy * dy) < SIDE_DEADBAND:
                 return True
         return False
-
-    def nearest_within(self, x: float, y: float, r: float) -> float | None:
-        """Distance to the nearest vertex if it is at most ``r``, else None,
-        by a scan's numpy expression over the slice."""
-        a = bisect_left(self.xs, x - 2.0 * r)
-        b = bisect_right(self.xs, x + 2.0 * r, a)
-        if a == b:
-            return None
-        d = math.sqrt(float(((self.ax[a:b] - x) ** 2 + (self.ay[a:b] - y) ** 2).min()))
-        return d if d <= r else None
 
 
 # Iteration cap and residual tolerance of the junction family's inverse.
@@ -1155,14 +1133,13 @@ class _SecondaryFamilies:
 
     @classmethod
     def of(
-        cls, p: GameParams, fan: CharacteristicField, equivocal: SampledCurve,
-        y_es: float, value_at_contact: float,
+        cls, p: GameParams, fan: CharacteristicField, equivocal: SampledCurve
     ) -> "_SecondaryFamilies":
         junction = [ch for ch in fan.trajectories if ch.terminal == "equivocal"]
         rear = [ch for ch in fan.trajectories if ch.terminal == "negative_universal"]
         s = _junction_anchors(equivocal.points).tolist()
         return cls(
-            p.mu, y_es, value_at_contact,
+            p.mu, float(equivocal.points[-1, 1]), float(equivocal.tau[-1]),
             [ch.anchor[1] for ch in rear], [ch.tau.item(-1) for ch in rear],
             equivocal.points, equivocal.tau,
             s, [ch.tau.item(-1) for ch in junction],
@@ -1267,12 +1244,11 @@ class SolutionGeometry:
     y_es: float
     value_at_contact: float
     tau_focal: float
-    _pocket: _Polygon = field(repr=False, default=None)
-    _petal: _Polygon = field(repr=False, default=None)
-    _secondary_index: _CurveIndex = field(repr=False, default=None)
-    _families: _SecondaryFamilies = field(repr=False, default=None)
-    _equivocal_band: _SortedVertices = field(repr=False, default=None)
-    _wall: _SortedVertices = field(repr=False, default=None)
+    _pocket: _Polygon = field(repr=False)
+    _petal: _Polygon = field(repr=False)
+    _secondary_index: _CurveIndex = field(repr=False)
+    _families: _SecondaryFamilies = field(repr=False)
+    _equivocal_band: _SortedVertices = field(repr=False)
 
     # -- region tests --------------------------------------------------------
 
@@ -1285,16 +1261,16 @@ class SolutionGeometry:
         return self._pocket.contains(abs(x), y)
 
     def wall_crossing(
-        self, x0: float, y0: float, x1: float, y1: float, inside: bool
+        self, x0: float, y0: float, x1: float, y1: float
     ) -> tuple[float, float, float, str]:
         """(w, x, y, section) of the first pocket-wall crossing on the segment
-        from (x0, y0) to (x1, y1), which starts with pocket membership
-        ``inside``: the fraction ``w``, the point ``(x0 + w (x1 - x0), y0 +
-        w (y1 - y0))`` and the crossed edge's section, ``"barrier"``,
-        ``"equivocal"`` or ``"arc"``, exact to rounding (``_Polygon.crossing``).
-        A segment that changes the sign of x is folded at x = 0 into two
-        straight pieces; the axis segment is the mirror line, so no crossing
-        lands on it.  A segment that crosses no wall raises ValueError."""
+        from (x0, y0) to (x1, y1): the fraction ``w``, the point ``(x0 + w
+        (x1 - x0), y0 + w (y1 - y0))`` and the crossed edge's section,
+        ``"barrier"``, ``"equivocal"`` or ``"arc"``, exact to rounding
+        (``_Polygon.crossing``).  A segment that changes the sign of x is
+        folded at x = 0 into two straight pieces; the axis segment is the
+        mirror line, so no crossing lands on it.  A segment that crosses no
+        wall raises ValueError, which names the start's pocket membership."""
         cuts, ends = [0.0, 1.0], [(abs(x0), y0), (abs(x1), y1)]
         if x0 * x1 < 0.0:
             w0 = x0 / (x0 - x1)
@@ -1307,35 +1283,36 @@ class SolutionGeometry:
                 w = cuts[k] + hit[0] * (cuts[k + 1] - cuts[k])
                 section = "barrier" if hit[1] < nb else "equivocal" if hit[1] < nb + ne else "arc"
                 return w, x0 + w * (x1 - x0), y0 + w * (y1 - y0), section
-        where = "inside" if inside else "outside"
+        where = "inside" if self.pocket_contains(x0, y0) else "outside"
         raise ValueError(f"({x0}, {y0}) -> ({x1}, {y1}) starts {where} the pocket, crosses no wall")
 
-    def classify(
-        self, s: RelState, axis_band: float = SIDE_DEADBAND, wall_band: float = 0.0
-    ) -> Region:
-        """Region tag of a relative state (x < 0 queries are mirrored); a
-        non-finite state raises ``ValueError``.
+    def classify(self, s: RelState) -> Region:
+        """Region tag of a relative state (x < 0 queries are mirrored), with
+        the universal lines ``SIDE_DEADBAND`` wide and no wall band (see
+        :meth:`_tag`); a non-finite state raises ``ValueError``."""
+        if not math.hypot(s.x, s.y) < math.inf:
+            raise ValueError(f"no region for the non-finite state {s!r}")
+        return Region(self._tag(abs(s.x), s.y, SIDE_DEADBAND, 0.0), s.x < 0.0)
+
+    def _tag(self, x: float, y: float, axis_band: float, wall_band: float) -> str:
+        """Region tag of (x, y), with x already mirrored into x >= 0; the
+        closed loop asks for it on floats, through ``feedback_pair``.
 
         ``axis_band`` widens the universal-line tests and ``wall_band``
         widens the pocket to include a strip just outside its wall; the
         simulator passes step-scaled bands so feedback chatter cannot flip a
         trajectory off a line or off the pocket wall it is committed to.
-        Geometric queries use the defaults (dead band 1e-6).
+        :meth:`classify` uses ``SIDE_DEADBAND`` and no wall band.
 
         A state within ``SIDE_DEADBAND`` of an equivocal sample is tagged
         equivocal; the samples are kept sorted by x, so bisection finds the
         few that can be that close (see ``_SortedVertices``).  Pocket and petal
         membership then look up the one slab of edges at the state's y (see
         ``_Polygon``).  Both tests are exact: they answer as a scan over
-        every sample or edge would.
+        every sample or edge would.  The wall band, asked for only while the
+        simulator holds a trajectory on the wall after a deceptive switch,
+        is :meth:`_wall_scan` over every barrier and equivocal vertex.
         """
-        if not math.hypot(s.x, s.y) < math.inf:
-            raise ValueError(f"no region for the non-finite state {s!r}")
-        return Region(self._tag(abs(s.x), s.y, axis_band, wall_band), s.x < 0.0)
-
-    def _tag(self, x: float, y: float, axis_band: float, wall_band: float) -> str:
-        """:meth:`classify`'s region tag of (x, y), with x already mirrored
-        into x >= 0; the closed loop asks for it on floats."""
         p = self.params
         if x * x + y * y <= p.l * p.l:
             return CAPTURED
@@ -1351,7 +1328,7 @@ class SolutionGeometry:
         if bx[0] - wb <= x <= bx[1] + wb and bx[2] - wb <= y <= bx[3] + wb and (
             self.pocket_contains(x, y)
             # On-wall states belong to the pocket's closure.
-            or wb > 0.0 and self._wall.nearest_within(x, y, min(wb, 0.06)) is not None
+            or wb > 0.0 and self._wall_scan(x, y) <= min(wb, 0.06)
         ):
             return SECONDARY
         if self._petal.contains(x, y):
@@ -1361,13 +1338,16 @@ class SolutionGeometry:
     def wall_distance(self, x: float, y: float) -> float:
         """Distance to the nearest barrier or equivocal vertex of the pocket
         polygon, so accurate to the construction step (about 1e-3)."""
-        return self._wall.nearest_within(abs(x), y, math.inf)
+        return self._wall_scan(abs(x), y)
+
+    def _wall_scan(self, x: float, y: float) -> float:
+        """Distance from (x, y), x >= 0, to the nearest barrier or equivocal
+        vertex, by a scan over the pocket polygon's first ``len(barrier) +
+        len(equivocal)`` vertices, which are those."""
+        wall = self._pocket.pts[: len(self.barrier.points) + len(self.equivocal.points)]
+        return math.sqrt(float(((wall[:, 0] - x) ** 2 + (wall[:, 1] - y) ** 2).min()))
 
     # -- characteristic queries ----------------------------------------------
-
-    def primary_data(self, x: float, y: float) -> tuple[float, float]:
-        """(phi, tau) of the primary characteristic through (x, y), x >= 0."""
-        return primary_inverse(self.params, x, y)
 
     def secondary_data(self, x: float, y: float) -> tuple[Characteristic, float]:
         """(characteristic, local tau) for the nearest secondary sample."""
@@ -1387,9 +1367,12 @@ class SolutionGeometry:
     # -- value ----------------------------------------------------------------
 
     def value(self, s: RelState) -> float:
-        """Equilibrium time to capture from a relative state.  Pocket
-        states take :meth:`_secondary_value`: the closed-form preimage of
-        their characteristic, or the dive where none is admissible."""
+        """Equilibrium time to capture from a relative state.  A pocket
+        state's value comes from its characteristic in closed form: anchor
+        value plus tau of the admissible preimage with the smallest tau
+        (:meth:`_preimages`).  A state without one (past the junction
+        anchors' cutoff, in the strip by the capture arc, or where the
+        junction solve does not converge) takes :meth:`_secondary_dive`."""
         if not math.hypot(s.x, s.y) < math.inf:
             raise ValueError(f"no value at the non-finite state {s!r}")
         p = self.params
@@ -1408,10 +1391,13 @@ class SolutionGeometry:
                 raise RuntimeError(f"turn alignment unexpectedly missing at ({x}, {y})")
             return v
         if tag == PRIMARY:
-            return self.primary_data(x, y)[1]
+            return primary_inverse(p, x, y)[1]
         if tag == EQUIVOCAL:
             return self.equivocal_data(x, y)[0]
-        return self._secondary_value(x, y)
+        pre = self._preimages(x, y)
+        if pre:
+            return self._families.value(*pre[0])
+        return self._secondary_dive(x, y)
 
     def _secondary_chain_value(self, x: float, y: float) -> float:
         """Inverse-distance blend of the two nearest characteristics' chains."""
@@ -1451,17 +1437,6 @@ class SolutionGeometry:
         out.sort(key=lambda e: e[2])
         return out
 
-    def _secondary_value(self, x: float, y: float) -> float:
-        """Pocket value from the state's characteristic in closed form:
-        anchor value plus tau of the admissible preimage with the smallest
-        tau (:meth:`_preimages`).  A state without one (past the junction
-        anchors' cutoff, in the strip by the capture arc, or where the
-        junction solve does not converge) takes :meth:`_secondary_dive`."""
-        pre = self._preimages(x, y)
-        if pre:
-            return self._families.value(*pre[0])
-        return self._secondary_dive(x, y)
-
     def _secondary_dive(self, x: float, y: float) -> float:
         """Pocket value by the dive: ride the hard-left field to the wall,
         then price the departure in closed form.
@@ -1484,7 +1459,7 @@ class SolutionGeometry:
             xn, yn = held_step(x, y, -1.0, psi, mu, _DIVE_STEP)
             if not self.pocket_contains(xn, yn):
                 # Locate the wall crossing and price the tributary departure.
-                w, cx, cy, _ = self.wall_crossing(x, y, xn, yn, True)
+                w, cx, cy, _ = self.wall_crossing(x, y, xn, yn)
                 dep = _tributary_value_raw(p, max(cx, 0.0), cy)
                 if dep is None:
                     return self._secondary_chain_value(x, y)
@@ -1516,12 +1491,14 @@ class SolutionGeometry:
 
 
 def _build_polygons(
-    p: GameParams, phi_bar: float, barrier: SampledCurve, equivocal: SampledCurve,
-    primary_fan: CharacteristicField, y_es: float, tau_focal: float,
+    p: GameParams, barrier: SampledCurve, equivocal: SampledCurve, inner_member: np.ndarray
 ) -> tuple[_Polygon, _Polygon]:
     """(pocket, petal) polygons: every barrier and equivocal sample, the axis
     segment and the capture arc, in the order ``wall_crossing`` reads
-    sections from, and a thinned petal."""
+    sections from, and a thinned petal closed by the primary fan's innermost
+    member, ``inner_member``."""
+    phi_bar = bup_angle(p)
+    y_es = float(equivocal.points[-1, 1])
 
     def thin(a: np.ndarray, n: int) -> np.ndarray:
         if len(a) <= n:
@@ -1537,9 +1514,9 @@ def _build_polygons(
     # Petal: pre-focal barrier sub-arc, innermost fan member reversed,
     # usable-part arc.  The primary family closes onto the barrier at the
     # focal time, so only that sub-arc bounds the petal.
-    k_focal = int(np.searchsorted(barrier.tau, tau_focal))
+    k_focal = int(np.searchsorted(barrier.tau, p.l / p.mu))
     bar_focal = thin(barrier.points[: max(k_focal, 2)], 300)
-    inner = thin(primary_fan.trajectories[0].points, 300)
+    inner = thin(inner_member, 300)
     up_angles = np.linspace(phi_bar, 0.0, 60)
     up_arc = np.stack([p.l * np.sin(up_angles), p.l * np.cos(up_angles)], axis=1)
     petal = np.concatenate([bar_focal, inner[::-1], up_arc[1:]], axis=0)
@@ -1549,31 +1526,26 @@ def _build_polygons(
 def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeometry:
     """Construct the full solution geometry for ``p``."""
     barrier = compute_barrier(p, d_tau=d_tau)
-    # On the barrier |(x - 1) + i y|^2 - 1 = (l - mu tau)(l - mu tau - 2 sin(phi_bar)),
-    # whose other root is negative: the barrier leaves the turn disc at l/mu.
-    tau_focal = p.l / p.mu
     fan = compute_primary_fan(p, n_phi=n_phi, d_tau=d_tau)
     secondary, equivocal = compute_secondary_fan_and_equivocal(p, barrier=barrier, d_tau=d_tau)
-    phi_bar = bup_angle(p)
-    y_es = float(equivocal.points[-1, 1])
-    pocket, petal = _build_polygons(p, phi_bar, barrier, equivocal, fan, y_es, tau_focal)
-    value_at_contact = float(equivocal.tau[-1])
+    pocket, petal = _build_polygons(p, barrier, equivocal, fan.trajectories[0].points)
     return SolutionGeometry(
         params=p,
-        phi_bar=phi_bar,
+        phi_bar=bup_angle(p),
         barrier=barrier,
         equivocal=equivocal,
         primary_fan=fan,
         secondary_fan=secondary,
-        y_es=y_es,
-        value_at_contact=value_at_contact,
-        tau_focal=tau_focal,
+        y_es=float(equivocal.points[-1, 1]),
+        value_at_contact=float(equivocal.tau[-1]),
+        # On the barrier |(x - 1) + i y|^2 - 1 = (l - mu tau)(l - mu tau - 2 sin(phi_bar)),
+        # whose other root is negative: the barrier leaves the turn disc at l/mu.
+        tau_focal=p.l / p.mu,
         _pocket=pocket,
         _petal=petal,
         _secondary_index=_CurveIndex([ch.points for ch in secondary.trajectories]),
-        _families=_SecondaryFamilies.of(p, secondary, equivocal, y_es, value_at_contact),
+        _families=_SecondaryFamilies.of(p, secondary, equivocal),
         _equivocal_band=_SortedVertices.of(equivocal.points),
-        _wall=_SortedVertices.of(np.concatenate([barrier.points, equivocal.points])),
     )
 
 

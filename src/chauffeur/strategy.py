@@ -32,6 +32,7 @@ from .solution import (
     UNIVERSAL_NEGATIVE,
     UNIVERSAL_POSITIVE,
     SolutionGeometry,
+    primary_inverse,
     secondary_heading,
     turn_alignment,
 )
@@ -78,7 +79,7 @@ def _feedback_halfplane(
             return 1.0, 0.0, tag
         return 1.0, wrap_angle(res[0]), tag
     if tag == PRIMARY:
-        phi, tau = geom.primary_data(x, y)
+        phi, tau = primary_inverse(geom.params, x, y)
         return 1.0, wrap_angle(phi + tau), tag
     if tag == EQUIVOCAL:
         _, u_eq = geom.equivocal_data(x, y)

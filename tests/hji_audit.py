@@ -9,12 +9,23 @@ mu cos psi``, the value V satisfies, wherever it is differentiable,
 differences of ``value()`` at seeded points, not from the fans' bookkeeping,
 so a family whose stored headings are not the equilibrium ones shows as a
 residual far above the differencing error.
+
+The same gradient gives the equilibrium controls, ``psi = atan2(V_x, V_y)``
+for the evader and ``u = -sign(x V_y - y V_x)`` for the pursuer, which
+``feedback_pair`` must play.  Outside the pocket its heading is the closed
+form's, so the gap is the differencing error.  In the pocket it follows the
+nearest stored sample and its projected tau, not the preimage that the
+value reads, so the rear family's gap is the sampling error, about 1e-3
+rad: evidence for taking the pocket feedback from the preimage too
+(ROADMAP item 5).
 """
 
 import math
+from typing import NamedTuple
 
-from chauffeur.core import RelState
+from chauffeur.core import RelState, wrap_angle
 from chauffeur.solution import PRIMARY, SECONDARY, TRIBUTARY
+from chauffeur.strategy import feedback_pair
 
 # Seeding box (x >= 0 half plane) and the clearances from the pocket wall
 # outside and inside the pocket.
@@ -38,8 +49,19 @@ def family(geom, x, y):
     return None
 
 
-def hamiltonian(geom, x, y, h):
-    """|H| at (x, y) from central differences of ``value()`` with step h."""
+class Check(NamedTuple):
+    """One audited point: |H|, the gap in radians between the feedback's
+    evader heading and ``atan2(V_x, V_y)``, and whether the feedback's u is
+    ``-sign(x V_y - y V_x)``."""
+
+    residual: float
+    heading_gap: float
+    u_minimises: bool
+
+
+def check(geom, x, y, h):
+    """:class:`Check` at (x, y) from central differences of ``value()``
+    with step h."""
     mu = geom.params.mu
 
     def v(a, b):
@@ -47,15 +69,21 @@ def hamiltonian(geom, x, y, h):
 
     vx = (v(x + h, y) - v(x - h, y)) / (2.0 * h)
     vy = (v(x, y + h) - v(x, y - h)) / (2.0 * h)
-    return abs(1.0 - vy + mu * math.hypot(vx, vy) - abs(x * vy - y * vx))
+    lever = x * vy - y * vx
+    u, psi, _ = feedback_pair(geom, RelState(x, y))
+    return Check(
+        abs(1.0 - vy + mu * math.hypot(vx, vy) - abs(lever)),
+        abs(wrap_angle(psi - math.atan2(vx, vy))),
+        u == -math.copysign(1.0, lever),
+    )
 
 
-def residuals(geom, rng, steps, per_family, n_seeds):
-    """|H| per family over at most ``per_family`` points each, from
-    ``n_seeds`` points drawn uniformly over ``BOX``.  ``steps`` maps each
-    audited family to its difference step h.  A point is kept when it lies
-    more than ``WALL_MARGIN`` from the wall (``POCKET_MARGIN`` inside the
-    pocket) and its whole stencil lies in its family."""
+def checks(geom, rng, steps, per_family, n_seeds):
+    """:class:`Check` per family over at most ``per_family`` points each,
+    from ``n_seeds`` points drawn uniformly over ``BOX``.  ``steps`` maps
+    each audited family to its difference step h.  A point is kept when it
+    lies more than ``WALL_MARGIN`` from the wall (``POCKET_MARGIN`` inside
+    the pocket) and its whole stencil lies in its family."""
     out = {name: [] for name in steps}
     x0, x1, y0, y1 = BOX
     for _ in range(n_seeds):
@@ -69,5 +97,5 @@ def residuals(geom, rng, steps, per_family, n_seeds):
         h = steps[name]
         stencil = ((x + h, y), (x - h, y), (x, y + h), (x, y - h))
         if all(family(geom, a, b) == name for a, b in stencil):
-            out[name].append(hamiltonian(geom, x, y, h))
+            out[name].append(check(geom, x, y, h))
     return out

@@ -112,7 +112,7 @@ def run_closed_loop_reference(
             if geom_e is geom_truth:
                 tag_ = tag_e
         if geom_p is not geom_truth and geom_e is not geom_truth:
-            tag_ = geom_truth.classify(state, axis_band=band, wall_band=wband).tag
+            tag_ = geom_truth._tag(abs(state.x), state.y, band, wband)
         return u_, psi_, mu_cmd_, tag_
 
     for _ in range(n_max + 1):

@@ -162,7 +162,7 @@ class ReferencePocketGeometry(SolutionGeometry):
             psi = secondary_heading(*self.secondary_data(x, y))
             xn, yn = held_step(x, y, -1.0, psi, mu, _DIVE_STEP)
             if not self.pocket_contains(xn, yn):
-                w, cx, cy, _ = self.wall_crossing(x, y, xn, yn, True)
+                w, cx, cy, _ = self.wall_crossing(x, y, xn, yn)
                 dep = _tributary_value_raw(p, max(cx, 0.0), cy)
                 if dep is None:
                     return self._secondary_chain_value(x, y)

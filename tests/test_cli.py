@@ -116,6 +116,26 @@ class TestExecute:
         assert len(rows) == 10  # header + 9 cells
         assert "cells=9" in out.getvalue()
 
+    def test_sweep_plays_to_the_configured_t_max(self, tmp_path):
+        # Every cell of the 3x3 sweep is captured after more than 0.5 time
+        # units, so a 0.5 horizon leaves them all uncaptured: exit 4.  A
+        # sweep that derived its horizon from the window would exit 0.
+        text = REFERENCE_INI.replace("t_max = 40", "t_max = 0.5")
+        text += "\n[sweep]\nx_min = 1.4\nx_max = 2.0\ny_min = 0.8\ny_max = 1.4\nspacing = 0.3\n"
+        text = text.replace("dt = 0.001", "dt = 0.002")
+        cfg = parse_config(text, "sweep")
+        assert cfg.t_max == 0.5
+        cfg.directory = str(tmp_path)
+        out = io.StringIO()
+        assert execute(cfg, out=out) == EXIT_NO_CAPTURE
+        assert "cells=9" in out.getvalue() and "failures=0" in out.getvalue()
+
+    def test_t_max_is_unset_without_the_key(self):
+        # Unset, sweep derives its horizon from the window and simulate
+        # takes Scenario's default.
+        cfg = parse_config(REFERENCE_INI.replace("t_max = 40\n", ""), "simulate")
+        assert cfg.t_max is None
+
     @pytest.mark.parametrize("error", [EqualCostBracketError, PrimaryRootError, NearestSampleError])
     def test_named_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def fail(sc):

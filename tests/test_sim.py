@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -558,3 +559,50 @@ class TestRunClosedLoop:
             return run_closed_loop(sc, geom_03, geom_03).capture_time
 
         assert abs(run(1e-3) - run(5e-4)) < 1e-3
+
+
+def test_wall_scan_runs_only_in_the_wall_hold(params_03, params_02, geom_03, geom_02, rng, monkeypatch):
+    # The wall band and wall_distance scan every barrier and equivocal
+    # vertex, about 6700 on (0.3, 0.5).  That is cheap only because nothing
+    # but the deceptive switch's wall hold asks for it: not classify or
+    # value, and not truthful play.
+    from chauffeur.solution import SolutionGeometry
+
+    scan = SolutionGeometry._wall_scan
+
+    def refuse(self, x, y):
+        raise AssertionError(f"wall scan at ({x!r}, {y!r})")
+
+    monkeypatch.setattr(SolutionGeometry, "_wall_scan", refuse)
+    for geom in (geom_03, geom_02):
+        bx = geom._pocket.bbox
+        pts = np.stack(
+            [rng.uniform(bx[0] - 0.3, bx[1] + 0.3, 150), rng.uniform(bx[2] - 0.3, bx[3] + 0.3, 150)], 1
+        )
+        tags = set()
+        for x, y in pts.tolist():
+            s = RelState(x * rng.choice([-1.0, 1.0]), y)
+            tags.add(geom.classify(s).tag)
+            geom.value(s)
+        assert {"Secondary", "Tributary", "Primary"} <= tags
+    s0 = RelState(2.152, -0.214)
+    truthful = Scenario(params_03, params_02, s0, EvaderPolicy(kind="truthful"), t_max=12.0)
+    traj = run_closed_loop(truthful, geom_03, geom_02)
+    assert traj.capture_time is not None and "Secondary" in traj.region
+
+    # The deceptive run scans only while run_closed_loop's wall_hold is set.
+    holds = []
+
+    def in_hold(self, x, y):
+        frame = sys._getframe(1)
+        while frame.f_code is not sim.run_closed_loop.__code__:
+            frame = frame.f_back
+        holds.append(frame.f_locals["wall_hold"])
+        return scan(self, x, y)
+
+    monkeypatch.setattr(SolutionGeometry, "_wall_scan", in_hold)
+    policy = EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3)
+    deceptive = Scenario(params_03, params_02, s0, policy, pursuer_mode="estimating", t_max=12.0)
+    traj = run_closed_loop(deceptive, geom_03, geom_02)
+    assert traj.capture_time is not None and sim.SWITCH in {e.kind for e in traj.events}
+    assert holds and all(holds), holds

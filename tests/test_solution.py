@@ -1197,7 +1197,7 @@ class TestWallCrossing:
         (x0, y0), (x1, y1) = start, end
         inside = geom_03.pocket_contains(x0, y0)
         assert geom_03.pocket_contains(x1, y1) != inside
-        w, xw, yw, section = geom_03.wall_crossing(x0, y0, x1, y1, inside)
+        w, xw, yw, section = geom_03.wall_crossing(x0, y0, x1, y1)
         assert (xw, yw) == (x0 + w * (x1 - x0), y0 + w * (y1 - y0))
 
         def member(s):
@@ -1217,8 +1217,16 @@ class TestWallCrossing:
     def test_segment_inside_the_pocket_crosses_no_wall(self, geom_03):
         assert geom_03.pocket_contains(1.2, 0.3) and geom_03.pocket_contains(1.6, -0.6)
         assert _wall_crossing_scan(geom_03, 1.2, 0.3, 1.6, -0.6) is None
-        with pytest.raises(ValueError, match="crosses no wall"):
-            geom_03.wall_crossing(1.2, 0.3, 1.6, -0.6, True)
+        with pytest.raises(ValueError, match="starts inside the pocket, crosses no wall"):
+            geom_03.wall_crossing(1.2, 0.3, 1.6, -0.6)
+
+    def test_segment_outside_the_pocket_crosses_no_wall(self, geom_03):
+        # The error names the start's membership, which wall_crossing reads
+        # itself; (3, 2) -> (3.5, 2.5) lies in tributary territory.
+        assert not geom_03.pocket_contains(3.0, 2.0)
+        assert _wall_crossing_scan(geom_03, 3.0, 2.0, 3.5, 2.5) is None
+        with pytest.raises(ValueError, match="starts outside the pocket, crosses no wall"):
+            geom_03.wall_crossing(3.0, 2.0, 3.5, 2.5)
 
 
 def test_geometry_is_frozen(geom_03):
@@ -1324,7 +1332,7 @@ def test_wall_band_is_a_wall_vertex_within_the_band(geom_03, geom_02, rng):
                 if geom.classify(RelState(x, y)).tag not in (PRIMARY, TRIBUTARY) or x <= band:
                     continue
                 brute = math.sqrt(float(((wall[:, 0] - x) ** 2 + (wall[:, 1] - y) ** 2).min()))
-                tag = geom.classify(RelState(x, y), axis_band=band, wall_band=band).tag
+                tag = geom._tag(x, y, band, band)
                 assert (tag == SECONDARY) == (brute <= cap), (band, x, y)
                 hits += brute <= cap
                 misses += brute > cap
@@ -1709,32 +1717,15 @@ def test_project_matches_the_numpy_scalar_version(geom_03, geom_02, rng):
     assert clamped > 100 and interior > 1000
 
 
-class _ScanWall:
-    """Stand-in for the sorted wall vertices that scans every one."""
-
-    def __init__(self, geom):
-        self.pts, self.calls = np.concatenate([geom.barrier.points, geom.equivocal.points]), 0
-
-    def nearest_within(self, x, y, r):
-        self.calls += 1
-        d = math.sqrt(float(((self.pts[:, 0] - x) ** 2 + (self.pts[:, 1] - y) ** 2).min()))
-        return d if d <= r else None
-
-    def distance(self, x, y):
-        return self.nearest_within(x, y, math.inf)
-
-
 def test_values_and_reference_games_are_bitwise_equal_under_the_ring_rule_scan(
     params_03, params_02, geom_03, geom_02, rng
 ):
     # The same pocket values and reference runs, once on the slice index
-    # and the sorted wall vertices, and once with the index replaced by the
-    # brute-force ring rule and the wall by a scan over every vertex.
+    # and once with the index replaced by the brute-force ring rule.
     def scanned(geom):
         return dataclasses.replace(
             geom,
             _secondary_index=_RingRuleScan([ch.points for ch in geom.secondary_fan.trajectories]),
-            _wall=_ScanWall(geom),
         )
 
     scan_03, scan_02 = scanned(geom_03), scanned(geom_02)
@@ -1759,4 +1750,4 @@ def test_values_and_reference_games_are_bitwise_equal_under_the_ring_rule_scan(
         assert SECONDARY in fast.region
         for f in dataclasses.fields(fast):
             assert repr(getattr(fast, f.name)) == repr(getattr(slow, f.name)), f.name
-    assert scan_03._secondary_index.calls > 1000 and scan_03._wall.calls > 5
+    assert scan_03._secondary_index.calls > 1000

@@ -221,7 +221,7 @@ class TestSecondaryHeading:
                 x, y = rng.uniform(-3.0, 3.0), rng.uniform(-2.5, 2.0)
                 band, wall = rng.choice([1e-6, 3e-3]), rng.choice([0.0, 3e-3])
                 s = RelState(float(x), float(y))
-                if geom.classify(s, axis_band=band, wall_band=wall).tag != SECONDARY:
+                if geom._tag(abs(s.x), s.y, band, wall) != SECONDARY:
                     continue
                 u, psi, _ = feedback_pair(geom, s, axis_band=band, wall_band=wall)
                 ch, tau = geom.secondary_data(abs(s.x), s.y)
