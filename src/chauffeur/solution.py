@@ -849,11 +849,14 @@ class _CurveIndex:
     j_lo`` in that order and ``starts`` its first sorted position, plus the
     end, so one row's buckets with columns ``j0..j1`` are one contiguous
     slice.  The ring-r box around a bucket is ``2r - 1`` row slices, and
-    scanning them in row order visits its samples in sorted order.
+    taking them in row order visits its samples in sorted order.
 
-    :meth:`_scan` is the one search path: one loop over a ring's row
-    slices, one numpy distance pass per slice, and every scalar it keeps
-    read out as a Python float or int with ``.item()``.
+    :meth:`_scan` is the one search path: one numpy distance pass per ring
+    over the ring's box (:meth:`_box`), and every scalar it keeps read out
+    as a Python float or int with ``.item()``.  A sequential caller, the
+    pocket value's dive, passes a memo that keeps the boxes of its last
+    query's bucket, so consecutive queries in one bucket gather each ring's
+    box once.
     """
 
     def __init__(self, curves: list[np.ndarray], cell: float = 0.08):
@@ -874,61 +877,88 @@ class _CurveIndex:
         self.keys = sk[first].tolist()
         self.starts = first.tolist() + [len(sk)]
 
-    def _scan(self, x: float, y: float) -> tuple[list, int, float]:
-        """([(start, squared distances)] per non-empty row slice, sorted
-        position, squared distance) of the first minimum in the first
-        accepted ring.  Slices are taken in row order and a later slice
-        wins only with a strictly smaller distance, so the first minimum is
-        the one a single argmin over the ring's samples would give."""
-        cell, span, keys, starts, sx, sy = (
-            self.cell, self.span, self.keys, self.starts, self.sx, self.sy
-        )
+    def _box(self, ci: int, cj: int, ring: int) -> tuple | None:
+        """(x, y, positions) of the samples in the ring-r box around bucket
+        (ci, cj + j_lo), in sorted order, or None for an empty box.  The
+        positions are a slice, and the coordinates views, when the box is
+        one row slice; otherwise an index array over the row slices in row
+        order, and the coordinates gathered through it."""
+        span, keys, starts = self.span, self.keys, self.starts
+        j0 = max(cj - ring + 1, 0)
+        j1 = min(cj + ring - 1, span - 1)
+        rows = []
+        for row in range((ci - ring + 1) * span, (ci + ring) * span, span):
+            lo = bisect_left(keys, row + j0)
+            hi = bisect_right(keys, row + j1, lo)
+            if lo < hi:
+                rows.append((starts[lo], starts[hi]))
+        if not rows:
+            return None
+        if len(rows) == 1:
+            at = slice(*rows[0])
+        else:
+            at = np.concatenate([np.arange(a, b) for a, b in rows])
+        return self.sx[at], self.sy[at], at
+
+    def _scan(self, x: float, y: float, memo: dict | None = None) -> tuple:
+        """(box positions, squared distances over the box, sorted position,
+        squared distance) of the first minimum in the first accepted ring.
+        The box holds the ring's samples in sorted order, so the first
+        minimum is the one a single argmin over the ring's samples gives.
+
+        ``memo`` is a dict owned by a caller whose queries follow each
+        other: it keeps the boxes built for the bucket of its last query
+        and is cleared when the bucket changes.  It changes no result."""
+        cell = self.cell
         ci = math.floor(x / cell)
         cj = math.floor(y / cell) - self.j_lo
+        if memo is not None and memo.get("bucket") != (ci, cj):
+            memo.clear()
+            memo["bucket"] = (ci, cj)
         for ring in range(1, 40):
-            j0 = max(cj - ring + 1, 0)
-            j1 = min(cj + ring - 1, span - 1)
-            parts, k, best = [], -1, math.inf
-            for row in range((ci - ring + 1) * span, (ci + ring) * span, span):
-                lo = bisect_left(keys, row + j0)
-                hi = bisect_right(keys, row + j1, lo)
-                if lo < hi:
-                    a, b = starts[lo], starts[hi]
-                    d2 = (sx[a:b] - x) ** 2 + (sy[a:b] - y) ** 2
-                    m = int(d2.argmin())
-                    d = d2.item(m)
-                    if d < best:
-                        k, best = a + m, d
-                    parts.append((a, d2))
+            if memo is None:
+                box = self._box(ci, cj, ring)
+            elif ring in memo:
+                box = memo[ring]
+            else:
+                box = memo[ring] = self._box(ci, cj, ring)
+            if box is None:
+                continue
+            bx, by, at = box
+            d2 = (bx - x) ** 2 + (by - y) ** 2
+            m = int(d2.argmin())
+            best = d2.item(m)
             # A sample one ring farther out can still be closer; accept
             # once the ring radius exceeds the best distance found.  An
             # unscanned sample can lie within (ring - 1) * cell, so this is
             # not exact (test_nearest_sample_is_the_nearest).
-            if k >= 0 and math.sqrt(best) <= (ring - 0.5) * cell:
-                return parts, k, best
+            if math.sqrt(best) <= (ring - 0.5) * cell:
+                return at, d2, _position(at, m), best
         raise NearestSampleError(f"no sample within the ring-39 box of ({x}, {y})")
 
-    def nearest(self, x: float, y: float) -> tuple[int, int]:
-        """(curve id, local sample id) of the nearest stored sample."""
-        _, k, _ = self._scan(x, y)
+    def nearest(self, x: float, y: float, memo: dict | None = None) -> tuple[int, int]:
+        """(curve id, local sample id) of the nearest stored sample; ``memo``
+        as in :meth:`_scan`."""
+        _, _, k, _ = self._scan(x, y, memo)
         return self.owner.item(k), self.local.item(k)
 
     def nearest_two(self, x: float, y: float) -> list[tuple[int, int, float]]:
         """Up to two (curve id, sample id, distance) entries from distinct curves."""
-        parts, k, best = self._scan(x, y)
-        owner, local = self.owner, self.local
-        own = owner.item(k)
-        out = [(own, local.item(k), math.sqrt(best))]
-        k2, best2 = -1, math.inf
-        for a, d2 in parts:
-            d2 = np.where(owner[a : a + len(d2)] != own, d2, np.inf)
-            m = int(d2.argmin())
-            d = d2.item(m)
-            if d < best2:
-                k2, best2 = a + m, d
-        if k2 >= 0:
-            out.append((owner.item(k2), local.item(k2), math.sqrt(best2)))
+        at, d2, k, best = self._scan(x, y)
+        own = self.owner.item(k)
+        out = [(own, self.local.item(k), math.sqrt(best))]
+        d2 = np.where(self.owner[at] != own, d2, np.inf)
+        m = int(d2.argmin())
+        best2 = d2.item(m)
+        if best2 < math.inf:
+            k2 = _position(at, m)
+            out.append((self.owner.item(k2), self.local.item(k2), math.sqrt(best2)))
         return out
+
+
+def _position(at: slice | np.ndarray, m: int) -> int:
+    """Sorted position of the m-th sample of a box (:meth:`_CurveIndex._box`)."""
+    return at.start + m if type(at) is slice else at.item(m)
 
 
 def _project(points: np.ndarray, j: int, x: float, y: float, *series: np.ndarray):
@@ -1231,6 +1261,10 @@ class _SecondaryFamilies:
 _DIVE_STEP = 4e-3
 
 
+class DiveStepLimitError(RuntimeError):
+    """The pocket value's dive ran out of steps before it left the pocket."""
+
+
 @dataclass(frozen=True)
 class SolutionGeometry:
     """Immutable solution geometry for one parameter pair (x >= 0, mirrored on query)."""
@@ -1349,9 +1383,13 @@ class SolutionGeometry:
 
     # -- characteristic queries ----------------------------------------------
 
-    def secondary_data(self, x: float, y: float) -> tuple[Characteristic, float]:
-        """(characteristic, local tau) for the nearest secondary sample."""
-        ci, j = self._secondary_index.nearest(x, y)
+    def secondary_data(
+        self, x: float, y: float, memo: dict | None = None
+    ) -> tuple[Characteristic, float]:
+        """(characteristic, local tau) for the nearest secondary sample;
+        ``memo`` keeps the index's boxes between a sequential caller's
+        queries (:meth:`_CurveIndex._scan`)."""
+        ci, j = self._secondary_index.nearest(x, y, memo)
         ch = self.secondary_fan.trajectories[ci]
         _, tau = _project(ch.points, j, x, y, ch.tau)
         return ch, tau
@@ -1447,15 +1485,18 @@ class SolutionGeometry:
         itself: evader headings from the nearest characteristic, u = -1,
         until the trajectory leaves the pocket or merges on the rear line.
         Each step of ``_DIVE_STEP`` holds the heading and takes the exact
-        held-control flow (``held_step``).
+        held-control flow (``held_step``).  The steps share one memo of the
+        sample index's boxes.  A dive still inside the pocket after 10 time
+        units raises :class:`DiveStepLimitError`.
         """
         p = self.params
         mu = p.mu
         t = 0.0
+        x0, y0, memo = x, y, {}
         for _ in range(int(10.0 / _DIVE_STEP)):
             if x <= 1e-9:
                 break
-            psi = secondary_heading(*self.secondary_data(x, y))
+            psi = secondary_heading(*self.secondary_data(x, y, memo))
             xn, yn = held_step(x, y, -1.0, psi, mu, _DIVE_STEP)
             if not self.pocket_contains(xn, yn):
                 # Locate the wall crossing and price the tributary departure.
@@ -1466,10 +1507,14 @@ class SolutionGeometry:
                 return t + w * _DIVE_STEP + dep
             x, y = xn, yn
             t += _DIVE_STEP
-        # Reached the rear line (or the guard): continue along the rear
-        # chain; x <= 0 with y above the contact merges the negative
-        # universal line, below it the mirror turn takes over.  (0, y) lies
-        # outside the unit turn disc, so the turn always exists.
+        if x > 1e-9:
+            raise DiveStepLimitError(
+                f"the dive from ({x0}, {y0}) is still in the pocket at ({x}, {y}) after {t} time units"
+            )
+        # Reached the rear line: continue along the rear chain; x <= 0 with
+        # y above the contact merges the negative universal line, below it
+        # the mirror turn takes over.  (0, y) lies outside the unit turn
+        # disc, so the turn always exists.
         if y > self.y_es:
             return t + self.value_at_contact + (y - self.y_es) / (1.0 - mu)
         return t + _tributary_value_raw(p, 0.0, y)

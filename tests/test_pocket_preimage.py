@@ -4,16 +4,20 @@ In the pocket, ``value()`` reads the state's secondary characteristic
 backwards: the rear family in closed form, the junction family by a Newton
 solve on (s, tau).  The value is the anchor value plus tau.  Only a state
 with no admissible preimage takes the dive, which these checks use as the
-independent reference.
+independent reference.  The dive's own endings are counted here too: they
+are the baseline for the changes that retire it (ROADMAP items 2 and 4).
 """
 
 import math
+import re
 from collections import Counter
 
 import pytest
 
+from chauffeur import solution
 from chauffeur.core import RelState
-from chauffeur.solution import SECONDARY
+from chauffeur.deception import _default_horizon
+from chauffeur.solution import SECONDARY, DiveStepLimitError, SolutionGeometry
 
 N_POINTS = 300
 
@@ -25,6 +29,16 @@ PATHS = {
 }
 # Largest departure of a preimage value from the dive, per family.
 DRIFT = {"rear": 1e-4, "junction": 5e-3}
+
+N_DIVES = 300
+
+# Where the dives from the N_DIVES seeded pocket states without a preimage
+# of each pair end: a tributary departure on the pocket wall, the chain
+# blend (the departure lies inside the turn disc) or the rear line.
+DIVE_ENDINGS = {
+    "geom_03": {"departure": 285, "chain": 9, "rear": 6},
+    "geom_02": {"departure": 294, "chain": 5, "rear": 1},
+}
 
 
 def _pocket_states(geom, rng, n):
@@ -72,6 +86,52 @@ def test_the_strip_by_the_capture_arc_takes_the_dive(geom_03, x, y):
     assert geom_03.classify(RelState(x, y)).tag == SECONDARY
     assert geom_03._preimages(x, y) == []
     assert geom_03.value(RelState(x, y)) == geom_03._secondary_dive(x, y)
+
+
+@pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+def test_how_the_seeded_dives_end(which, request, rng, monkeypatch):
+    geom = request.getfixturevalue(which)
+    calls = Counter()
+    crossing, chain = SolutionGeometry.wall_crossing, SolutionGeometry._secondary_chain_value
+
+    def counted_crossing(self, *args):
+        calls["wall"] += 1
+        return crossing(self, *args)
+
+    def counted_chain(self, *args):
+        calls["chain"] += 1
+        return chain(self, *args)
+
+    monkeypatch.setattr(SolutionGeometry, "wall_crossing", counted_crossing)
+    monkeypatch.setattr(SolutionGeometry, "_secondary_chain_value", counted_chain)
+    endings = Counter()
+    bx = geom._pocket.bbox
+    while sum(endings.values()) < N_DIVES:
+        x, y = float(rng.uniform(bx[0], bx[1])), float(rng.uniform(bx[2], bx[3]))
+        if geom.classify(RelState(x, y)).tag != SECONDARY or geom._preimages(x, y):
+            continue
+        before = calls.copy()
+        assert math.isfinite(geom.value(RelState(x, y))), (x, y)
+        if calls["chain"] > before["chain"]:
+            endings["chain"] += 1
+        elif calls["wall"] > before["wall"]:
+            endings["departure"] += 1
+        else:
+            endings["rear"] += 1
+    assert dict(endings) == DIVE_ENDINGS[which]
+
+
+def test_a_stalled_dive_raises_a_named_error(geom_03, monkeypatch):
+    # A dive that never leaves the pocket used to fall through to the rear
+    # line's formula and price an interior state as if it were on the axis.
+    x, y = 0.507, 0.219
+    assert geom_03._preimages(x, y) == []
+    monkeypatch.setattr(solution, "held_step", lambda x, y, u, psi, mu, dt: (x, y))
+    with pytest.raises(DiveStepLimitError, match=re.escape(f"from ({x}, {y})")):
+        geom_03.value(RelState(x, y))
+    assert issubclass(DiveStepLimitError, RuntimeError)
+    # The default horizon still falls back to a value of 10.
+    assert _default_horizon(geom_03, RelState(x, y)) == 100.0
 
 
 @pytest.mark.parametrize("which", ["geom_03", "geom_02"])

@@ -1565,7 +1565,9 @@ class _RingRuleScan:
     over every sample: ring r holds the samples whose bucket lies fewer
     than r buckets from the query's in both directions; the first minimum
     in row-major bucket order (row, column, input order) is accepted once
-    its distance is at most (r - 0.5) * cell, up to ring 39."""
+    its distance is at most (r - 0.5) * cell, up to ring 39.  It takes the
+    dive's memo of ring boxes and ignores it, so the rule over every sample
+    stays the reference for the memo path too."""
 
     def __init__(self, curves, cell=0.08):
         pts = np.concatenate(curves)
@@ -1597,7 +1599,7 @@ class _RingRuleScan:
                     return box, d2, k
         raise NearestSampleError((x, y))
 
-    def nearest(self, x, y):
+    def nearest(self, x, y, memo=None):
         _, _, k = self._scan(x, y)
         return int(self.owner[k]), int(self.local[k])
 
