@@ -217,12 +217,15 @@ def sweep(
     process pool of that size plays the cells; it hands its workers the two
     geometries once, through its initializer, so no worker rebuilds them
     under any process start method.  Every argument is checked before
-    either geometry is built.
+    either geometry is built; a window with x_min > x_max or y_min > y_max
+    raises ValueError.
     """
     if not 0.0 < spacing < math.inf:
         raise ValueError(f"spacing={spacing!r} must be finite and positive")
     if window is not None and not all(map(math.isfinite, window)):
         raise ValueError(f"window={window!r} must be finite")
+    if window is not None and (window[0] > window[1] or window[2] > window[3]):
+        raise ValueError(f"window={window!r} must have x_min <= x_max and y_min <= y_max")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt={dt!r} must be finite and positive")
     if t_max is not None and not 0.0 < t_max < math.inf:

@@ -50,18 +50,20 @@ resolution: the step ``d_tau`` and the primary fan's member count ``n_phi``.
 Values: tributary points, both universal lines and the dispersal line are
 closed form (turn alignment plus straight chase).  Primary values and
 headings are exact, from the inverted closed form (:func:`primary_inverse`).
-A pocket point's value is its secondary characteristic's anchor value plus
-tau, from the same closed form read backwards (:class:`_SecondaryFamilies`:
-the rear family in closed form, the junction family by a Newton solve); a
-point with no admissible preimage, and the pocket feedback, follow the
-nearest secondary sample's headings.  The tributary formula is also the
-departure cost on the pocket wall, which makes the value continuous across
-the equivocal curve while it jumps across the barrier (the pocket is worth
-more to the evader than the wrapped tributary field just outside).  The
-equivocal dead band reads the curve's samples sorted by x
-(:class:`_SortedVertices`); the wall band and the wall distance scan the
-pocket polygon's barrier and equivocal vertices, which only the simulator's
-wall hold after a deceptive switch asks for.
+Outside the pocket one solve of the region's characteristic gives the
+controls and the value together (:meth:`SolutionGeometry._play`); both
+``value()`` and the feedback read it.  A pocket point's value is its
+secondary characteristic's anchor value plus tau, from the same closed form
+read backwards (:class:`_SecondaryFamilies`: the rear family in closed form,
+the junction family by a Newton solve); a point with no admissible
+preimage, and the pocket feedback, follow the nearest secondary sample's
+headings.  The tributary formula is also the departure cost on the pocket
+wall, which makes the value continuous across the equivocal curve while it
+jumps across the barrier (the pocket is worth more to the evader than the
+wrapped tributary field just outside).  The equivocal dead band reads the
+curve's samples sorted by x (:class:`_SortedVertices`); the wall band and
+the wall distance scan the pocket polygon's barrier and equivocal vertices,
+which only the simulator's wall hold after a deceptive switch asks for.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, GameParams, RelState, held_step
+from .core import TWO_PI, GameParams, RelState, held_step, wrap_angle
 
 # Region tags.
 CAPTURED = "Captured"
@@ -203,6 +205,11 @@ def _tributary_value_raw(p: GameParams, x: float, y: float) -> float | None:
     if res is None:
         return None
     t, s0 = res
+    return _tributary_cost(p, t, s0)
+
+
+def _tributary_cost(p: GameParams, t: float, s0: float) -> float:
+    """Turn-then-chase cost of the :func:`turn_alignment` ``(t, s0)``."""
     # Capture closes at separation l, hence the -l in the chase leg.
     return t + (s0 + p.mu * t - p.l) / (1.0 - p.mu)
 
@@ -1405,37 +1412,55 @@ class SolutionGeometry:
     # -- value ----------------------------------------------------------------
 
     def value(self, s: RelState) -> float:
-        """Equilibrium time to capture from a relative state.  A pocket
-        state's value comes from its characteristic in closed form: anchor
-        value plus tau of the admissible preimage with the smallest tau
-        (:meth:`_preimages`).  A state without one (past the junction
-        anchors' cutoff, in the strip by the capture arc, or where the
-        junction solve does not converge) takes :meth:`_secondary_dive`."""
+        """Equilibrium time to capture from a relative state.  Outside the
+        pocket it is :meth:`_play`'s.  A pocket state's value comes from its
+        characteristic in closed form: anchor value plus tau of the
+        admissible preimage with the smallest tau (:meth:`_preimages`).  A
+        state without one (past the junction anchors' cutoff, in the strip
+        by the capture arc, or where the junction solve does not converge)
+        takes :meth:`_secondary_dive`."""
         if not math.hypot(s.x, s.y) < math.inf:
             raise ValueError(f"no value at the non-finite state {s!r}")
-        p = self.params
         tag = self.classify(s).tag
         # Python floats: numpy scalars would carry through every step below.
         x, y = abs(float(s.x)), float(s.y)
-        if tag == CAPTURED:
-            return 0.0
-        if tag == UNIVERSAL_POSITIVE:
-            return (y - p.l) / (1.0 - p.mu)
-        if tag == UNIVERSAL_NEGATIVE:
-            return self.value_at_contact + (y - self.y_es) / (1.0 - p.mu)
-        if tag in (TRIBUTARY, DISPERSAL):
-            v = _tributary_value_raw(p, x, y)
-            if v is None:
-                raise RuntimeError(f"turn alignment unexpectedly missing at ({x}, {y})")
-            return v
-        if tag == PRIMARY:
-            return primary_inverse(p, x, y)[1]
-        if tag == EQUIVOCAL:
-            return self.equivocal_data(x, y)[0]
+        if tag != SECONDARY:
+            return self._play(tag, x, y)[2]
         pre = self._preimages(x, y)
         if pre:
             return self._families.value(*pre[0])
         return self._secondary_dive(x, y)
+
+    def _play(self, tag: str, x: float, y: float) -> tuple[float, float, float | None]:
+        """Equilibrium ``(u, psi, value)`` at (x, y), x >= 0, tagged ``tag``:
+        one solve of the region's characteristic gives both the controls and
+        the value.  u is +1 in the primary and tributary regions, -1 in the
+        pocket, 0 on the universal lines and the interior control on the
+        equivocal curve; the dispersal line takes the x > 0 turn.  The
+        pocket's heading is its nearest secondary sample's, and its value is
+        None: :meth:`value` solves it apart."""
+        p = self.params
+        # Most closed-loop queries are tributary, so that test comes first.
+        if tag == TRIBUTARY or tag == DISPERSAL:
+            res = turn_alignment(x, y)
+            if res is None:
+                raise RuntimeError(f"turn alignment unexpectedly missing at ({x}, {y})")
+            t, s0 = res
+            return 1.0, wrap_angle(t), _tributary_cost(p, t, s0)
+        if tag == CAPTURED:
+            return 0.0, 0.0, 0.0
+        if tag == UNIVERSAL_POSITIVE:
+            return 0.0, 0.0, (y - p.l) / (1.0 - p.mu)
+        if tag == UNIVERSAL_NEGATIVE:
+            return 0.0, 0.0, self.value_at_contact + (y - self.y_es) / (1.0 - p.mu)
+        if tag == PRIMARY:
+            phi, tau = primary_inverse(p, x, y)
+            return 1.0, wrap_angle(phi + tau), tau
+        if tag == EQUIVOCAL:
+            v, u = self.equivocal_data(x, y)
+            return u, math.atan2(-x, -y), v
+        ch, tau = self.secondary_data(x, y)
+        return -1.0, wrap_angle(secondary_heading(ch, tau)), None
 
     def _secondary_chain_value(self, x: float, y: float) -> float:
         """Inverse-distance blend of the two nearest characteristics' chains."""

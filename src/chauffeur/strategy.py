@@ -1,8 +1,11 @@
 """Feedback equilibrium strategies, the pursuer's speed estimator, and the
 evader's deceptive speed policy.
 
-Strategies are stateless given an immutable :class:`SolutionGeometry`.  The
-pursuer's knowledge is the running supremum of observed evader speeds: a
+Strategies are stateless given an immutable :class:`SolutionGeometry`.
+:func:`feedback_pair` tags a state and plays its region's characteristic
+through the geometry's one region solve, the one :meth:`SolutionGeometry.value`
+reads, so the controls are the value's own characteristic by construction.
+The pursuer's knowledge is the running supremum of observed evader speeds: a
 frozen :class:`SpeedEstimate` that :func:`estimator_update` replaces, or, in
 the simulator's loop, a float under the same check and sup rule.  The
 evader's :class:`EvaderPolicy` is frozen too: the one-shot switch latch is a
@@ -18,24 +21,10 @@ non-decreasing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import RelState, wrap_angle
-from .solution import (
-    CAPTURED,
-    DISPERSAL,
-    EQUIVOCAL,
-    PRIMARY,
-    SIDE_DEADBAND,
-    TRIBUTARY,
-    UNIVERSAL_NEGATIVE,
-    UNIVERSAL_POSITIVE,
-    SolutionGeometry,
-    primary_inverse,
-    secondary_heading,
-    turn_alignment,
-)
+from .solution import SIDE_DEADBAND, SolutionGeometry
 
 
 @dataclass(frozen=True)
@@ -61,33 +50,6 @@ def estimator_update(e: SpeedEstimate, observed_speed: float) -> SpeedEstimate:
     return SpeedEstimate(mu_hat=max(e.mu_hat, observed_speed))
 
 
-def _feedback_halfplane(
-    geom: SolutionGeometry, x: float, y: float, axis_band: float, wall_band: float
-):
-    """(u, psi) for a query already mirrored into x >= 0."""
-    tag = geom._tag(x, y, axis_band, wall_band)
-    if tag == CAPTURED:
-        return 0.0, 0.0, tag
-    if tag == UNIVERSAL_POSITIVE or tag == UNIVERSAL_NEGATIVE:
-        return 0.0, 0.0, tag
-    if tag == TRIBUTARY or tag == DISPERSAL:
-        # Dispersal tie-break: deterministically take the x > 0 turn.
-        res = turn_alignment(x, y)
-        if res is None:
-            # Numerical sliver inside the turn disc next to a region edge;
-            # fall back to the merge heading.
-            return 1.0, 0.0, tag
-        return 1.0, wrap_angle(res[0]), tag
-    if tag == PRIMARY:
-        phi, tau = primary_inverse(geom.params, x, y)
-        return 1.0, wrap_angle(phi + tau), tag
-    if tag == EQUIVOCAL:
-        _, u_eq = geom.equivocal_data(x, y)
-        return u_eq, math.atan2(-x, -y), tag
-    # Secondary: toward the junction recorded on the nearest characteristic.
-    return -1.0, wrap_angle(secondary_heading(*geom.secondary_data(x, y))), tag
-
-
 def feedback_pair(
     geom: SolutionGeometry,
     s: RelState,
@@ -96,13 +58,14 @@ def feedback_pair(
 ) -> tuple[float, float, str]:
     """Equilibrium (u, psi, region tag) in one classification pass.
 
-    u is +1 in the primary and tributary regions, -1 in the secondary one, 0
-    on the universal lines and the interior control on the equivocal curve;
-    x < 0 queries are answered by mirroring, which negates u and psi.
+    The controls are the value's own characteristic
+    (:meth:`SolutionGeometry._play`); x < 0 queries are answered by
+    mirroring, which negates u and psi.
     """
-    mirrored = s.x < 0.0
-    u, psi, tag = _feedback_halfplane(geom, abs(s.x), s.y, axis_band, wall_band)
-    if mirrored:
+    x, y = abs(s.x), s.y
+    tag = geom._tag(x, y, axis_band, wall_band)
+    u, psi, _ = geom._play(tag, x, y)
+    if s.x < 0.0:
         return -u, wrap_angle(-psi), tag
     return u, psi, tag
 

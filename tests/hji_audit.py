@@ -12,12 +12,14 @@ residual far above the differencing error.
 
 The same gradient gives the equilibrium controls, ``psi = atan2(V_x, V_y)``
 for the evader and ``u = -sign(x V_y - y V_x)`` for the pursuer, which
-``feedback_pair`` must play.  Outside the pocket its heading is the closed
-form's, so the gap is the differencing error.  In the pocket it follows the
-nearest stored sample and its projected tau, not the preimage that the
-value reads, so the rear family's gap is the sampling error, about 1e-3
-rad: evidence for taking the pocket feedback from the preimage too
-(ROADMAP item 5).
+``feedback_pair`` must play.  Outside the pocket the feedback and
+``value()`` read one solve of the region's characteristic
+(``SolutionGeometry._play``), so its heading is the value's own by
+construction and the gap is the differencing error.  In the pocket it
+follows the nearest stored sample and its projected tau, not the preimage
+that the value reads, so the rear family's gap is the sampling error, about
+1e-3 rad: evidence for taking the pocket feedback from the preimage too
+(the preimage-feedback item in ROADMAP).
 """
 
 import math

@@ -199,6 +199,14 @@ class TestMain:
         assert f"key '{key}' in [{section}] is not finite" in err
         assert not list(tmp_path.glob("chauffeur_*"))
 
+    def test_reversed_sweep_window_exits_as_config_error(self, tmp_path, capsys):
+        text = REFERENCE_INI + "\n[sweep]\nx_min = 2.0\nx_max = 1.0\ny_min = 0.8\ny_max = 1.4\n"
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(text + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert main(["sweep", str(cfg_path)]) == EXIT_CONFIG
+        assert "x_min <= x_max" in capsys.readouterr().err
+        assert not list(tmp_path.glob("chauffeur_*"))
+
     def test_missing_file_exit(self, tmp_path):
         assert main(["classify", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 

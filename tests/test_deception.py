@@ -159,6 +159,16 @@ class TestSweep:
         with pytest.raises(ValueError, match=re.escape(f"{name}={value!r} must be finite")):
             sweep(0.3, 0.2, 0.5, **args)
 
+    @pytest.mark.parametrize("window", [(2.0, 1.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.5)])
+    def test_reversed_window_rejected_before_any_build(self, monkeypatch, window):
+        # A reversed range used to give an empty lattice and a zero-cell map.
+        def build(*args, **kw):
+            raise AssertionError("a geometry was built before the window was checked")
+
+        monkeypatch.setattr(deception, "get_geometry", build)
+        with pytest.raises(ValueError, match=re.escape(f"window={window!r} must have x_min <= x_max")):
+            sweep(0.3, 0.2, 0.5, window=window, spacing=0.5)
+
     def test_advantageous_cell_near_reference_point(self, geom_03, geom_02):
         # A window containing the representative start has at least one
         # advantaged cell tagged Secondary-under-fast / Tributary-under-slow.

@@ -430,7 +430,7 @@ class TestGeometryCsvBytes:
     "capture arc and the innermost rear member (the exact rear inverse puts "
     "these points on members that pass inside the capture disc), so value() "
     "falls to its dive, while truthful play follows the grazing "
-    "characteristic and is captured almost at once (ROADMAP item 4)",
+    "characteristic and is captured almost at once (the strip item in ROADMAP)",
 )
 @pytest.mark.parametrize("x, y", [(0.507, 0.219), (0.477, 0.278)])
 def test_value_next_to_the_capture_arc(params_03, geom_03, x, y):

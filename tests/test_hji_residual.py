@@ -30,14 +30,14 @@ BOUNDS = {"tributary": (1e-9, 1e-8), "primary": (2e-9, 1e-7), "rear": (3e-8, 1e-
 # geometries, the worst medians were 1.9e-11 (tributary), 1.4e-10 (primary)
 # and 1.2e-3 (rear), the worst maxima 1.7e-8, 1.7e-8 and 6.5e-3.  The rear
 # gap is the pocket feedback's: it follows the nearest sample, not the
-# preimage (ROADMAP item 5).
+# preimage (the preimage-feedback item in ROADMAP).
 HEADING_BOUNDS = {"tributary": (1e-9, 5e-8), "primary": (2e-9, 5e-8), "rear": (2e-3, 1e-2)}
 MIN_POINTS = 20
 
 JUNCTION_REASON = (
     "the pocket's junction family is not a saddle point: its anchor heading "
     "c = pi - atan(y_ES / x_ES) is the evader's pure-pursuit heading turned by "
-    "a quarter turn (ROADMAP item 2)"
+    "a quarter turn (the junction-heading item in ROADMAP)"
 )
 
 

@@ -5,7 +5,8 @@ backwards: the rear family in closed form, the junction family by a Newton
 solve on (s, tau).  The value is the anchor value plus tau.  Only a state
 with no admissible preimage takes the dive, which these checks use as the
 independent reference.  The dive's own endings are counted here too: they
-are the baseline for the changes that retire it (ROADMAP items 2 and 4).
+are the baseline for the changes that retire it (the junction-heading and
+strip items in ROADMAP).
 """
 
 import math
@@ -82,7 +83,7 @@ def test_preimage_coverage(which, request, rng):
 @pytest.mark.parametrize("x, y", [(0.507, 0.219), (0.477, 0.278)])
 def test_the_strip_by_the_capture_arc_takes_the_dive(geom_03, x, y):
     # No admissible rear characteristic reaches the strip between the
-    # capture arc and the innermost rear member (ROADMAP item 4).
+    # capture arc and the innermost rear member (the strip item in ROADMAP).
     assert geom_03.classify(RelState(x, y)).tag == SECONDARY
     assert geom_03._preimages(x, y) == []
     assert geom_03.value(RelState(x, y)) == geom_03._secondary_dive(x, y)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from chauffeur import solution
 from chauffeur.core import RelState, rel_rhs, wrap_angle
 from chauffeur.solution import SECONDARY, TRIBUTARY, secondary_heading, turn_alignment
 from chauffeur.strategy import (
@@ -41,6 +42,19 @@ class TestPursuerFeedback:
                 assert u == 1.0
             elif tag == SECONDARY:
                 assert u == -1.0
+
+    def test_missing_turn_alignment_raises_as_the_value_does(self, geom_03, monkeypatch):
+        # The feedback and value() share one tributary solve, so a missing
+        # alignment is the same named error in both, not a fallback heading.
+        s = RelState(2.0, 1.5)
+        assert geom_03.classify(s).tag == TRIBUTARY
+        monkeypatch.setattr(solution, "turn_alignment", lambda x, y: None)
+        errors = []
+        for query in (lambda: feedback_pair(geom_03, s), lambda: geom_03.value(s)):
+            with pytest.raises(RuntimeError, match="turn alignment unexpectedly missing") as err:
+                query()
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
 
 
 class TestEvaderFeedback:
