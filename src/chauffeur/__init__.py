@@ -23,7 +23,7 @@ from .solution import (
     get_geometry,
     solve,
 )
-from .strategy import EvaderPolicy, SpeedEstimate, deceptive_policy, estimator_update
+from .strategy import EvaderPolicy, deceptive_policy
 
 __all__ = [
     "Controls",
@@ -54,7 +54,5 @@ __all__ = [
     "run_closed_loop",
     "step",
     "EvaderPolicy",
-    "SpeedEstimate",
     "deceptive_policy",
-    "estimator_update",
 ]

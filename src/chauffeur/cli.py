@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from .core import GameParams, RelState, validate_params
 from .deception import sweep as run_sweep
 from .sim import Scenario, run_closed_loop
-from .solution import EqualCostBracketError, NearestSampleError, PrimaryRootError, get_geometry
+from .solution import (
+    EqualCostBracketError,
+    NearestSampleError,
+    PrimaryRootError,
+    TurnAlignmentError,
+    get_geometry,
+)
 from .strategy import EvaderPolicy
 
 EXIT_OK = 0
@@ -250,10 +256,10 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
             return EXIT_OK
 
         raise ConfigError(f"unknown command {cfg.command!r}")
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EqualCostBracketError, PrimaryRootError, NearestSampleError) as exc:
+    except (EqualCostBracketError, PrimaryRootError, NearestSampleError, TurnAlignmentError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
@@ -284,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text, args.command, source=args.config)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return execute(cfg)

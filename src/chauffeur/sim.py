@@ -281,10 +281,10 @@ def run_closed_loop(
 
     geom_e, mu_e = evader_game()
     geom_p = geom_truth
-    # The pursuer's estimate is a float under strategy's check and sup rule
-    # (see ``SpeedEstimate``).  First observation: the speed the evader is
-    # about to command.  Later observations queue until one latency interval
-    # has elapsed.
+    # The pursuer's estimate is the running supremum of the observed speeds,
+    # each checked by ``_check_speed``.  First observation: the speed the
+    # evader is about to command.  Later observations queue until one latency
+    # interval has elapsed.
     mu_hat = policy.mu_low if deceptive else mu_truth
     _check_speed(mu_hat)
     pending: list[tuple[float, float]] = []

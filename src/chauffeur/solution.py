@@ -1272,6 +1272,11 @@ class DiveStepLimitError(RuntimeError):
     """The pocket value's dive ran out of steps before it left the pocket."""
 
 
+class TurnAlignmentError(RuntimeError):
+    """A state tagged Tributary or Dispersal has no turn to alignment: it lies
+    strictly inside the unit turn disc centred at (1, 0)."""
+
+
 @dataclass(frozen=True)
 class SolutionGeometry:
     """Immutable solution geometry for one parameter pair (x >= 0, mirrored on query)."""
@@ -1444,7 +1449,7 @@ class SolutionGeometry:
         if tag == TRIBUTARY or tag == DISPERSAL:
             res = turn_alignment(x, y)
             if res is None:
-                raise RuntimeError(f"turn alignment unexpectedly missing at ({x}, {y})")
+                raise TurnAlignmentError(f"turn alignment unexpectedly missing at ({x}, {y})")
             t, s0 = res
             return 1.0, wrap_angle(t), _tributary_cost(p, t, s0)
         if tag == CAPTURED:

@@ -1,16 +1,15 @@
-"""Feedback equilibrium strategies, the pursuer's speed estimator, and the
+"""Feedback equilibrium strategies, the pursuer's speed check, and the
 evader's deceptive speed policy.
 
 Strategies are stateless given an immutable :class:`SolutionGeometry`.
 :func:`feedback_pair` tags a state and plays its region's characteristic
 through the geometry's one region solve, the one :meth:`SolutionGeometry.value`
 reads, so the controls are the value's own characteristic by construction.
-The pursuer's knowledge is the running supremum of observed evader speeds: a
-frozen :class:`SpeedEstimate` that :func:`estimator_update` replaces, or, in
-the simulator's loop, a float under the same check and sup rule.  The
-evader's :class:`EvaderPolicy` is frozen too: the one-shot switch latch is a
-local of the simulator's run, passed to :func:`deceptive_policy` when the
-run starts and at the switch.
+The pursuer's knowledge is the running supremum of observed evader speeds, a
+float of the simulator's loop that takes each observation through
+:func:`_check_speed` and ``max``.  The evader's :class:`EvaderPolicy` is
+frozen: the one-shot switch latch is a local of the simulator's run, passed
+to :func:`deceptive_policy` when the run starts and at the switch.
 
 Measurement model: the pursuer estimates the evader's speed bound as the
 largest speed observed so far (position differencing over one integrator
@@ -27,27 +26,9 @@ from .core import RelState, wrap_angle
 from .solution import SIDE_DEADBAND, SolutionGeometry
 
 
-@dataclass(frozen=True)
-class SpeedEstimate:
-    """Running supremum of observed evader speeds."""
-
-    mu_hat: float
-
-    @staticmethod
-    def from_observation(observed_speed: float) -> "SpeedEstimate":
-        _check_speed(observed_speed)
-        return SpeedEstimate(mu_hat=observed_speed)
-
-
 def _check_speed(observed_speed: float) -> None:
     if not (0.0 <= observed_speed < 1.0):
         raise ValueError(f"observed speed {observed_speed!r} outside [0, 1)")
-
-
-def estimator_update(e: SpeedEstimate, observed_speed: float) -> SpeedEstimate:
-    """Sup-update; idempotent for repeated observations."""
-    _check_speed(observed_speed)
-    return SpeedEstimate(mu_hat=max(e.mu_hat, observed_speed))
 
 
 def feedback_pair(

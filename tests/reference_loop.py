@@ -11,6 +11,7 @@ changes of the package's loop: it is the old loop, not the old output.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from chauffeur.core import RelState
 from chauffeur.sim import (
@@ -26,7 +27,26 @@ from chauffeur.sim import (
     detect_events,
 )
 from chauffeur.solution import SIDE_DEADBAND, SolutionGeometry, get_geometry
-from chauffeur.strategy import SpeedEstimate, deceptive_policy, estimator_update, feedback_pair
+from chauffeur.strategy import _check_speed, deceptive_policy, feedback_pair
+
+
+@dataclass(frozen=True)
+class SpeedEstimate:
+    """Running supremum of observed evader speeds: the estimator the package
+    exported when this loop was frozen, kept here with it."""
+
+    mu_hat: float
+
+    @staticmethod
+    def from_observation(observed_speed: float) -> "SpeedEstimate":
+        _check_speed(observed_speed)
+        return SpeedEstimate(mu_hat=observed_speed)
+
+
+def estimator_update(e: SpeedEstimate, observed_speed: float) -> SpeedEstimate:
+    """Sup-update; idempotent for repeated observations."""
+    _check_speed(observed_speed)
+    return SpeedEstimate(mu_hat=max(e.mu_hat, observed_speed))
 
 
 def run_closed_loop_reference(

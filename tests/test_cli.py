@@ -14,7 +14,12 @@ from chauffeur.cli import (
     main,
     parse_config,
 )
-from chauffeur.solution import EqualCostBracketError, NearestSampleError, PrimaryRootError
+from chauffeur.solution import (
+    EqualCostBracketError,
+    NearestSampleError,
+    PrimaryRootError,
+    TurnAlignmentError,
+)
 
 REFERENCE_INI = """
 [game]
@@ -136,7 +141,9 @@ class TestExecute:
         cfg = parse_config(REFERENCE_INI.replace("t_max = 40\n", ""), "simulate")
         assert cfg.t_max is None
 
-    @pytest.mark.parametrize("error", [EqualCostBracketError, PrimaryRootError, NearestSampleError])
+    @pytest.mark.parametrize(
+        "error", [EqualCostBracketError, PrimaryRootError, NearestSampleError, TurnAlignmentError]
+    )
     def test_named_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def fail(sc):
             raise error("no root at (1.0, -0.5)")
@@ -163,6 +170,19 @@ class TestMain:
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(REFERENCE_INI + f"\n[output]\ndirectory = {tmp_path}\n")
         assert main(["classify", str(cfg_path)]) == EXIT_OK
+
+    def test_missing_turn_alignment_is_a_numerical_failure(self, tmp_path, capsys):
+        # (0.2, 0.7) tags this state Tributary inside the unit turn disc,
+        # where no turn to alignment exists (ROADMAP item 11).
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(
+            "[game]\nmu1 = 0.2\nl = 0.7\n"
+            "[initial]\nx0 = 0.7399103330961585\ny0 = 0.20784007719238895\n"
+            f"[output]\ndirectory = {tmp_path}\n"
+        )
+        assert main(["simulate", str(cfg_path)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: turn alignment")
+        assert not list(tmp_path.glob("chauffeur_*"))
 
     def test_config_error_exit(self, tmp_path):
         cfg_path = tmp_path / "bad.ini"

@@ -6,13 +6,7 @@ import pytest
 from chauffeur import solution
 from chauffeur.core import RelState, rel_rhs, wrap_angle
 from chauffeur.solution import SECONDARY, TRIBUTARY, secondary_heading, turn_alignment
-from chauffeur.strategy import (
-    EvaderPolicy,
-    SpeedEstimate,
-    deceptive_policy,
-    estimator_update,
-    feedback_pair,
-)
+from chauffeur.strategy import EvaderPolicy, deceptive_policy, feedback_pair
 
 
 class TestPursuerFeedback:
@@ -108,39 +102,6 @@ class TestEvaderFeedback:
             assert abs(a + b) < 1e-12 or abs(abs(a) - math.pi) < 1e-9
 
 
-class TestEstimator:
-    def test_running_supremum(self):
-        e = SpeedEstimate.from_observation(0.2)
-        e = estimator_update(e, 0.2)
-        e = estimator_update(e, 0.3)
-        assert e.mu_hat == 0.3
-
-    def test_never_decreases(self):
-        e = SpeedEstimate.from_observation(0.3)
-        e = estimator_update(e, 0.2)
-        assert e.mu_hat == 0.3
-
-    def test_exact_supremum_over_random_history(self, rng):
-        obs = rng.uniform(0.0, 0.99, 200)
-        e = SpeedEstimate.from_observation(float(obs[0]))
-        running = float(obs[0])
-        for o in obs[1:]:
-            e = estimator_update(e, float(o))
-            running = max(running, float(o))
-            assert e.mu_hat == running
-
-    def test_out_of_range_rejected(self):
-        e = SpeedEstimate.from_observation(0.5)
-        with pytest.raises(ValueError):
-            estimator_update(e, 1.0)
-        with pytest.raises(ValueError):
-            estimator_update(e, -0.1)
-
-    def test_idempotent(self):
-        e = SpeedEstimate.from_observation(0.4)
-        assert estimator_update(e, 0.4) == e
-
-
 class TestDeceptivePolicy:
     def test_degenerates_when_speeds_equal(self, params_03, geom_03):
         pol = EvaderPolicy(kind="deceptive", mu_low=0.3, mu_high=0.3)
@@ -218,12 +179,6 @@ class TestDeceptivePolicy:
             EvaderPolicy(kind="deceptive", mu_low=0.4, mu_high=0.2)
         with pytest.raises(ValueError, match="kind"):
             EvaderPolicy(kind="sneaky")
-
-
-class TestSpeedBoundViolation:
-    def test_estimate_initialization_validated(self):
-        with pytest.raises(ValueError):
-            SpeedEstimate.from_observation(1.2)
 
 
 class TestSecondaryHeading:
