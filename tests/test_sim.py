@@ -333,6 +333,30 @@ class TestRunClosedLoop:
         assert running == tr.mu_hat[:control_points]
         assert tr.mu_hat[0] == 0.2 and tr.mu_hat[-1] == 0.3
 
+    def test_deceptive_estimate_rises_once_after_the_switch(
+        self, params_03, params_02, geom_03, geom_02
+    ):
+        # The sup rule over the reference deceptive run: the estimate starts
+        # at the low speed and never falls.  The step split at the switch is
+        # observed as its average speed, released one latency after the step
+        # began; the next step's observation brings the true bound.
+        sc = Scenario(
+            params_truth=params_03,
+            params_low=params_02,
+            initial_rel=RelState(2.152, -0.214),
+            evader_policy=EvaderPolicy(kind="deceptive", mu_low=0.2, mu_high=0.3),
+            pursuer_mode="estimating",
+            dt=1e-3,
+            t_max=40.0,
+        )
+        tr = run_closed_loop(sc, geom_03, geom_02)
+        assert tr.mu_hat[0] == 0.2 and tr.mu_hat[-1] == 0.3
+        assert all(0.2 <= a <= b <= 0.3 for a, b in zip(tr.mu_hat, tr.mu_hat[1:]))
+        (switch,) = [e.t for e in tr.events if e.kind == "switch"]
+        rise = next(k for k, m in enumerate(tr.mu_hat) if m > 0.2)
+        assert switch < tr.t[rise] <= switch + sim.ESTIMATOR_LATENCY
+        assert tr.mu_hat[rise] < 0.3 and tr.mu_hat[rise + 1] == 0.3
+
     def test_out_of_range_observation_is_named(self, params_03, params_02, geom_03, geom_02):
         policy = EvaderPolicy(kind="deceptive", mu_low=-0.1, mu_high=0.3)
         sc = Scenario(params_03, params_02, RelState(2.152, -0.214), policy, "estimating")

@@ -6,7 +6,7 @@ import pytest
 from chauffeur import solution
 from chauffeur.core import RelState, rel_rhs, wrap_angle
 from chauffeur.solution import SECONDARY, TRIBUTARY, secondary_heading, turn_alignment
-from chauffeur.strategy import EvaderPolicy, deceptive_policy, feedback_pair
+from chauffeur.strategy import EvaderPolicy, _check_speed, deceptive_policy, feedback_pair
 
 
 class TestPursuerFeedback:
@@ -179,6 +179,19 @@ class TestDeceptivePolicy:
             EvaderPolicy(kind="deceptive", mu_low=0.4, mu_high=0.2)
         with pytest.raises(ValueError, match="kind"):
             EvaderPolicy(kind="sneaky")
+
+
+class TestSpeedCheck:
+    # The loop's estimate is a float; this check is the one range gate on
+    # every observation it takes in.  The admissible interval is [0, 1).
+    @pytest.mark.parametrize("observed", [-0.1, 1.0, 1.2, math.nan])
+    def test_out_of_range_rejected(self, observed):
+        with pytest.raises(ValueError, match="observed speed"):
+            _check_speed(observed)
+
+    @pytest.mark.parametrize("observed", [0.0, 0.5, math.nextafter(1.0, 0.0)])
+    def test_in_range_accepted(self, observed):
+        assert _check_speed(observed) is None
 
 
 class TestSecondaryHeading:
