@@ -9,7 +9,9 @@ The first form prints one ``name = value`` line per output of the
 
 * the sha256 geometry digest of seven parameter pairs,
 * the pickled size in bytes of the (0.3, 0.5) and (0.2, 0.5) geometries,
-  what a sweep worker receives per geometry,
+  what a sweep worker receives per geometry; it is taken after the digest
+  has read every sample, and holds no primary-fan samples, which the
+  geometry keeps in closed form,
 * the sha256 of the (0.3, 0.5) geometry CSV,
 * the reference ``deception_gain`` report and the four value probes, in
   ``repr``,

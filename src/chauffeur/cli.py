@@ -19,6 +19,7 @@ from .core import GameParams, RelState, validate_params
 from .deception import sweep as run_sweep
 from .sim import Scenario, run_closed_loop
 from .solution import (
+    BarrierMarchError,
     EqualCostBracketError,
     NearestSampleError,
     PrimaryRootError,
@@ -259,7 +260,13 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EqualCostBracketError, PrimaryRootError, NearestSampleError, TurnAlignmentError) as exc:
+    except (
+        BarrierMarchError,
+        EqualCostBracketError,
+        PrimaryRootError,
+        NearestSampleError,
+        TurnAlignmentError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

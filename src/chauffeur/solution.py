@@ -20,7 +20,9 @@ is symmetric about the y axis).  The construction, in build order:
   run to the focal time on one shared tau grid.  The heading turns at the
   pursuer's own rate, ``psi = c + u tau`` with ``(c, u) = (phi, +1)``, so
   every sample is exact: with ``z = (x - u) + i y``,
-  ``z(tau) = exp(-i u tau) (z0 - i mu tau exp(-i c))``.
+  ``z(tau) = exp(-i u tau) (z0 - i mu tau exp(-i c))``.  The fan is kept
+  in that form (:class:`PrimaryFan`) and sampled when read; the build
+  evaluates only the innermost member, which closes the petal.
 * equivocal curve: marched retrograde from the barrier endpoint with the
   evader in pure pursuit of the origin, ``(sin psi, cos psi) = -(x, y)/r``,
   and the pursuer control solved per step so that the tributary departure
@@ -126,8 +128,45 @@ class Characteristic:
 
 @dataclass(frozen=True)
 class CharacteristicField:
-    family: str  # "primary" | "secondary"
+    family: str  # "secondary"
     trajectories: list[Characteristic]
+
+
+@dataclass(frozen=True)
+class PrimaryFan:
+    """The primary family in closed form: the usable-part angles ``phis``
+    and the shared read-only ``tau`` grid; member ``i`` starts at ``l (sin
+    phis[i], cos phis[i])`` and follows :func:`_integrate_fan` with ``u =
+    +1`` and phase ``phis[i]``.  Nothing is sampled until
+    :attr:`trajectories` is read, and nothing sampled is kept, so a pickle
+    holds the inputs only."""
+
+    family = "primary"
+    phis: np.ndarray  # (n_phi,)
+    tau: np.ndarray  # (n_steps + 1,), read-only, ends at the focal time l/mu
+    l: float
+    mu: float
+
+    def _sample(self, phis: np.ndarray) -> np.ndarray:
+        x0, y0 = self.l * np.sin(phis), self.l * np.cos(phis)
+        return _integrate_fan(x0, y0, 1.0, phis, self.mu, self.tau)[0]
+
+    @property
+    def trajectories(self) -> list[Characteristic]:
+        """Every member, sampled afresh on each read by one
+        :func:`_integrate_fan` call over the whole family."""
+        cube = self._sample(self.phis)
+        return [
+            Characteristic(
+                points=cube[i], tau=self.tau, terminal="usable_part", anchor_value=0.0, phi=phi
+            )
+            for i, phi in enumerate(self.phis.tolist())
+        ]
+
+    def innermost(self) -> np.ndarray:
+        """Samples of the innermost member, ``phis[0]``, evaluated alone;
+        the same bits as ``trajectories[0].points``."""
+        return self._sample(self.phis[:1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +296,11 @@ def _check_step(d_tau: float) -> None:
         raise ValueError(f"d_tau={d_tau!r} must be finite and lie in (0, 0.01)")
 
 
+class BarrierMarchError(RuntimeError):
+    """The barrier's tangent did not turn back toward the capture circle
+    within the march's bound on tau."""
+
+
 def compute_barrier(p: GameParams, d_tau: float = 1e-3) -> SampledCurve:
     """Retrograde barrier from the BUP to its endpoint.
 
@@ -301,7 +345,9 @@ def compute_barrier(p: GameParams, d_tau: float = 1e-3) -> SampledCurve:
         turned = np.flatnonzero(dx[first:] <= 0.0)
         end = first + int(turned[0]) if len(turned) else len(t)
         if max(t[:end], default=0.0) > 100.0:
-            raise RuntimeError("barrier march failed to terminate")
+            raise BarrierMarchError(
+                "barrier march failed to terminate: the tangent has not turned back by tau = 100"
+            )
         ts += t[:end]
         if end < len(t):
             # Bisect the tangent-vertical time inside the step after ts[-1].
@@ -338,7 +384,15 @@ def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
     array of that shape.  A characteristic keeps its samples up to its first
     flagged step, and one stopped at its first step keeps a frozen second
     sample.  Returns ``(cube, ends)``: the samples of characteristic ``i``
-    are ``cube[i, :ends[i]]``.
+    are ``cube[i, :ends[i]]``.  While every row is live a chunk is written
+    straight into ``cube``; afterwards the live rows are gathered and
+    scattered back.
+
+    A sample's last bit can depend on the layout of the arrays it was
+    evaluated in: one member evaluated alone may differ from the same
+    member evaluated with its family at a chunk's first sample.  Stored
+    samples are reproduced bit for bit by one call over the whole family
+    with the same ``taus``.
     """
     n, n_steps = len(x0), len(taus) - 1
     cube = np.empty((n, n_steps + 1, 2))
@@ -350,11 +404,13 @@ def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
     while k0 < n_steps and len(live):
         t = taus[k0 + 1 : k0 + 1 + _FAN_CHUNK]
         k1 = k0 + len(t)
-        seg = cube[live, k0 : k1 + 1]
+        whole = len(live) == n
+        seg = cube[:, k0 : k1 + 1] if whole else cube[live, k0 : k1 + 1]
         seg[:, 1:, 0], seg[:, 1:, 1] = _fan_xy(
             x0[live, None], y0[live, None], u, c[live, None], mu, t
         )
-        cube[live, k0 + 1 : k1 + 1] = seg[:, 1:]
+        if not whole:
+            cube[live, k0 + 1 : k1 + 1] = seg[:, 1:]
         if stop is not None:
             hit = stop(seg[:, :-1, 0], seg[:, :-1, 1], seg[:, 1:, 0], seg[:, 1:, 1])
             done = hit.any(axis=1)
@@ -366,16 +422,16 @@ def _integrate_fan(x0, y0, u, c, mu, taus, stop=None):
     return cube, np.maximum(ends, 2)
 
 
-def compute_primary_fan(
-    p: GameParams, n_phi: int = 200, d_tau: float = 1e-3
-) -> CharacteristicField:
+def compute_primary_fan(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> PrimaryFan:
     """Retrograde characteristics from usable-part angles phi in (0, phi_bar).
 
     All members share the focal time ``l/mu`` at which the family converges
     onto one point of the barrier.  Under ``(u, psi) = (+1, phi + tau)``
     each member has the closed form of :func:`_integrate_fan` with phase
-    ``c = phi``, evaluated on one read-only grid of ``n_steps + 1`` evenly
-    spaced times up to the focal time (``d_tau`` must lie in (0, 0.01)).
+    ``c = phi``, on one read-only grid of ``n_steps + 1`` evenly spaced
+    times up to the focal time (``d_tau`` must lie in (0, 0.01)).  The
+    arguments are checked here; the samples are evaluated only when
+    :attr:`PrimaryFan.trajectories` is read.
     """
     if n_phi < 2:
         raise ValueError("n_phi must be at least 2")
@@ -386,13 +442,7 @@ def compute_primary_fan(
     n_steps = max(2, int(round(tau_end / d_tau)))
     taus = np.linspace(0.0, tau_end, n_steps + 1)
     taus.flags.writeable = False
-    pts, _ = _integrate_fan(p.l * np.sin(phis), p.l * np.cos(phis), 1.0, phis, p.mu, taus)
-
-    chars = [
-        Characteristic(points=pts[i], tau=taus, terminal="usable_part", anchor_value=0.0, phi=phi)
-        for i, phi in enumerate(phis.tolist())
-    ]
-    return CharacteristicField(family="primary", trajectories=chars)
+    return PrimaryFan(phis=phis, tau=taus, l=p.l, mu=p.mu)
 
 
 class PrimaryRootError(RuntimeError):
@@ -1279,13 +1329,19 @@ class TurnAlignmentError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionGeometry:
-    """Immutable solution geometry for one parameter pair (x >= 0, mirrored on query)."""
+    """Immutable solution geometry for one parameter pair (x >= 0, mirrored on query).
+
+    ``primary_fan`` holds the primary family in closed form and samples it
+    on each read of its ``trajectories``; the other curves and fans are
+    stored as sampled.  Its pickle, what a sweep worker receives, is the
+    same bytes whatever has been read or queried.
+    """
 
     params: GameParams
     phi_bar: float
     barrier: SampledCurve
     equivocal: SampledCurve
-    primary_fan: CharacteristicField
+    primary_fan: PrimaryFan
     secondary_fan: CharacteristicField
     y_es: float
     value_at_contact: float
@@ -1599,11 +1655,16 @@ def _build_polygons(
 
 
 def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeometry:
-    """Construct the full solution geometry for ``p``."""
+    """Construct the full solution geometry for ``p``.
+
+    The primary fan stays in closed form: only its innermost member is
+    evaluated, alone, for the petal; it has the same bits as
+    ``primary_fan.trajectories[0].points``.
+    """
     barrier = compute_barrier(p, d_tau=d_tau)
     fan = compute_primary_fan(p, n_phi=n_phi, d_tau=d_tau)
     secondary, equivocal = compute_secondary_fan_and_equivocal(p, barrier=barrier, d_tau=d_tau)
-    pocket, petal = _build_polygons(p, barrier, equivocal, fan.trajectories[0].points)
+    pocket, petal = _build_polygons(p, barrier, equivocal, fan.innermost())
     return SolutionGeometry(
         params=p,
         phi_bar=bup_angle(p),

@@ -1,6 +1,7 @@
 import io
 import os
 
+import numpy as np
 import pytest
 
 from chauffeur.cli import (
@@ -14,7 +15,9 @@ from chauffeur.cli import (
     main,
     parse_config,
 )
+from chauffeur import solution
 from chauffeur.solution import (
+    BarrierMarchError,
     EqualCostBracketError,
     NearestSampleError,
     PrimaryRootError,
@@ -142,7 +145,14 @@ class TestExecute:
         assert cfg.t_max is None
 
     @pytest.mark.parametrize(
-        "error", [EqualCostBracketError, PrimaryRootError, NearestSampleError, TurnAlignmentError]
+        "error",
+        [
+            BarrierMarchError,
+            EqualCostBracketError,
+            PrimaryRootError,
+            NearestSampleError,
+            TurnAlignmentError,
+        ],
     )
     def test_named_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def fail(sc):
@@ -170,6 +180,19 @@ class TestMain:
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(REFERENCE_INI + f"\n[output]\ndirectory = {tmp_path}\n")
         assert main(["classify", str(cfg_path)]) == EXIT_OK
+
+    def test_barrier_march_failure_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # A barrier whose tangent never turns back (every sample at (2, 2))
+        # fails the build of a geometry that is not yet cached.
+        monkeypatch.setattr(solution, "_GEOMETRY_CACHE", {})
+        monkeypatch.setattr(
+            solution, "_fan_xy", lambda x0, y0, u, c, mu, t: (np.full(np.shape(t), 2.0),) * 2
+        )
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(REFERENCE_INI + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert main(["geometry", str(cfg_path)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: barrier march failed")
+        assert not list(tmp_path.glob("chauffeur_*"))
 
     def test_missing_turn_alignment_is_a_numerical_failure(self, tmp_path, capsys):
         # (0.2, 0.7) tags this state Tributary inside the unit turn disc,

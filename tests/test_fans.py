@@ -6,8 +6,10 @@ bytes."""
 
 import csv
 import dataclasses
+import importlib.util
 import io
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -18,9 +20,11 @@ import chauffeur.solution as solution
 from chauffeur.core import RelState, validate_params
 from chauffeur.solution import (
     GEOMETRY_CSV_HEADER,
+    CharacteristicField,
     _barrier_stop,
     _crosses,
     compute_barrier,
+    compute_primary_fan,
     compute_secondary_fan_and_equivocal,
     secondary_heading,
     solve,
@@ -405,6 +409,113 @@ def test_secondary_members_share_one_read_only_tau_grid(geom_03, geom_02):
         )
         digest = _geometry_digest()
         assert digest(geom) == digest(dataclasses.replace(geom, secondary_fan=copied))
+
+
+def _digest_pairs():
+    """``DIGEST_PAIRS`` of ``scripts/bitwise_outputs.py``."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bitwise_outputs.py"
+    spec = importlib.util.spec_from_file_location("bitwise_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DIGEST_PAIRS
+
+
+# The (mu, l) pairs whose geometries the acceptance module's criterion 2 builds.
+CRITERION_2_PAIRS = (
+    (0.3, 0.5), (0.2, 0.5), (0.4, 0.5), (0.25, 0.5), (0.35, 0.7),
+    (0.2, 0.7), (0.25, 0.6), (0.15, 0.6), (0.5, 0.4), (0.35, 0.4),
+)
+
+
+def _eager_primary(p, n_phi=200, d_tau=1e-3):
+    """The primary family's phases, tau grid and samples, restated from the
+    construction and evaluated by one _integrate_fan call."""
+    phi_bar = math.acos(p.mu)
+    phis = np.linspace(phi_bar / n_phi, phi_bar, n_phi)
+    taus = np.linspace(0.0, p.l / p.mu, int(round(p.l / p.mu / d_tau)) + 1)
+    cube, _ = solution._integrate_fan(p.l * np.sin(phis), p.l * np.cos(phis), 1.0, phis, p.mu, taus)
+    return phis, taus, cube
+
+
+class TestPrimaryFanOnDemand:
+    """The primary fan keeps its closed-form inputs and samples on read."""
+
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+    def test_read_equals_one_eager_call(self, which, request):
+        geom = request.getfixturevalue(which)
+        fan = geom.primary_fan
+        phis, taus, cube = _eager_primary(geom.params)
+        assert fan.phis.tobytes() == phis.tobytes()
+        assert fan.tau.tobytes() == taus.tobytes()
+        chars = fan.trajectories
+        assert len(chars) == len(phis)
+        for i, ch in enumerate(chars):
+            assert ch.points.tobytes() == cube[i].tobytes()
+            assert ch.tau is fan.tau
+            assert float.hex(ch.phi) == float.hex(float(phis[i]))
+            assert (ch.terminal, ch.anchor_value, ch.anchor) == ("usable_part", 0.0, None)
+        eager = CharacteristicField(
+            family="primary",
+            trajectories=[
+                dataclasses.replace(ch, points=cube[i].copy(), tau=taus)
+                for i, ch in enumerate(chars)
+            ],
+        )
+        digest = _geometry_digest()
+        assert digest(geom) == digest(dataclasses.replace(geom, primary_fan=eager))
+
+    @pytest.mark.parametrize("pair", sorted(set(_digest_pairs()) | set(CRITERION_2_PAIRS)))
+    def test_innermost_member_alone_is_the_stored_one(self, pair):
+        # A member evaluated alone can differ in the last bit from the same
+        # member evaluated with its family; the petal's is pinned here.
+        fan = compute_primary_fan(validate_params(*pair))
+        assert fan.innermost().tobytes() == fan.trajectories[0].points.tobytes()
+
+    def test_solve_samples_the_innermost_member_only(self, monkeypatch, params_03):
+        real_fan, real_polygons = solution._integrate_fan, solution._build_polygons
+        primary_rows, inner = [], []
+
+        def recording(x0, y0, u, c, mu, taus, stop=None):
+            if u == 1.0:
+                primary_rows.append(c.tolist())
+            return real_fan(x0, y0, u, c, mu, taus, stop)
+
+        def polygons(p, barrier, equivocal, inner_member):
+            inner.append(inner_member)
+            return real_polygons(p, barrier, equivocal, inner_member)
+
+        monkeypatch.setattr(solution, "_integrate_fan", recording)
+        monkeypatch.setattr(solution, "_build_polygons", polygons)
+        geom = solve(params_03)
+        fan = geom.primary_fan
+        assert primary_rows == [[float(fan.phis[0])]]
+        monkeypatch.setattr(solution, "_integrate_fan", real_fan)
+        assert inner[0].tobytes() == fan.trajectories[0].points.tobytes()
+
+    def test_pickle_carries_no_samples(self, geom_03):
+        fan = geom_03.primary_fan
+        data = pickle.dumps(fan)
+        assert len(data) < fan.phis.nbytes + fan.tau.nbytes + 4096
+        back = pickle.loads(pickle.dumps(geom_03))
+        digest = _geometry_digest()
+        assert digest(back) == digest(geom_03)
+        assert pickle.dumps(back.primary_fan) == data
+
+    def test_in_place_write_is_one_fan_xy_call_per_chunk(self, params_03):
+        # While every row is live _integrate_fan writes a chunk in place;
+        # the bits are those of one _fan_xy call per chunk over the same
+        # row and time blocks.
+        phis, taus, cube = _eager_primary(params_03, n_phi=13, d_tau=3e-3)
+        rows = np.arange(len(phis))[:, None]
+        x0, y0 = params_03.l * np.sin(phis), params_03.l * np.cos(phis)
+        ref = np.empty_like(cube)
+        ref[:, 0] = np.stack([x0, y0], axis=1)
+        for k0 in range(0, len(taus) - 1, solution._FAN_CHUNK):
+            t = taus[k0 + 1 : k0 + 1 + solution._FAN_CHUNK]
+            xs, ys = solution._fan_xy(x0[rows], y0[rows], 1.0, phis[rows], params_03.mu, t)
+            ref[:, k0 + 1 : k0 + 1 + len(t), 0] = xs
+            ref[:, k0 + 1 : k0 + 1 + len(t), 1] = ys
+        assert cube.tobytes() == ref.tobytes()
 
 
 class TestGeometryCsvBytes:

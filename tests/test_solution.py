@@ -23,6 +23,7 @@ from chauffeur.solution import (
     TRIBUTARY,
     UNIVERSAL_NEGATIVE,
     UNIVERSAL_POSITIVE,
+    BarrierMarchError,
     NearestSampleError,
     PrimaryRootError,
     _CurveIndex,
@@ -124,6 +125,17 @@ class TestBarrier:
 
     def test_tau_strictly_increasing(self, geom_03):
         assert np.all(np.diff(geom_03.barrier.tau) > 0.0)
+
+    def test_a_tangent_that_never_turns_is_named(self, monkeypatch, params_03):
+        # With every sample at (2, 2), dx/dtau = 2 - mu sin(psi) stays
+        # positive outside the turn disc, so the endpoint test arms and never
+        # fires.
+        def never_turns(x0, y0, u, c, mu, t):
+            return np.full(np.shape(t), 2.0), np.full(np.shape(t), 2.0)
+
+        monkeypatch.setattr(solution, "_fan_xy", never_turns)
+        with pytest.raises(BarrierMarchError, match="failed to terminate"):
+            compute_barrier(params_03)
 
     def test_endpoint_is_local_x_maximum(self, params_03, geom_03):
         # dx/dtau changes sign from positive to negative at the endpoint.
@@ -1356,9 +1368,11 @@ def _one_state_per_tag(geom):
     }
 
 
-def test_queries_leave_the_geometry_pickle_unchanged(params_03):
+def test_queries_leave_the_geometry_pickle_unchanged(params_03, tmp_path):
     # A geometry handed to a sweep worker is the same bytes whatever was
-    # asked of it before: no query builds or caches anything on it.
+    # asked of it before: no query builds or caches anything on it, and
+    # reading the primary fan's samples, directly or through the CSV, keeps
+    # none of them.
     geom = solve(params_03, n_phi=40, d_tau=4e-3)
     before = pickle.dumps(geom)
     for tag, (x, y) in _one_state_per_tag(geom).items():
@@ -1367,6 +1381,8 @@ def test_queries_leave_the_geometry_pickle_unchanged(params_03):
             geom.value(s)
             for band in (0.0, 0.05):
                 feedback_pair(geom, s, axis_band=max(band, SIDE_DEADBAND), wall_band=band)
+    assert len(geom.primary_fan.trajectories) == 40
+    geom.to_csv(str(tmp_path / "geometry.csv"))
     assert pickle.dumps(geom) == before
 
 
