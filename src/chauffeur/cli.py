@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from .core import GameParams, RelState, validate_params
 from .deception import sweep as run_sweep
 from .sim import Scenario, run_closed_loop
-from .solution import (
-    BarrierMarchError,
-    EqualCostBracketError,
-    NearestSampleError,
-    PrimaryRootError,
-    TurnAlignmentError,
-    get_geometry,
-)
+from .solution import NumericalError, get_geometry
 from .strategy import EvaderPolicy
 
 EXIT_OK = 0
@@ -260,13 +253,7 @@ def execute(cfg: RunConfig, out=sys.stdout) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        BarrierMarchError,
-        EqualCostBracketError,
-        PrimaryRootError,
-        NearestSampleError,
-        TurnAlignmentError,
-    ) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

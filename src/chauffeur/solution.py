@@ -95,7 +95,11 @@ SIDE_DEADBAND = 1e-6
 GEOMETRY_CSV_HEADER = "family,branch_id,tau,x,y"
 
 
-class EqualCostBracketError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base of the named numerical failures of a geometry build or query."""
+
+
+class EqualCostBracketError(NumericalError):
     """Equal-cost locus could not be bracketed while marching the equivocal curve."""
 
 
@@ -296,7 +300,22 @@ def _check_step(d_tau: float) -> None:
         raise ValueError(f"d_tau={d_tau!r} must be finite and lie in (0, 0.01)")
 
 
-class BarrierMarchError(RuntimeError):
+def _bisect(on_hi_side, lo: float, hi: float) -> tuple[float, float, float]:
+    """Halve ``[lo, hi]`` at most 60 times, the midpoint replacing ``hi``
+    where ``on_hi_side(mid)`` holds and ``lo`` otherwise; returns the final
+    ``(lo, hi)`` and the last midpoint.  After a midpoint equal to an end,
+    every later halving would test it again and change nothing, so the
+    search stops there with the bits of all 60 (for a deterministic test)."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        at_end = mid == lo or mid == hi
+        lo, hi = (lo, mid) if on_hi_side(mid) else (mid, hi)
+        if at_end:
+            break
+    return lo, hi, mid
+
+
+class BarrierMarchError(NumericalError):
     """The barrier's tangent did not turn back toward the capture circle
     within the march's bound on tau."""
 
@@ -351,14 +370,9 @@ def compute_barrier(p: GameParams, d_tau: float = 1e-3) -> SampledCurve:
         ts += t[:end]
         if end < len(t):
             # Bisect the tangent-vertical time inside the step after ts[-1].
-            lo, hi = 0.0, d_tau
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if at(ts[-1] + mid)[2] <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            ts.append(ts[-1] + hi)
+            t0 = ts[-1]
+            hi = _bisect(lambda mid: at(t0 + mid)[2] <= 0.0, 0.0, d_tau)[1]
+            ts.append(t0 + hi)
             break
     x, y, _ = at(np.array(ts))
     x[0], y[0] = x0, y0
@@ -429,12 +443,12 @@ def compute_primary_fan(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) ->
     onto one point of the barrier.  Under ``(u, psi) = (+1, phi + tau)``
     each member has the closed form of :func:`_integrate_fan` with phase
     ``c = phi``, on one read-only grid of ``n_steps + 1`` evenly spaced
-    times up to the focal time (``d_tau`` must lie in (0, 0.01)).  The
-    arguments are checked here; the samples are evaluated only when
-    :attr:`PrimaryFan.trajectories` is read.
+    times up to the focal time (``d_tau`` must lie in (0, 0.01), ``n_phi``
+    must be an integer of at least 2).  The arguments are checked here; the
+    samples are evaluated only when :attr:`PrimaryFan.trajectories` is read.
     """
-    if n_phi < 2:
-        raise ValueError("n_phi must be at least 2")
+    if not isinstance(n_phi, (int, np.integer)) or n_phi < 2:
+        raise ValueError(f"n_phi={n_phi!r} must be an integer of at least 2")
     _check_step(d_tau)
     phi_bar = bup_angle(p)
     tau_end = p.l / p.mu
@@ -445,7 +459,7 @@ def compute_primary_fan(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) ->
     return PrimaryFan(phis=phis, tau=taus, l=p.l, mu=p.mu)
 
 
-class PrimaryRootError(RuntimeError):
+class PrimaryRootError(NumericalError):
     """No primary characteristic passes through the state before the focal time."""
 
 
@@ -484,11 +498,9 @@ def primary_inverse(p: GameParams, x: float, y: float) -> tuple[float, float]:
         if f <= 0.0:
             return math.atan2(qx, qy), t
         if d >= 0.0:
-            lo, hi = t_prev, t  # f' changes sign in between: bisect for the minimum
-            for _ in range(60):
-                t = 0.5 * (lo + hi)
-                qx, qy, g, f, d = at(t)
-                lo, hi = (t, hi) if d < 0.0 else (lo, t)
+            # f' changes sign in between: bisect for the minimum.
+            t = _bisect(lambda m: not at(m)[4] < 0.0, t_prev, t)[2]
+            qx, qy, g, f, d = at(t)
             gap = math.hypot(qx, qy) - g
             if gap > _FOLD_GAP:
                 raise PrimaryRootError(f"({x!r}, {y!r}) lies {gap:.3g} beyond the barrier")
@@ -530,59 +542,6 @@ def _rk4_equivocal(p: GameParams, x: float, y: float, u: float, h: float):
     )
 
 
-def _brent_root(f, a: float, b: float, fa: float, fb: float, ftol: float = 0.0) -> float:
-    """Root of ``f`` in the sign-changing bracket ``[a, b]`` (Brent's zeroin).
-
-    ``fa`` and ``fb`` are the residuals already evaluated at the bracket
-    ends.  Inverse quadratic or secant steps are taken while they stay well
-    inside the bracket, bisection otherwise, so the bracket always holds a
-    sign change.  The iteration stops at the floating-point resolution of the
-    root, or earlier at the best point so far once its residual is at most
-    ``ftol`` in magnitude (with the default 0.0, only at an exact zero).
-    ``f`` returns None where the residual is undefined, which raises
-    :class:`EqualCostBracketError` rather than returning an unconverged point.
-    """
-    eps = sys.float_info.epsilon
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = eps * (2.0 * abs(b) + 0.5)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or abs(fb) <= ftol:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if fb is None:
-            raise EqualCostBracketError(
-                f"residual undefined at u={b!r} inside the bracket between "
-                f"u={a!r} -> {fa!r} and u={c!r} -> {fc!r}"
-            )
-        if (fb > 0.0) == (fc > 0.0) and fb != 0.0:
-            c, fc = a, fa
-            d = e = b - a
-
-
 # Warm-started equal-cost bracket: the linear prediction of the control
 # plus or minus max(_WARM_WIDTH |last second difference|, _WARM_FLOOR).
 _WARM_WIDTH = 4.0
@@ -613,13 +572,13 @@ def _march_equivocal(
     evaluations, or of its bracket ends); either is accepted only inside the
     warm bracket, the linear prediction ``2 u[k-1] - u[k-2]`` plus or minus
     ``_WARM_WIDTH`` times the last second difference of the control (at
-    least ``_WARM_FLOOR``).  Otherwise a Brent iteration solves the warm
-    bracket.  When that bracket holds no sign change or an undefined
-    residual, and on the first three steps, the continuity ladder takes
-    over: brackets of half-width ``_LADDER`` around the previous step's
-    control, the first with a sign change winning.  Each residual keeps its
-    stepped point, keyed by control, so the accepted step is not integrated
-    again; Brent may return a control other than its last evaluation.
+    least ``_WARM_FLOOR``).  Otherwise the warm bracket is bisected, and
+    the end of the final bracket with the smaller residual taken.  When
+    that bracket holds no sign change or an undefined residual, and on the
+    first three steps, the continuity ladder takes over: brackets of
+    half-width ``_LADDER`` around the previous step's control, the first
+    with a sign change winning.  Each residual keeps its stepped point,
+    keyed by control, so the accepted step is not integrated again.
     Returns (points, value, u) arrays ending at the interpolated axis
     contact.
 
@@ -665,7 +624,8 @@ def _march_equivocal(
         return u_n if abs(r_n) <= stop and lo <= u_n <= hi else None
 
     def bracketed(lo, hi):
-        """Root in [lo, hi], or None without a defined sign change there."""
+        """The end of the bisected [lo, hi] with the smaller residual, or
+        None without a defined sign change there."""
         nonlocal slope
         r_lo = residual(lo)
         r_hi = residual(hi)
@@ -678,7 +638,19 @@ def _march_equivocal(
         if (r_lo < 0.0) == (r_hi < 0.0):
             return None
         slope = (r_hi - r_lo) / (hi - lo)
-        return _brent_root(residual, lo, hi, r_lo, r_hi, stop)
+        rs = {lo: r_lo, hi: r_hi}
+
+        def on_hi_side(u):
+            r = rs[u] = residual(u)
+            if r is None:
+                raise EqualCostBracketError(
+                    f"residual undefined at u={u!r} inside the bracket between "
+                    f"u={lo!r} -> {r_lo!r} and u={hi!r} -> {r_hi!r}"
+                )
+            return (r > 0.0) == (r_hi > 0.0)
+
+        a, b, _ = _bisect(on_hi_side, lo, hi)
+        return min(a, b, key=lambda u: abs(rs[u]))
 
     def solve_u():
         if len(ucs) >= 4:
@@ -893,7 +865,7 @@ def compute_secondary_fan_and_equivocal(
 # ---------------------------------------------------------------------------
 
 
-class NearestSampleError(RuntimeError):
+class NearestSampleError(NumericalError):
     """No stored sample passed the ring rule within the search cap."""
 
 
@@ -1318,11 +1290,11 @@ class _SecondaryFamilies:
 _DIVE_STEP = 4e-3
 
 
-class DiveStepLimitError(RuntimeError):
+class DiveStepLimitError(NumericalError):
     """The pocket value's dive ran out of steps before it left the pocket."""
 
 
-class TurnAlignmentError(RuntimeError):
+class TurnAlignmentError(NumericalError):
     """A state tagged Tributary or Dispersal has no turn to alignment: it lies
     strictly inside the unit turn disc centred at (1, 0)."""
 
@@ -1657,12 +1629,12 @@ def _build_polygons(
 def solve(p: GameParams, n_phi: int = 200, d_tau: float = 1e-3) -> SolutionGeometry:
     """Construct the full solution geometry for ``p``.
 
-    The primary fan stays in closed form: only its innermost member is
-    evaluated, alone, for the petal; it has the same bits as
-    ``primary_fan.trajectories[0].points``.
+    The primary fan stays in closed form, set up first (checking ``n_phi``
+    before any march); only its innermost member is evaluated, alone, for
+    the petal, with the bits of ``primary_fan.trajectories[0].points``.
     """
-    barrier = compute_barrier(p, d_tau=d_tau)
     fan = compute_primary_fan(p, n_phi=n_phi, d_tau=d_tau)
+    barrier = compute_barrier(p, d_tau=d_tau)
     secondary, equivocal = compute_secondary_fan_and_equivocal(p, barrier=barrier, d_tau=d_tau)
     pocket, petal = _build_polygons(p, barrier, equivocal, fan.innermost())
     return SolutionGeometry(

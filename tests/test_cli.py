@@ -18,8 +18,10 @@ from chauffeur.cli import (
 from chauffeur import solution
 from chauffeur.solution import (
     BarrierMarchError,
+    DiveStepLimitError,
     EqualCostBracketError,
     NearestSampleError,
+    NumericalError,
     PrimaryRootError,
     TurnAlignmentError,
 )
@@ -152,9 +154,12 @@ class TestExecute:
             PrimaryRootError,
             NearestSampleError,
             TurnAlignmentError,
+            DiveStepLimitError,
         ],
     )
     def test_named_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        assert issubclass(error, NumericalError) and issubclass(error, RuntimeError)
+
         def fail(sc):
             raise error("no root at (1.0, -0.5)")
 

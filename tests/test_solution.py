@@ -24,8 +24,10 @@ from chauffeur.solution import (
     UNIVERSAL_NEGATIVE,
     UNIVERSAL_POSITIVE,
     BarrierMarchError,
+    EqualCostBracketError,
     NearestSampleError,
     PrimaryRootError,
+    _bisect,
     _CurveIndex,
     _fan_xy,
     _march_equivocal,
@@ -246,6 +248,9 @@ class TestPrimaryFan:
     def test_fan_validation(self, params_03):
         with pytest.raises(ValueError, match="n_phi"):
             compute_primary_fan(params_03, n_phi=1)
+        # Any integer type of at least 2 is a member count.
+        for n_phi in (2, np.int64(3)):
+            assert len(compute_primary_fan(params_03, n_phi=n_phi).phis) == n_phi
 
     def test_characteristics_anchor_on_usable_part(self, params_03, geom_03):
         for ch in geom_03.primary_fan.trajectories[::20]:
@@ -460,6 +465,16 @@ class TestStepArguments:
         args = (geom_03.barrier,) if build is compute_secondary_fan_and_equivocal else ()
         with pytest.raises(ValueError, match=re.escape(f"d_tau={d_tau!r}")):
             build(params_03, *args, d_tau=d_tau)
+
+    @pytest.mark.parametrize(
+        "n_phi", [2.5, 3.0, math.nan, math.inf, 1, 0, -4, np.float64(200.0), "200", None]
+    )
+    @pytest.mark.parametrize("build", [compute_primary_fan, solve], ids=lambda f: f.__name__)
+    def test_member_count_that_is_not_an_integer_of_at_least_two(self, params_03, build, n_phi):
+        # solve() sets up the closed-form primary fan before the barrier,
+        # so no barrier sample is evaluated for a bad n_phi.
+        with pytest.raises(ValueError, match=re.escape(f"n_phi={n_phi!r}")):
+            build(params_03, n_phi=n_phi)
 
 
 def _oracle_turn_time(x, y, n=4_000_000):
@@ -759,9 +774,9 @@ def _ladder_march(p, start, v_start, d_tau):
     """The equivocal march with the continuity ladder alone, the reference
     for the predicted control and the warm-started bracket: per step,
     brackets of half-width 0.1, 0.25, 0.5 and 1 around the previous control,
-    the first with a sign change solved by Brent, under the package's stop
-    tolerance.  The same stepper and residual as the package, looked up at
-    call time.  Returns (points, values, controls)."""
+    the first with a sign change bisected as the package does, under its
+    stop tolerance.  The same stepper, residual and bisection as the
+    package, looked up at call time.  Returns (points, values, controls)."""
     x, y = start
     v, h = v_start, d_tau
     pts, vals, ucs = [(x, y)], [v], []
@@ -785,7 +800,14 @@ def _ladder_march(p, start, v_start, d_tau):
                 return hi
             if (r_lo < 0.0) == (r_hi < 0.0):
                 continue
-            return solution._brent_root(residual, lo, hi, r_lo, r_hi, stop)
+            rs = {lo: r_lo, hi: r_hi}
+
+            def on_hi_side(u):
+                r = rs[u] = residual(u)
+                return (r > 0.0) == (r_hi > 0.0)
+
+            a, b, _ = solution._bisect(on_hi_side, lo, hi)
+            return min(a, b, key=lambda u: abs(rs[u]))
         raise AssertionError("ladder lost the root")
 
     u = 0.7
@@ -1098,35 +1120,189 @@ class TestEqualCostDiagnostics:
             compute_secondary_fan_and_equivocal(p, barrier=b)
 
 
-class TestBrentRoot:
-    def test_root_at_bracket_end(self):
-        from chauffeur.solution import _brent_root
+def _sixty_halvings(on_hi_side, lo, hi):
+    """The fixed 60-halving loop the barrier and the primary inverse each
+    carried before :func:`_bisect`."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if on_hi_side(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, mid
 
-        assert _brent_root(lambda x: x - 1.0, 1.0, 2.0, 0.0, 1.0) == 1.0
-        assert _brent_root(lambda x: x - 2.0, 1.0, 2.0, -1.0, 0.0) == 2.0
 
-    def test_cubic_known_root(self):
-        # Wallis's cubic x^3 - 2x - 5; its real root to double precision.
-        from chauffeur.solution import _brent_root
-
+class TestBisect:
+    def test_known_root_to_the_float_resolution(self):
+        # Wallis's cubic x^3 - 2x - 5 on [2, 3]: the bracket closes on two
+        # adjacent floats at its real root, within 60 halvings, the last
+        # midpoint being one of them.
         calls = []
 
-        def f(x):
+        def above(x):
             calls.append(x)
-            return x**3 - 2.0 * x - 5.0
+            return x**3 - 2.0 * x - 5.0 > 0.0
 
-        root = _brent_root(f, 2.0, 3.0, f(2.0), f(3.0))
-        assert abs(root - 2.0945514815423265) <= 4.0 * np.finfo(float).eps
-        assert len(calls) - 2 <= 12
+        lo, hi, mid = _bisect(above, 2.0, 3.0)
+        assert hi == np.nextafter(lo, 3.0)
+        assert abs(lo - 2.0945514815423265) <= 4.0 * np.finfo(float).eps
+        assert mid in (lo, hi) and calls[-1] == mid
+        assert len(calls) <= 60
 
-    def test_undefined_residual_inside_bracket_raises(self):
-        from chauffeur.solution import EqualCostBracketError, _brent_root
+    def test_stops_where_sixty_halvings_end(self, rng):
+        # Against the fixed loop, bit for bit, on seeded brackets: thresholds
+        # inside them, beyond either end (the bracket collapses onto one
+        # end) and a bracket too wide for 60 halvings to close.
+        cases = []
+        for _ in range(300):
+            lo, hi = sorted(rng.uniform(-10.0, 10.0, 2).tolist())
+            cases.append((lo, hi, float(rng.uniform(lo - 1.0, hi + 1.0))))
+        cases += [(0.0, 1e300, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0)]
+        counts = []
+        for lo, hi, c in cases:
+            calls = []
 
-        def f(x):
-            return None if 0.25 < x < 0.75 else x - 0.5
+            def side(m):
+                calls.append(m)
+                return m >= c
 
-        with pytest.raises(EqualCostBracketError, match="undefined"):
-            _brent_root(f, 0.0, 1.0, -0.5, 0.5)
+            want = _sixty_halvings(lambda m: m >= c, lo, hi)
+            got = _bisect(side, lo, hi)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (lo, hi, c)
+            counts.append(len(calls))
+        assert max(counts) == counts[-3] == 60  # the bracket too wide to close
+        assert counts[-2:] == [1, 1]  # a point bracket: one halving, and done
+
+    def test_undefined_residual_inside_a_bracket_raises(self, geom_03, monkeypatch):
+        # The march's first step bisects the ladder's first bracket, 0.1
+        # either side of 0.7, which holds a sign change; a departure cost
+        # undefined at the stepped point of its first midpoint is named.
+        p, h = geom_03.params, 1e-3
+        start = tuple(geom_03.barrier.points[-1].tolist())
+        v0 = _tributary_value_raw(p, *start)
+        lo, hi = 0.7 - 0.1, 0.7 + 0.1
+        r_lo, r_hi = (_tributary_value_raw(p, *_rk4_equivocal(p, *start, u, h)) - (v0 + h) for u in (lo, hi))
+        assert (r_lo < 0.0) != (r_hi < 0.0)
+        mid = 0.5 * (lo + hi)
+        hole = _rk4_equivocal(p, *start, mid, h)
+        departure = solution._tributary_value_raw
+
+        def patched(p_, x, y):
+            return None if (x, y) == hole else departure(p_, x, y)
+
+        monkeypatch.setattr(solution, "_tributary_value_raw", patched)
+        with pytest.raises(EqualCostBracketError, match=re.escape(f"residual undefined at u={mid!r}")):
+            _march_equivocal(p, start, v0, h)
+
+
+# The seven pairs of scripts/bitwise_outputs.py and the remaining pairs of
+# acceptance criterion 2.
+_BISECT_PAIRS = [
+    (0.3, 0.5),
+    (0.2, 0.5),
+    (0.4, 0.5),
+    (0.25, 0.6),
+    (0.1, 0.3),
+    (0.35, 0.7),
+    (0.2, 0.7),
+    (0.25, 0.5),
+    (0.15, 0.6),
+    (0.5, 0.4),
+    (0.35, 0.4),
+]
+
+
+def _sixty_halving_barrier_end(p, t0, d_tau):
+    """The barrier's tangent-vertical time in the step after ``t0``, by the
+    barrier's loop before :func:`_bisect`."""
+    phi, mu = bup_angle(p), p.mu
+    x0, y0 = bup_point(p)
+    lo, hi = 0.0, d_tau
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        t = t0 + mid
+        _, y = _fan_xy(x0, y0, 1.0, phi, mu, t)
+        if y - mu * np.sin(phi + t) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return t0 + hi
+
+
+def _sixty_halving_primary_inverse(p, x, y):
+    """:func:`primary_inverse` before :func:`_bisect`: its fold minimum by
+    the fixed 60-halving loop."""
+    l, mu, wx, wy = p.l, p.mu, x - 1.0, y
+    bound = math.hypot(wx, wy) + mu * mu
+
+    def at(t):
+        c, s = math.cos(t), math.sin(t)
+        qx, qy = wx * c - wy * s + 1.0, wx * s + wy * c
+        g = l - mu * t
+        return qx, qy, g, qx * qx + qy * qy - g * g, 2.0 * (mu * g - qy)
+
+    t_prev = t = 0.0
+    while t <= l / mu:
+        qx, qy, g, f, d = at(t)
+        if f <= 0.0:
+            return math.atan2(qx, qy), t
+        if d >= 0.0:
+            lo, hi = t_prev, t
+            for _ in range(60):
+                t = 0.5 * (lo + hi)
+                qx, qy, g, f, d = at(t)
+                lo, hi = (t, hi) if d < 0.0 else (lo, t)
+            gap = math.hypot(qx, qy) - g
+            if gap > solution._FOLD_GAP:
+                raise PrimaryRootError(f"({x!r}, {y!r}) lies {gap:.3g} beyond the barrier")
+            return bup_angle(p), t
+        step = 2.0 * f / (math.sqrt(d * d + 4.0 * bound * f) - d)
+        if step <= 2e-16 * t:
+            return math.atan2(qx, qy), t
+        t_prev, t = t, t + step
+    raise PrimaryRootError(f"no primary characteristic reaches ({x!r}, {y!r}) by tau = l/mu")
+
+
+class TestBisectedSearchesBitForBit:
+    """The barrier's endpoint and the primary inverse's fold minimum are
+    the fixed 60-halving loops' results, bit for bit."""
+
+    @pytest.mark.parametrize("pair", _BISECT_PAIRS)
+    def test_barrier_arrays(self, pair):
+        p, d_tau = validate_params(*pair), 1e-3
+        b = compute_barrier(p, d_tau=d_tau)
+        ts, acc = b.tau.tolist(), 0.0
+        for k, t in enumerate(ts[:-1]):
+            assert t.hex() == acc.hex(), k  # the accumulated grid
+            acc += d_tau
+        assert ts[-1].hex() == _sixty_halving_barrier_end(p, ts[-2], d_tau).hex()
+        x, y = _fan_xy(*bup_point(p), 1.0, bup_angle(p), p.mu, np.array(ts))
+        x[0], y[0] = bup_point(p)
+        assert np.array_equal(b.points, np.stack([x, y], axis=1))
+
+    @pytest.mark.parametrize("pair", _BISECT_PAIRS)
+    def test_primary_inverse_next_to_the_barrier(self, pair, rng):
+        # Seeded states up to 1e-5 either side of the pre-focal barrier:
+        # the same (phi, tau) bits or the same named error, and most of
+        # them reach the fold's bisection.
+        p = validate_params(*pair)
+        b = compute_barrier(p)
+        k_focal = int(np.searchsorted(b.tau, p.l / p.mu))
+        folds = 0
+        for k in rng.integers(2, k_focal - 1, 150).tolist():
+            (x0, y0), (x1, y1) = b.points[k - 1], b.points[k + 1]
+            n = np.array([y1 - y0, x0 - x1]) / math.hypot(x1 - x0, y1 - y0)
+            x, y = (b.points[k] + rng.uniform(-1e-5, 1e-5) * n).tolist()
+            outcome = []
+            for inverse in (primary_inverse, _sixty_halving_primary_inverse):
+                try:
+                    outcome.append(tuple(v.hex() for v in inverse(p, x, y)))
+                except PrimaryRootError as err:
+                    outcome.append(str(err))
+            assert outcome[0] == outcome[1], (x, y)
+            got = outcome[0]
+            folds += isinstance(got, str) or got[0] == bup_angle(p).hex()
+        assert folds >= 50
 
 
 class TestDefaultSweepWindow:
