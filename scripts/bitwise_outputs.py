@@ -22,14 +22,20 @@ The first form prints one ``name = value`` line per output of the
 The digest and CSV helpers are the benchmark's own, imported read-only from
 ``perfbench/workloads.py``.  The second form runs the first once against
 each ``src`` directory, each in a fresh interpreter, and prints ``same`` or
-``differs`` per output, with both values where they differ.  It reports; it
-never fails on a difference.  Given the same ``src`` twice with
+``differs`` per output, with both values where they differ.  Since the CSV
+hash can flip on a drift in the 15th digit that reaches a 9th printed one,
+it then adds one ``csv_fields`` line: where the two hashes differ, each
+tree writes its CSV from a fresh interpreter and the line counts the fields
+that differ, numeric ones compared as floats, with the largest difference,
+and names a row-count or text-field mismatch.  It reports; it never fails
+on a difference.  Given the same ``src`` twice with
 ``PYTHONHASHSEED`` unset, each interpreter draws its own hash seed, so a
 ``differs`` names an output that depends on it.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 import pickle
 import random
@@ -40,15 +46,15 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import PAIRS, REF_L, REF_MU1, REF_MU2, REF_START, VALUE_PROBES, csv_sha256, geometry_digest  # noqa: E402
+
 DIGEST_PAIRS = ((0.3, 0.5), (0.2, 0.5), (0.4, 0.5), (0.25, 0.6), (0.1, 0.3), (0.35, 0.7), (0.2, 0.7))
 POCKET_POINTS = 400
 
 
 def outputs() -> list[tuple[str, str]]:
     """(name, value) of every compared output, in print order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import PAIRS, REF_L, REF_MU1, REF_MU2, REF_START, VALUE_PROBES, csv_sha256, geometry_digest
-
     from chauffeur.core import RelState, validate_params
     from chauffeur.deception import deception_gain
     from chauffeur.solution import SECONDARY, get_geometry
@@ -86,6 +92,50 @@ def run_tree(src: str) -> dict[str, str]:
     return dict(line.split(" = ", 1) for line in text.splitlines())
 
 
+def tree_csv(src: str) -> str:
+    """The (REF_MU1, REF_L) geometry CSV of the package under ``src``,
+    written by a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    code = (
+        "import sys; from chauffeur.core import validate_params; from chauffeur.solution import get_geometry; "
+        f"get_geometry(validate_params({REF_MU1}, {REF_L})).to_csv(sys.argv[1])"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "geometry.csv"
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        return path.read_text()
+
+
+def csv_fields(base: str, head: str) -> str:
+    """``same``, or how many fields of two CSV texts differ and the largest
+    difference of a numeric one, with the count of row-count and text
+    mismatches and the first of them."""
+    rows_a, rows_b = list(csv.reader(base.splitlines())), list(csv.reader(head.splitlines()))
+    fields = changed = 0
+    largest = 0.0
+    mismatches = []
+    if len(rows_a) != len(rows_b):
+        mismatches.append(f"{len(rows_a)} rows against {len(rows_b)}")
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        if len(ra) != len(rb):
+            mismatches.append(f"row {i} has {len(ra)} fields against {len(rb)}")
+        for a, b in zip(ra, rb):
+            fields += 1
+            if a == b:
+                continue
+            changed += 1
+            try:
+                largest = max(largest, abs(float(a) - float(b)))
+            except ValueError:
+                mismatches.append(f"row {i} text {a!r} against {b!r}")
+    if not changed and not mismatches:
+        return "same"
+    line = f"differs: {changed} of {fields} fields, largest |difference| {largest:.3g}"
+    if mismatches:
+        line += f"; {len(mismatches)} mismatches, the first: {mismatches[0]}"
+    return line
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         for name, value in outputs():
@@ -101,6 +151,9 @@ def main(argv: list[str]) -> int:
             print(f"{name}: same")
         else:
             print(f"{name}: differs\n  base: {a}\n  head: {b}")
+    csv_name = f"csv_sha256({REF_MU1}, {REF_L})"
+    same = base.get(csv_name) == head.get(csv_name)
+    print(f"csv_fields({REF_MU1}, {REF_L}): " + ("same" if same else csv_fields(*map(tree_csv, argv))))
     return 0
 
 

@@ -3,56 +3,24 @@
 Solution geometry (barrier, characteristic fans, equivocal curve), feedback
 equilibrium strategies, closed-loop simulation with event detection, and
 deception analysis under asymmetric knowledge of the evader's top speed.
+
+The package root holds the paper's entry points; everything else lives in
+``chauffeur.core``, ``solution``, ``sim``, ``strategy`` and ``deception``.
 """
 
-from .core import Controls, GameParams, RelState, validate_params, wrap_angle
-from .deception import AdvantageMap, DeceptionReport, deception_gain, sweep
-from .sim import Scenario, Trajectory, detect_events, run_closed_loop, step
-from .solution import (
-    CharacteristicField,
-    EqualCostBracketError,
-    Region,
-    SampledCurve,
-    SolutionGeometry,
-    bup_angle,
-    bup_point,
-    compute_barrier,
-    compute_primary_fan,
-    compute_secondary_fan_and_equivocal,
-    dubins_cs_turn_time,
-    get_geometry,
-    solve,
-)
-from .strategy import EvaderPolicy, deceptive_policy
+from .core import RelState, validate_params
+from .deception import deception_gain, sweep
+from .sim import Scenario, run_closed_loop
+from .solution import get_geometry
+from .strategy import EvaderPolicy
 
 __all__ = [
-    "Controls",
-    "GameParams",
     "RelState",
     "validate_params",
-    "wrap_angle",
-    "CharacteristicField",
-    "EqualCostBracketError",
-    "Region",
-    "SampledCurve",
-    "SolutionGeometry",
-    "bup_angle",
-    "bup_point",
-    "compute_barrier",
-    "compute_primary_fan",
-    "compute_secondary_fan_and_equivocal",
-    "dubins_cs_turn_time",
     "get_geometry",
-    "solve",
-    "AdvantageMap",
-    "DeceptionReport",
+    "Scenario",
+    "EvaderPolicy",
+    "run_closed_loop",
     "deception_gain",
     "sweep",
-    "Scenario",
-    "Trajectory",
-    "detect_events",
-    "run_closed_loop",
-    "step",
-    "EvaderPolicy",
-    "deceptive_policy",
 ]

@@ -24,13 +24,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RelState, validate_params
-from .sim import Scenario, run_closed_loop
-from .solution import SolutionGeometry, get_geometry
+from .sim import SWITCH, Scenario, run_closed_loop
+from .solution import NumericalError, SolutionGeometry, get_geometry
 from .strategy import EvaderPolicy
 
 ADVANTAGE_CSV_HEADER = "x0,y0,region_mu1,region_mu2,t_truthful,t_deceptive,gain,switch_x,switch_y"
@@ -51,22 +51,15 @@ class DeceptionReport:
 
 @dataclass
 class AdvantageMap:
-    mu1: float
-    mu2: float
-    l: float
-    window: tuple[float, float, float, float]
-    spacing: float
-    xs: np.ndarray
-    ys: np.ndarray
     cells: list[DeceptionReport]
-    failures: list[tuple[float, float, str]] = field(default_factory=list)
+    failures: list[tuple[float, float, str]]
 
     def max_gain(self) -> float | None:
         gains = [c.gain for c in self.cells if c.gain is not None]
         return max(gains) if gains else None
 
-    def advantageous_cells(self, threshold: float = 0.0) -> int:
-        return sum(1 for c in self.cells if c.gain is not None and c.gain > threshold)
+    def advantageous_cells(self) -> int:
+        return sum(1 for c in self.cells if c.gain is not None and c.gain > 0.0)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -93,7 +86,7 @@ class AdvantageMap:
 def _default_horizon(geom1: SolutionGeometry, s0: RelState) -> float:
     try:
         v = geom1.value(s0)
-    except RuntimeError:  # how value() reports a failed query
+    except NumericalError:  # how value() reports a failed query
         v = 10.0
     return max(20.0, 10.0 * v)
 
@@ -140,11 +133,7 @@ def deception_gain(
     tr2 = play(EvaderPolicy(kind="deceptive", mu_low=p2.mu, mu_high=p1.mu), "estimating")
     t_est = tr1.capture_time if with_estimating_baseline else None
 
-    switch = None
-    for e in tr2.events:
-        if e.kind == "switch":
-            switch = e.location
-            break
+    switch = next((e.location for e in tr2.events if e.kind == SWITCH), None)
     t1, t2 = tr1.capture_time, tr2.capture_time
     return DeceptionReport(
         initial_rel=s0,
@@ -270,14 +259,4 @@ def sweep(
             failures.append((x, y, err or "unknown failure"))
         else:
             cells.append(rep)
-    return AdvantageMap(
-        mu1=mu1,
-        mu2=mu2,
-        l=l,
-        window=window,
-        spacing=spacing,
-        xs=xs,
-        ys=ys,
-        cells=cells,
-        failures=failures,
-    )
+    return AdvantageMap(cells, failures)

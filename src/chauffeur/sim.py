@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import Controls, GameParams, RelState, held_step
-from .solution import SIDE_DEADBAND, UNIVERSAL_POSITIVE, SolutionGeometry, get_geometry
+from .solution import CAPTURED, SIDE_DEADBAND, UNIVERSAL_POSITIVE, SolutionGeometry, get_geometry
 from .strategy import EvaderPolicy, _check_speed, deceptive_policy, feedback_pair
 
 TRAJECTORY_CSV_HEADER = "t,x,y,u,psi,mu_cmd,mu_hat,region,event"
@@ -430,7 +430,7 @@ def run_closed_loop(
                 add_psi(psi)
                 add_mu_cmd(mu_cmd)
                 add_mu_hat(mu_hat)
-                add_region("Captured")
+                add_region(CAPTURED)
                 captured = True
                 break
             traj.events.append(e)

@@ -81,24 +81,26 @@ class TestDeceptionGain:
 
 
 class TestDefaultHorizon:
-    class _Failing:
-        def __init__(self, exc):
-            self.exc = exc
-
+    @staticmethod
+    def failing_value(monkeypatch, exc):
         def value(self, s):
-            raise self.exc
+            raise exc
 
-    def test_value_failure_falls_back(self):
-        from chauffeur.deception import _default_horizon
+        monkeypatch.setattr(solution.SolutionGeometry, "value", value)
 
-        geom = self._Failing(RuntimeError("nearest-curve query failed"))
-        assert _default_horizon(geom, RelState(2.0, 0.0)) == 100.0
+    def test_value_failure_falls_back(self, geom_03, monkeypatch):
+        self.failing_value(monkeypatch, solution.NearestSampleError("nearest-curve query failed"))
+        assert deception._default_horizon(geom_03, RelState(2.0, 0.0)) == 100.0
 
-    def test_other_errors_propagate(self):
-        from chauffeur.deception import _default_horizon
-
-        with pytest.raises(ZeroDivisionError):
-            _default_horizon(self._Failing(ZeroDivisionError()), RelState(2.0, 0.0))
+    @pytest.mark.parametrize(
+        "exc", [ZeroDivisionError(), RuntimeError("unnamed"), RecursionError()], ids=lambda e: type(e).__name__
+    )
+    def test_other_errors_propagate(self, geom_03, monkeypatch, exc):
+        # Only value()'s named failures (NumericalError) fall back to the
+        # fixed horizon; a bare RuntimeError is a fault, not a failed query.
+        self.failing_value(monkeypatch, exc)
+        with pytest.raises(type(exc)):
+            deception._default_horizon(geom_03, RelState(2.0, 0.0))
 
 
 class TestSweep:
