@@ -8,6 +8,9 @@ The first form prints one ``name = value`` line per output of the
 ``chauffeur`` package on the path:
 
 * the sha256 geometry digest of seven parameter pairs,
+* the sha256 lookup digest of the (0.3, 0.5) and (0.2, 0.5) geometries:
+  the query structures built from the curves and fans, which the geometry
+  digest leaves out (:func:`lookup_digest`),
 * the pickled size in bytes of the (0.3, 0.5) and (0.2, 0.5) geometries,
   what a sweep worker receives per geometry; it is taken after the digest
   has read every sample, and holds no primary-fan samples, which the
@@ -36,6 +39,7 @@ on a difference.  Given the same ``src`` twice with
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import pickle
 import random
@@ -53,6 +57,25 @@ DIGEST_PAIRS = ((0.3, 0.5), (0.2, 0.5), (0.4, 0.5), (0.25, 0.6), (0.1, 0.3), (0.
 POCKET_POINTS = 400
 
 
+def lookup_digest(g) -> str:
+    """sha256 over the query structures of a built geometry: the sample
+    index's arrays (dtypes included), ``keys`` and ``starts``, the pocket's
+    and petal's ``bbox``, ``ys``, ``edges`` and ``slabs``, and the equivocal
+    band's lists and ``bbox``.  Lists are hashed through their ``repr``, which keeps every
+    float's bits and every item's type."""
+    h = hashlib.sha256()
+    idx = g._secondary_index
+    for a in (idx.sx, idx.sy, idx.owner, idx.local):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    h.update(repr((idx.keys, idx.starts)).encode())
+    for poly in (g._pocket, g._petal):
+        h.update(repr((poly.bbox, poly.ys, poly.edges, poly.slabs)).encode())
+    band = g._equivocal_band
+    h.update(repr((band.xs, band.ys, band.bbox)).encode())
+    return h.hexdigest()
+
+
 def outputs() -> list[tuple[str, str]]:
     """(name, value) of every compared output, in print order."""
     from chauffeur.core import RelState, validate_params
@@ -62,6 +85,8 @@ def outputs() -> list[tuple[str, str]]:
     out = []
     for mu, l in DIGEST_PAIRS:
         out.append((f"geometry_digest({mu}, {l})", geometry_digest(get_geometry(validate_params(mu, l)))))
+    for mu, l in PAIRS:
+        out.append((f"lookup_digest({mu}, {l})", lookup_digest(get_geometry(validate_params(mu, l)))))
     for mu, l in PAIRS:
         out.append((f"pickle_bytes({mu}, {l})", str(len(pickle.dumps(get_geometry(validate_params(mu, l)))))))
     g = get_geometry(validate_params(REF_MU1, REF_L))

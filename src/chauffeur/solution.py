@@ -73,7 +73,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,6 +135,36 @@ class CharacteristicField:
     family: str  # "secondary"
     trajectories: list[Characteristic]
 
+    def __getstate__(self):
+        """Pickle a shared tau grid once.  Every secondary member's ``tau``
+        is a prefix view of one read-only grid, and numpy pickles a view as
+        a copy of its data; so when all members' taus are prefix views of
+        one array, that array is pickled once and each member carries its
+        length, and :meth:`__setstate__` restores read-only views of it."""
+        grid = self.trajectories[0].tau.base if self.trajectories else None
+        if grid is None or not all(_prefix_of(ch.tau, grid) for ch in self.trajectories):
+            return self.__dict__
+        members = [replace(ch, tau=len(ch.tau)) for ch in self.trajectories]
+        return {"family": self.family, "trajectories": members, "tau_grid": grid}
+
+    def __setstate__(self, state: dict):
+        grid = state.pop("tau_grid", None)
+        if grid is not None:
+            grid.flags.writeable = False
+            members = state["trajectories"]
+            state["trajectories"] = [replace(ch, tau=grid[: ch.tau]) for ch in members]
+        self.__dict__.update(state)
+
+
+def _prefix_of(view: np.ndarray, grid: np.ndarray) -> bool:
+    """Whether ``view`` is ``grid[:len(view)]`` of a 1-d ``grid``."""
+    return (
+        view.base is grid
+        and grid.ndim == 1
+        and view.strides == grid.strides
+        and view.__array_interface__["data"][0] == grid.__array_interface__["data"][0]
+    )
+
 
 @dataclass(frozen=True)
 class PrimaryFan:
@@ -188,6 +218,10 @@ def bup_point(p: GameParams) -> tuple[float, float]:
     return (p.l * math.sin(phi), p.l * math.cos(phi))
 
 
+# Turns within 1e-9 of a full turn read as no turn (see turn_alignment).
+_FULL_TURN = TWO_PI - 1e-9
+
+
 def turn_alignment(x: float, y: float) -> tuple[float, float] | None:
     """Duration of the u=+1 turn that aims the heading ray at a frozen target.
 
@@ -201,21 +235,25 @@ def turn_alignment(x: float, y: float) -> tuple[float, float] | None:
     r2 = cx * cx + y * y
     if r2 < 1.0:
         return None
+    # From here r2 >= 1 or r2 is NaN.  Then r2 - 1 >= 0 and, sqrt being
+    # correctly rounded and monotone, r >= 1, so -1/r lies in [-1, 0): no
+    # clamp into acos' domain can act.  A NaN r2 comes from a NaN x or y,
+    # which makes delta, and so t, NaN as well.
     r = math.sqrt(r2)
-    s0 = math.sqrt(max(r2 - 1.0, 0.0))
+    s0 = math.sqrt(r2 - 1.0)
     delta = math.atan2(y, cx)
-    half = math.acos(max(-1.0, min(1.0, -1.0 / r)))
+    half = math.acos(-1.0 / r)
     # r sin(half) = s0, so the target's along-ray coordinate is +s0 at this
     # root and -s0 at the other: this root is the one ahead.
     t = (-delta + half) % TWO_PI
     # Exact alignments at t ~ 2*pi are t ~ 0 cases hit from below.
-    t = 0.0 if t > TWO_PI - 1e-9 else t
+    t = 0.0 if t > _FULL_TURN else t
     if s0 <= 1e-6:
         # Near the turn circle the other root is within rounding of ahead
         # too, and the earlier of the two is taken.
         other = (-delta - half) % TWO_PI
         if cx * math.sin(other) + y * math.cos(other) >= -1e-9:
-            t = min(t, 0.0 if other > TWO_PI - 1e-9 else other)
+            t = min(t, 0.0 if other > _FULL_TURN else other)
     return t, s0
 
 
@@ -551,6 +589,9 @@ _WARM_FLOOR = 1e-9
 # that level, and the residual's slope in u is only about h x (1e-3), so u
 # is resolved to about 1e-12 at best; iterating further chases noise.
 _STOP_ULPS = 4.0
+# Its product with the machine epsilon, the first factor of the per-step
+# tolerance _STOP_ULPS * eps * (v + h), which Python evaluates left to right.
+_STOP_EPS = _STOP_ULPS * sys.float_info.epsilon
 # Half-widths of the continuity ladder around the previous control.
 _LADDER = (0.1, 0.25, 0.5, 1.0)
 
@@ -591,7 +632,7 @@ def _march_equivocal(
     x, y = float(start[0]), float(start[1])
     v = float(v_start)
     h = d_tau
-    pts = [(x, y)]
+    xs, ys = [x], [y]
     vals = [v]
     ucs: list[float] = []  # ucs[0] repeats the first step's control
     stepped: dict[float, tuple[float, float]] = {}  # this step's points by control
@@ -677,25 +718,26 @@ def _march_equivocal(
     guard = int(40.0 / d_tau)
     for _ in range(guard):
         stepped.clear()
-        stop = _STOP_ULPS * sys.float_info.epsilon * (v + h)
+        stop = _STOP_EPS * (v + h)
         u = solve_u()
         if not ucs:
             ucs.append(u)  # endpoint sample reuses the first interior control
         x, y = stepped[u]
         v += h
-        pts.append((x, y))
+        xs.append(x)
+        ys.append(y)
         vals.append(v)
         ucs.append(u)
         if x <= 0.0:
             # Interpolate the exact axis contact on the last segment.
-            x0, y0 = pts[-2]
+            x0, y0 = xs[-2], ys[-2]
             w = x0 / (x0 - x)
-            pts[-1] = (0.0, y0 + w * (y - y0))
+            xs[-1], ys[-1] = 0.0, y0 + w * (y - y0)
             vals[-1] = vals[-2] + w * h
             break
     else:
         raise EqualCostBracketError("equivocal march failed to reach the y axis")
-    return np.asarray(pts), np.asarray(vals), np.asarray(ucs)
+    return np.column_stack([xs, ys]), np.asarray(vals), np.asarray(ucs)
 
 
 def _barrier_stop(points: np.ndarray):
@@ -891,20 +933,29 @@ class _CurveIndex:
     def __init__(self, curves: list[np.ndarray], cell: float = 0.08):
         self.curves = curves
         self.cell = cell
-        pts = np.concatenate(curves, axis=0)
-        key = np.floor(pts / cell).astype(np.int64)
-        self.j_lo = int(key[:, 1].min())
-        self.span = int(key[:, 1].max()) - self.j_lo + 1
-        flat = key[:, 0] * self.span + (key[:, 1] - self.j_lo)
+        lens = [len(c) for c in curves]
+        xy = np.concatenate([c.T for c in curves], axis=1)  # rows x, y
+        key = xy / cell
+        np.floor(key, out=key)
+        kx, ky = key.astype(np.int64)
+        self.j_lo = int(ky.min())
+        self.span = int(ky.max()) - self.j_lo + 1
+        flat = kx * self.span + (ky - self.j_lo)
+        # Keys that fit 16 bits are sorted as int16, which takes numpy's
+        # stable radix sort, about twice as fast as its int64 merge sort;
+        # they are narrowed only when the observed range fits, so none
+        # wraps and the order is the int64 one.  A secondary fan's keys
+        # span a few thousand.
+        if -(2**15) <= flat.min() and flat.max() < 2**15:
+            flat = flat.astype(np.int16)
         order = np.argsort(flat, kind="stable")
-        self.sx = pts[order, 0]
-        self.sy = pts[order, 1]
-        self.owner = np.repeat(np.arange(len(curves)), [len(c) for c in curves])[order]
-        self.local = np.concatenate([np.arange(len(c)) for c in curves])[order]
-        sk = flat[order]
-        first = np.flatnonzero(np.diff(sk, prepend=sk[0] - 1))
-        self.keys = sk[first].tolist()
-        self.starts = first.tolist() + [len(sk)]
+        self.sx, self.sy = xy[0].take(order), xy[1].take(order)
+        self.owner = np.repeat(np.arange(len(curves)), lens).take(order)
+        self.local = order - (np.cumsum(lens) - lens).take(self.owner)
+        sk = flat.take(order)
+        first = np.flatnonzero(sk[1:] != sk[:-1]) + 1
+        self.keys = [int(sk[0]), *sk[first].tolist()]
+        self.starts = [0, *first.tolist(), len(sk)]
 
     def _box(self, ci: int, cj: int, ring: int) -> tuple | None:
         """(x, y, positions) of the samples in the ring-r box around bucket
@@ -1054,8 +1105,12 @@ class _Polygon:
     def of(cls, pts: np.ndarray) -> "_Polygon":
         x1, y1 = pts[:, 0], pts[:, 1]
         x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-        lo, hi = pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9
-        bbox = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        bbox = (
+            float(x1.min()) - 1e-9,
+            float(x1.max()) + 1e-9,
+            float(y1.min()) - 1e-9,
+            float(y1.max()) + 1e-9,
+        )
         ys = np.unique(y1)
         # Edge e spans slabs first[e] .. stop[e] - 1 (none when horizontal).
         first = np.searchsorted(ys, np.minimum(y1, y2))
@@ -1064,7 +1119,7 @@ class _Polygon:
         edge = np.repeat(np.arange(len(pts)), count)
         slab = np.arange(len(edge)) + np.repeat(first - (np.cumsum(count) - count), count)
         order = np.argsort(slab, kind="stable")
-        bounds = np.searchsorted(slab[order], np.arange(len(ys) + 1)).tolist()
+        bounds = [0, *np.cumsum(np.bincount(slab, minlength=len(ys))).tolist()]
         rows = list(
             zip(x1.tolist(), y1.tolist(), (x2 - x1).tolist(), (y2 - y1).tolist(), range(len(pts)))
         )

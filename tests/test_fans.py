@@ -20,6 +20,7 @@ import chauffeur.solution as solution
 from chauffeur.core import RelState, validate_params
 from chauffeur.solution import (
     GEOMETRY_CSV_HEADER,
+    Characteristic,
     CharacteristicField,
     _barrier_stop,
     _crosses,
@@ -409,6 +410,42 @@ def test_secondary_members_share_one_read_only_tau_grid(geom_03, geom_02):
         )
         digest = _geometry_digest()
         assert digest(geom) == digest(dataclasses.replace(geom, secondary_fan=copied))
+
+
+@pytest.mark.parametrize("which", ["geom_03", "geom_02"])
+def test_secondary_fan_pickles_its_tau_grid_once(which, request):
+    # The members' tau prefixes go into the pickle as one grid and come
+    # back as read-only views of one grid, with the same bits.
+    geom = request.getfixturevalue(which)
+    fan = geom.secondary_fan
+    grid = fan.trajectories[0].tau.base
+    data = pickle.dumps(fan)
+    points = sum(ch.points.nbytes for ch in fan.trajectories)
+    assert len(data) < points + grid.nbytes + 200 * len(fan.trajectories)
+    back = pickle.loads(pickle.dumps(geom))
+    chars = back.secondary_fan.trajectories
+    shared = chars[0].tau.base
+    assert shared is not None and not shared.flags.writeable
+    for ch, orig in zip(chars, fan.trajectories, strict=True):
+        assert ch.tau.base is shared and not ch.tau.flags.writeable
+        assert ch.tau.tobytes() == orig.tau.tobytes()
+    assert _geometry_digest()(back) == _geometry_digest()(geom)
+    assert pickle.dumps(back.secondary_fan) == data
+
+
+def test_a_field_without_one_prefix_grid_pickles_each_tau():
+    # Taus that are not all prefix views of one array keep numpy's own
+    # pickling: an offset view keeps its values, a copy stays unshared.
+    grid = np.arange(6) * 0.5
+    grid.flags.writeable = False
+    pts = np.zeros((3, 2))
+    for taus in ([grid[:3], grid[1:4]], [grid[:3], grid[:3].copy()], [grid[:3], grid[::2]]):
+        fan = CharacteristicField(
+            "secondary", [Characteristic(pts, tau, "equivocal", 0.0) for tau in taus]
+        )
+        back = pickle.loads(pickle.dumps(fan))
+        for ch, tau in zip(back.trajectories, taus, strict=True):
+            assert ch.tau.tobytes() == tau.tobytes() and ch.tau.base is None
 
 
 def _digest_pairs():

@@ -670,6 +670,56 @@ class TestTributaryValue:
         # Both paths ran: the shortcut and the loop near the rim.
         assert 0 < shortcut < len(points) - 1000
 
+    @staticmethod
+    def _clamped_alignment(x, y):
+        # Frozen copy of turn_alignment with the clamps into sqrt's and
+        # acos' domains that it dropped as identities.
+        cx = x - 1.0
+        r2 = cx * cx + y * y
+        if r2 < 1.0:
+            return None
+        r = math.sqrt(r2)
+        s0 = math.sqrt(max(r2 - 1.0, 0.0))
+        delta = math.atan2(y, cx)
+        half = math.acos(max(-1.0, min(1.0, -1.0 / r)))
+        t = (-delta + half) % (2.0 * math.pi)
+        t = 0.0 if t > 2.0 * math.pi - 1e-9 else t
+        if s0 <= 1e-6:
+            other = (-delta - half) % (2.0 * math.pi)
+            if cx * math.sin(other) + y * math.cos(other) >= -1e-9:
+                t = min(t, 0.0 if other > 2.0 * math.pi - 1e-9 else other)
+        return t, s0
+
+    def test_alignment_matches_the_clamped_formula_bitwise(self, rng):
+        n = 2000
+        theta = rng.uniform(-math.pi, math.pi, n)
+        rim = 1.0 + 10.0 ** rng.uniform(-17.0, -2.0, n)
+        on_circle = list(zip(1.0 + np.cos(theta), np.sin(theta)))
+        up = math.nextafter(1.0, 2.0)
+        inf, nan = math.inf, math.nan
+        points = [
+            *zip(rng.uniform(-1.0, 5.0, n), rng.uniform(-4.0, 4.0, n)),
+            *zip(1.0 + rim * np.cos(theta), rim * np.sin(theta)),
+            *on_circle,
+            (0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0),
+            (1.0, up), (1.0 + up, 0.0), (1.0 - up, 0.0), (up, 1.0),
+            (1e154, 1e154), (-1e200, 3.0), (1e308, -1e308), (3.0, 1e300), (-1.7e308, 0.0),
+            (inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf), (inf, inf), (-inf, -inf),
+            (inf, nan), (nan, 0.0), (0.0, nan), (nan, nan), (-nan, 2.0),
+        ]
+        r2s = set()
+        for x, y in points:
+            x, y = float(x), float(y)
+            got, want = turn_alignment(x, y), self._clamped_alignment(x, y)
+            if want is None:
+                assert got is None, (x, y)
+            else:
+                assert [v.hex() for v in got] == [v.hex() for v in want], (x, y)
+            r2s.add((x - 1.0) * (x - 1.0) + y * y)
+        # The edges of the dropped clamps all occur: r2 at 1 and one ulp
+        # above, overflow to inf, and NaN.
+        assert {1.0, up, inf} <= r2s and any(math.isnan(r2) for r2 in r2s)
+
     def test_turn_aims_the_ray_through_targets_just_outside_the_turn_circle(self, rng):
         # At r in (1, 1 + 1e-6] both roots are within rounding of ahead.  An
         # alignment always comes back, and after turning for t at u = +1
@@ -1829,12 +1879,27 @@ class TestCurveIndex:
             assert idx.nearest(x, y) == ref.nearest(x, y), (x, y)
             assert repr(idx.nearest_two(x, y)) == repr(ref.nearest_two(x, y)), (x, y)
 
-    def test_stores_every_sample_once_in_bucket_order(self, geom_03):
-        idx = geom_03._secondary_index
-        ref = _RingRuleScan([ch.points for ch in geom_03.secondary_fan.trajectories])
-        assert np.array_equal(idx.sx, ref.sx) and np.array_equal(idx.sy, ref.sy)
+    @pytest.mark.parametrize("which", ["geom_03", "geom_02", "wide"])
+    def test_stores_every_sample_once_in_bucket_order(self, which, request):
+        # The geometries' bucket keys fit 16 bits; the synthetic set's do
+        # not, so both key widths of the sort are checked against the
+        # lexsort of the ring rule's stand-in.
+        if which == "wide":
+            idx = _CurveIndex(_wide_key_curves())
+        else:
+            idx = request.getfixturevalue(which)._secondary_index
+        ref = _RingRuleScan(idx.curves)
+        assert idx.sx.tobytes() == ref.sx.tobytes() and idx.sy.tobytes() == ref.sy.tobytes()
         assert np.array_equal(idx.owner, ref.owner) and np.array_equal(idx.local, ref.local)
-        assert len(idx.keys) == len(set(idx.keys)) and idx.starts[-1] == len(idx.sx)
+        assert idx.sx.dtype == idx.sy.dtype == np.float64
+        assert idx.owner.dtype == idx.local.dtype == np.int64
+        flat = (ref.b[:, 0] * idx.span + (ref.b[:, 1] - idx.j_lo)).tolist()
+        first = [k for k in range(len(flat)) if k == 0 or flat[k] != flat[k - 1]]
+        assert idx.keys == [flat[k] for k in first] == sorted(set(flat))
+        assert idx.starts == [*first, len(flat)]
+        assert all(type(v) is int for v in idx.keys + idx.starts)
+        wide = not -(2**15) <= min(idx.keys) <= max(idx.keys) < 2**15
+        assert wide == (which == "wide")
 
     def test_ties_go_to_the_first_sample_in_bucket_order(self):
         # Four samples 1.25 from the query, one in each neighbouring bucket
@@ -1856,6 +1921,16 @@ class TestCurveIndex:
                     lookup(x, y)
         assert issubclass(NearestSampleError, RuntimeError)
         assert idx.nearest(3.0, 0.0) == (0, 1)
+
+
+def _wide_key_curves():
+    """Curves at negative coordinates far enough out that their bucket
+    keys overflow 16 bits, with an empty member and repeated samples, so
+    ties in key go to input order."""
+    rng = np.random.default_rng(7)
+    walk = np.cumsum(rng.normal(0.0, 0.05, (2000, 2)), axis=0) + [-150.0, -3.0]
+    far = rng.uniform([-2700.0, -40.0], [-2600.0, 10.0], (500, 2))
+    return [walk, np.empty((0, 2)), far, walk[::7].copy(), far[:50].copy()]
 
 
 def _project_numpy(points, j, x, y, *series):
